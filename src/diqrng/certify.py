@@ -18,7 +18,6 @@ from .qmath import (
     TwoQubitState,
     analyzer_operator,
     correlation_matrix,
-    hermitian_eig,
     is_physical,
 )
 
@@ -177,10 +176,8 @@ def chsh_from_rho(rho: TwoQubitState) -> float:
     """Maximum CHSH value for rho: 2 sqrt(s1^2 + s2^2) with s1 >= s2 the two
     largest singular values of the correlation matrix."""
     c = correlation_matrix(rho)  # validates physicality
-    w, _ = hermitian_eig(c.T @ c)
-    w = np.clip(w, 0.0, None)
-    s = 2.0 * math.sqrt(float(w[-1] + w[-2]))
-    return min(s, TSIRELSON_BOUND + 1e-9)
+    s1, s2, _ = np.linalg.svd(c, compute_uv=False)
+    return min(2.0 * math.sqrt(s1 * s1 + s2 * s2), TSIRELSON_BOUND + 1e-9)
 
 
 def min_entropy(bits) -> MinEntropyResult:

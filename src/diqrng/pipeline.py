@@ -80,28 +80,10 @@ class PipelineConfig:
         return {label: derive_seed(self.global_seed, label) for label in SEED_LABELS}
 
     def to_json_dict(self) -> dict:
-        data = {
-            "global_seed": self.global_seed,
-            "n_bits": self.n_bits,
-            "output_dir": self.output_dir,
-            "suite_threshold": self.suite_threshold,
-            "preset": self.preset,
-            "source": dataclasses.asdict(self.source),
-            "chsh": {
-                "settings": None
-                if self.chsh.settings is None
-                else self.chsh.settings.as_dict(),
-                "pairs_per_setting": self.chsh.pairs_per_setting,
-            },
-            "tomo": dataclasses.asdict(self.tomo),
-            "extractor": {
-                "n": self.extractor.n,
-                "m": self.extractor.m,
-                "mode": self.extractor.mode,
-                "h_inf": self.extractor.h_inf,
-                "epsilon": self.extractor.epsilon,
-            },
-        }
+        data = dataclasses.asdict(self)
+        # The Toeplitz seed is derived per stage from global_seed, and explicit
+        # seed bits are an array, not JSON.
+        del data["extractor"]["rng_seed"], data["extractor"]["seed_bits"]
         return data
 
     def to_json(self) -> str:
@@ -109,21 +91,17 @@ class PipelineConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PipelineConfig":
-        chsh_data = data.get("chsh", {})
-        settings = chsh_data.get("settings")
+        data = dict(data)
+        chsh = dict(data.pop("chsh", {}))
+        settings = chsh.pop("settings", None)
         return cls(
-            source=SourceConfig(**data.get("source", {})),
+            source=SourceConfig(**data.pop("source", {})),
             chsh=ChshStageConfig(
-                settings=None if settings is None else ChshSettings(**settings),
-                pairs_per_setting=chsh_data.get("pairs_per_setting", 10_000),
+                settings=None if settings is None else ChshSettings(**settings), **chsh
             ),
-            tomo=TomoStageConfig(**data.get("tomo", {})),
-            extractor=ExtractorConfig(**data.get("extractor", {})),
-            suite_threshold=data.get("suite_threshold", 0.01),
-            output_dir=data.get("output_dir", "runs/default"),
-            global_seed=data.get("global_seed", 20260808),
-            n_bits=data.get("n_bits", 4_500_000),
-            preset=data.get("preset"),
+            tomo=TomoStageConfig(**data.pop("tomo", {})),
+            extractor=ExtractorConfig(**data.pop("extractor", {})),
+            **data,
         )
 
     @classmethod
@@ -423,15 +401,11 @@ def run_extract(cfg: PipelineConfig, raw: BitStream, out_dir=None):
 
 
 def run_test(cfg: PipelineConfig, bits: BitStream, out_dir=None, reference: dict | None = None):
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        suite_report = statsuite.run_suite(
-            bits,
-            threshold=cfg.suite_threshold,
-            stream_metadata={"sha256": bits.sha256(), "stage": bits.stage},
-        )
+    suite_report = statsuite.run_suite(
+        bits,
+        threshold=cfg.suite_threshold,
+        stream_metadata={"sha256": bits.sha256(), "stage": bits.stage},
+    )
     if out_dir is not None:
         out_dir = _ensure_dir(out_dir)
         suite_report.save_json(out_dir / "suite.json")

@@ -28,6 +28,9 @@ PAULI = np.array(
     dtype=complex,
 )
 
+#: PAULI2[i, j] = sigma_i x sigma_j, the 16 two-qubit Pauli operators.
+PAULI2 = np.einsum("iab,jcd->ijacbd", PAULI, PAULI).reshape(4, 4, 4, 4)
+
 DEFAULT_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
 
@@ -118,7 +121,7 @@ class Projector:
     """Hermitian idempotent matrix with a human-readable label.
 
     Single-qubit projectors are 2x2; joint ones are 4x4.  Use
-    :func:`tensor_projector` / :func:`arm_projector` to lift 2x2 ones.
+    :func:`arm_projector` to lift a 2x2 one onto one arm.
     """
 
     matrix: np.ndarray
@@ -157,12 +160,6 @@ def analyzer_operator(angle_deg: float) -> np.ndarray:
     return p_plus - p_minus
 
 
-def tensor_projector(pa: Projector, pb: Projector) -> Projector:
-    if pa.matrix.shape != (2, 2) or pb.matrix.shape != (2, 2):
-        raise ValueError("tensor_projector expects two single-qubit projectors")
-    return Projector(np.kron(pa.matrix, pb.matrix), label=pa.label + pb.label)
-
-
 def arm_projector(p: Projector, arm: int) -> Projector:
     """Lift a single-qubit projector onto one arm (0 = heralding, 1 = measured)."""
     if p.matrix.shape != (2, 2):
@@ -175,85 +172,8 @@ def arm_projector(p: Projector, arm: int) -> Projector:
     raise ValueError("arm must be 0 or 1")
 
 
-# ---------------------------------------------------------------------------
-# Eigen-decomposition: cyclic complex Jacobi on small Hermitian matrices.
-# No external solver at this size; validated against characteristic-polynomial
-# roots in the test suite.
-# ---------------------------------------------------------------------------
-
-def hermitian_eig(mat, tol: float = 1e-12, max_sweeps: int = 50):
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix.
-
-    Cyclic Jacobi with complex rotations.  Converges quadratically; 4x4
-    inputs settle below ``tol`` in a handful of sweeps.
-    """
-    a = np.array(mat, dtype=complex)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n):
-        raise ValueError("hermitian_eig expects a square matrix")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.conj().T))) > 1e-9 * scale:
-        raise ValueError("matrix is not Hermitian")
-    a = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=complex)
-
-    def off_norm():
-        o = a - np.diag(np.diag(a))
-        return math.sqrt(float(np.sum(np.abs(o) ** 2)))
-
-    converged = False
-    for _ in range(max_sweeps):
-        if off_norm() <= tol * scale:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                absb = abs(apq)
-                if absb <= (tol * scale) / (100.0 * n * n):
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                phase = apq / absb
-                theta = (aqq - app) / (2.0 * absb)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = phase * (t * c)
-                # A <- U^dag A U with U = I except U[p,p]=c, U[p,q]=s,
-                # U[q,p]=-conj(s), U[q,q]=c.
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - np.conj(s) * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = np.conj(s) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - np.conj(s) * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        converged = off_norm() <= tol * scale
-    if not converged:
-        raise RuntimeError(
-            f"Jacobi eigensolver did not reach {tol:g} in {max_sweeps} sweeps "
-            f"(residual off-diagonal norm {off_norm():.3e})"
-        )
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    w, v = hermitian_eig(mat)
+    w, v = np.linalg.eigh(mat)
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
 
@@ -278,8 +198,7 @@ def is_physical(rho: TwoQubitState, tol: float = DEFAULT_TOL) -> PhysicalityRepo
     tr_dev = abs(rho.trace() - 1.0)
     herm = rho.hermiticity_defect()
     sym = 0.5 * (rho.matrix + rho.matrix.conj().T)
-    w, _ = hermitian_eig(sym)
-    min_eig = float(w[0])
+    min_eig = float(np.linalg.eigvalsh(sym)[0])
     ok = tr_dev <= tol and herm <= tol and min_eig >= -tol
     return PhysicalityReport(ok, float(tr_dev), herm, min_eig)
 
@@ -305,12 +224,7 @@ def pauli_decompose(rho: TwoQubitState) -> np.ndarray:
         raise ValueError("pauli_decompose requires a Hermitian matrix")
     if abs(rho.trace() - 1.0) > DEFAULT_TOL:
         raise ValueError("pauli_decompose requires unit trace")
-    u = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            op = np.kron(PAULI[i], PAULI[j])
-            u[i, j] = np.trace(op @ rho.matrix).real
-    return u
+    return np.einsum("ijab,ba->ij", PAULI2, rho.matrix).real
 
 
 def pauli_compose(u) -> TwoQubitState:
@@ -324,12 +238,7 @@ def pauli_compose(u) -> TwoQubitState:
         raise ValueError("pauli coefficients must be a 4x4 real array")
     if abs(u[0, 0] - 1.0) > DEFAULT_TOL:
         raise ValueError("u[0,0] must equal 1 for a unit-trace state")
-    m = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            if u[i, j] != 0.0:
-                m += u[i, j] * np.kron(PAULI[i], PAULI[j])
-    return TwoQubitState(m / 4.0)
+    return TwoQubitState(np.einsum("ij,ijab->ab", u, PAULI2) / 4.0)
 
 
 def correlation_matrix(rho: TwoQubitState) -> np.ndarray:
@@ -359,7 +268,7 @@ def fidelity(a: TwoQubitState, b: TwoQubitState) -> float:
     _require_physical(b, "fidelity")
     sqrt_a = _psd_sqrt(0.5 * (a.matrix + a.matrix.conj().T))
     inner = sqrt_a @ (0.5 * (b.matrix + b.matrix.conj().T)) @ sqrt_a
-    w, _ = hermitian_eig(0.5 * (inner + inner.conj().T))
+    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     f = float(np.sum(np.sqrt(np.clip(w, 0.0, None)))) ** 2
     return min(max(f, 0.0), 1.0)
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .sp800_22 import (
+    InsufficientLengthError,
     TestResult,
     _bits_of,
     _ks_p,
@@ -142,10 +143,11 @@ class SuiteReport:
 def run_suite(bits, threshold: float = 0.01, stream_metadata: dict | None = None) -> SuiteReport:
     """All fifteen tests at the given threshold.
 
-    Tests whose minimum length the stream does not meet come back as
-    structured not-applicable results (passed, with the requirement in the
-    note) rather than silent skips; the stream itself is never mutated and
-    the tests are order-independent.
+    Tests whose minimum length the stream does not meet
+    (:class:`InsufficientLengthError`) come back as structured
+    not-applicable results (passed, with the requirement in the note) rather
+    than silent skips; any other error propagates.  The stream itself is
+    never mutated and the tests are order-independent.
     """
     b = _bits_of(bits)
     if b.size < RECOMMENDED_SUITE_LENGTH:
@@ -158,7 +160,7 @@ def run_suite(bits, threshold: float = 0.01, stream_metadata: dict | None = None
     for name in TEST_NAMES:
         try:
             results[name] = _TEST_FUNCTIONS[name](b, threshold=threshold)
-        except ValueError as exc:
+        except InsufficientLengthError as exc:
             results[name] = TestResult(
                 name=name,
                 p_values=(),

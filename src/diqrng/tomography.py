@@ -26,11 +26,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr
 
 from .qmath import (
+    PAULI2,
     Projector,
     TwoQubitState,
-    hermitian_eig,
     is_physical,
     pauli_compose,
 )
@@ -68,18 +69,12 @@ class ProjectorSet:
 
     def born_map_rank(self) -> int:
         """Rank of the map from Pauli coefficients to the 16 probabilities."""
-        from .qmath import PAULI
+        return int(np.linalg.matrix_rank(_pauli_map(self.stack()), tol=1e-10))
 
-        rows = []
-        for proj in self.projectors:
-            u = np.empty(16)
-            for i in range(4):
-                for j in range(4):
-                    u[4 * i + j] = np.trace(
-                        np.kron(PAULI[i], PAULI[j]) @ proj.matrix
-                    ).real
-            rows.append(u)
-        return int(np.linalg.matrix_rank(np.array(rows), tol=1e-10))
+
+def _pauli_map(stack: np.ndarray) -> np.ndarray:
+    """M[k, 4i+j] = Tr(P_k sigma_i x sigma_j) for a (16, 4, 4) projector stack."""
+    return np.einsum("kij,abji->kab", stack, PAULI2).real.reshape(len(stack), 16)
 
 
 def kwiat_projectors() -> ProjectorSet:
@@ -160,20 +155,8 @@ class PosteriorSamples:
 
 def _design_matrix(pset: ProjectorSet):
     """p = c0 + B u_free over the 15 free Pauli coefficients."""
-    from .qmath import PAULI
-
-    stack = pset.stack()
-    c0 = np.array([np.trace(p).real / 4.0 for p in stack])
-    columns = []
-    for i in range(4):
-        for j in range(4):
-            if i == j == 0:
-                continue
-            op = np.kron(PAULI[i], PAULI[j])
-            columns.append(
-                np.einsum("kij,ji->k", stack, op).real / 4.0
-            )
-    return c0, np.array(columns).T  # (16,), (16, 15)
+    full = _pauli_map(pset.stack()) / 4.0
+    return full[:, 0], full[:, 1:]  # (16,), (16, 15)
 
 
 def ls_invert(counts: TomoCounts, pset: ProjectorSet | None = None) -> TomoResult:
@@ -229,19 +212,28 @@ def _rho_from_t(t_mat: np.ndarray):
     return gram / norm, norm
 
 
-def _log_likelihood_and_grad(t: np.ndarray, counts, totals, stack, likelihood):
-    t_mat = _t_from_params(t)
-    rho, norm = _rho_from_t(t_mat)
+def _log_likelihood(rho: np.ndarray, counts, totals, stack, likelihood):
+    """Log-likelihood of the 16 counts under rho, and the clipped Born
+    probabilities it was evaluated at."""
     probs = np.einsum("kij,ji->k", stack, rho).real
     probs = np.clip(probs, _P_CLIP, 1.0 - _P_CLIP)
     if likelihood == "binomial":
-        value = float(np.sum(counts * np.log(probs) + (totals - counts) * np.log1p(-probs)))
-        weights = counts / probs - (totals - counts) / (1.0 - probs)
+        value = np.sum(counts * np.log(probs) + (totals - counts) * np.log1p(-probs))
     elif likelihood == "poisson":
-        value = float(np.sum(counts * np.log(totals * probs) - totals * probs))
-        weights = counts / probs - totals
+        value = np.sum(counts * np.log(totals * probs) - totals * probs)
     else:
         raise ValueError(f"unknown likelihood {likelihood!r}")
+    return float(value), probs
+
+
+def _log_likelihood_and_grad(t: np.ndarray, counts, totals, stack, likelihood):
+    t_mat = _t_from_params(t)
+    rho, norm = _rho_from_t(t_mat)
+    value, probs = _log_likelihood(rho, counts, totals, stack, likelihood)
+    if likelihood == "binomial":
+        weights = counts / probs - (totals - counts) / (1.0 - probs)
+    else:
+        weights = counts / probs - totals
     g_op = np.einsum("k,kij->ij", weights, stack)
     m_op = g_op - np.trace(g_op @ rho).real * np.eye(4)
     w_mat = (2.0 / norm) * (t_mat @ m_op)
@@ -257,7 +249,7 @@ def _initial_t_params(counts: TomoCounts, pset: ProjectorSet) -> np.ndarray:
     """Start from the least-squares state pushed inside the physical set."""
     rho_ls = ls_invert(counts, pset).rho_est
     sym = 0.5 * (rho_ls.matrix + rho_ls.matrix.conj().T)
-    w, v = hermitian_eig(sym)
+    w, v = np.linalg.eigh(sym)
     w = np.clip(w, 1e-6, None)
     rho0 = (v * w) @ v.conj().T
     rho0 /= np.trace(rho0).real
@@ -387,9 +379,7 @@ class BayesConfig:
 
 def _gamma_from_normal(y: np.ndarray) -> np.ndarray:
     """Unit-rate exponential (Gamma(1)) via the probability transform."""
-    y = np.clip(y, -8.0, 8.0)
-    survival = 0.5 * np.array([math.erfc(v / math.sqrt(2.0)) for v in y])
-    return -np.log(survival)
+    return -np.log(ndtr(-np.clip(y, -8.0, 8.0)))
 
 
 def _rho_from_vector(x: np.ndarray, k_components: int) -> np.ndarray:
@@ -430,14 +420,7 @@ def bayesian_estimate(
         rho = _rho_from_vector(x, cfg.K)
         if empty_record:
             return -0.5 * float(x @ x), rho
-        probs = np.einsum("kij,ji->k", stack, rho).real
-        probs = np.clip(probs, _P_CLIP, 1.0 - _P_CLIP)
-        if cfg.likelihood == "binomial":
-            ll = float(np.sum(n * np.log(probs) + (totals - n) * np.log1p(-probs)))
-        elif cfg.likelihood == "poisson":
-            ll = float(np.sum(n * np.log(totals * probs) - totals * probs))
-        else:
-            raise ValueError(f"unknown likelihood {cfg.likelihood!r}")
+        ll, _ = _log_likelihood(rho, n, totals, stack, cfg.likelihood)
         return ll - 0.5 * float(x @ x), rho
 
     x = rng.standard_normal(dim)

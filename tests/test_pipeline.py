@@ -58,6 +58,16 @@ class TestConfig:
         assert back.digest() == cfg.digest()
         assert back.chsh.settings == cfg.chsh.settings
 
+    def test_preset_digests_are_pinned(self):
+        # Any change to the JSON schema changes run_report config_sha256.
+        expected = {
+            "dataset_A": "083f6004d312e9f61c2d4706d165327d71059021e211f8009d96d8216282b816",
+            "dataset_B": "dc30bcca28a56293bb501675e565a7ed580be28f3c7a352a047cb6d87efc6309",
+            "classical_source": "76b0d8693f8292b1daa4c40c6bc9e7830ace0c3e2a09dc6e49eb3070e150ea35",
+        }
+        for name, digest in expected.items():
+            assert preset_config(name, 7).digest() == digest
+
     def test_presets_pin_the_operating_points(self):
         cfg_a = preset_config("dataset_A")
         assert cfg_a.source.overlap_at_delay() == pytest.approx(0.9655)
@@ -144,6 +154,15 @@ class TestStages:
         assert "Frequency" in csv_text
         assert (tmp_path / "suite.json").exists()
         assert len(report.results) == 15
+
+
+    def test_suite_stage_passes_short_stream_warning_on(self):
+        bits = BitStream.from_bits(
+            np.random.default_rng(4).integers(0, 2, 5000, dtype=np.uint8),
+            provenance={"stage": "extracted"},
+        )
+        with pytest.warns(UserWarning, match="below the recommended"):
+            run_test(preset_config("dataset_A"), bits)
 
 
 class TestStageFailureHandling:

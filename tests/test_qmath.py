@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from diqrng import qmath
 from diqrng.qmath import (
     PAULI,
+    PAULI2,
     Projector,
     TwoQubitState,
     arm_projector,
     born_probability,
     correlation_matrix,
     fidelity,
-    hermitian_eig,
     is_physical,
     linear_polarizer,
     pauli_compose,
@@ -35,7 +35,7 @@ def charpoly_roots(a):
     """Oracle: eigenvalues via Newton's identities and companion-matrix roots.
 
     Builds the characteristic polynomial from traces of powers, then calls
-    np.roots.  Entirely independent of the Jacobi rotation path under test.
+    np.roots.  Entirely independent of the LAPACK eigensolver under test.
     """
     p1 = np.trace(a)
     p2 = np.trace(a @ a)
@@ -51,45 +51,12 @@ def charpoly_roots(a):
     return np.sort(roots.real)
 
 
-class TestJacobiEigensolver:
-    def test_matches_charpoly_roots_on_random_hermitian(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            h = 0.5 * (g + g.conj().T)
-            w, _ = hermitian_eig(h)
-            expected = charpoly_roots(h)
-            assert np.max(np.abs(w - expected)) <= 1e-8
-
-    def test_reconstruction_and_unitarity(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            h = 0.5 * (g + g.conj().T)
-            w, v = hermitian_eig(h)
-            assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - h)) < 1e-10
-            assert np.max(np.abs(v.conj().T @ v - np.eye(4))) < 1e-12
-
-    def test_diagonal_and_degenerate(self):
-        w, _ = hermitian_eig(np.diag([3.0, -1.0, 2.0, 2.0]))
-        assert np.allclose(w, [-1.0, 2.0, 2.0, 3.0])
-        w, _ = hermitian_eig(np.eye(3) * 0.5)
-        assert np.allclose(w, 0.5)
-
-    def test_three_by_three_real_symmetric(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            g = rng.standard_normal((3, 3))
-            h = 0.5 * (g + g.T)
-            w, v = hermitian_eig(h)
-            assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - h)) < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 class TestPauliDecomposition:
+    def test_pauli2_is_the_kron_table(self):
+        for i in range(4):
+            for j in range(4):
+                assert np.array_equal(PAULI2[i, j], np.kron(PAULI[i], PAULI[j]))
+
     def test_identity_over_four(self):
         u = pauli_decompose(TwoQubitState.maximally_mixed())
         expected = np.zeros((4, 4))
@@ -214,6 +181,13 @@ class TestIsPhysical:
         assert not report.physical
         assert report.min_eigenvalue < -1e-3
 
+    def test_min_eigenvalue_matches_charpoly_roots(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            rho = random_hermitian_unit_trace(rng)
+            expected = charpoly_roots(rho.matrix)[0]
+            assert abs(is_physical(rho).min_eigenvalue - expected) <= 1e-8
+
     def test_reports_trace_deviation(self):
         report = is_physical(TwoQubitState(np.eye(4) / 2.0))
         assert not report
@@ -245,7 +219,7 @@ class TestFidelity:
             f_ba = fidelity(b, a)
             assert f_ab == pytest.approx(f_ba, abs=1e-7)
             # Oracle for pure b: F = <psi| a |psi>.
-            w, v = hermitian_eig(b.matrix)
+            w, v = np.linalg.eigh(b.matrix)
             psi = v[:, -1]
             expected = float((psi.conj() @ a.matrix @ psi).real)
             assert f_ab == pytest.approx(expected, abs=1e-7)
@@ -297,6 +271,6 @@ class TestProperties:
     def test_eigenvalues_sum_to_trace(self, seed):
         rng = np.random.default_rng(seed)
         rho = random_physical_state(rng)
-        w, _ = hermitian_eig(rho.matrix)
+        w, _ = np.linalg.eigh(rho.matrix)
         assert math.isclose(float(np.sum(w)), 1.0, abs_tol=1e-10)
         assert w[0] >= -1e-12
