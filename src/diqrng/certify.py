@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qmath import (
+    HERMITICITY_TOL,
+    PAULI2,
     TwoQubitState,
     analyzer_operator,
-    correlation_matrix,
     is_physical,
+    require_physical,
 )
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -172,12 +174,16 @@ def chsh_predicted(rho: TwoQubitState, settings: ChshSettings) -> float:
     return e[0] - e[1] + e[2] + e[3]
 
 
-def chsh_from_rho(rho: TwoQubitState) -> float:
-    """Maximum CHSH value for rho: 2 sqrt(s1^2 + s2^2) with s1 >= s2 the two
-    largest singular values of the correlation matrix."""
-    c = correlation_matrix(rho)  # validates physicality
-    s1, s2, _ = np.linalg.svd(c, compute_uv=False)
-    return min(2.0 * math.sqrt(s1 * s1 + s2 * s2), TSIRELSON_BOUND + 1e-9)
+def chsh_from_rho(rho):
+    """Maximum CHSH value 2 sqrt(s1^2 + s2^2), s1 >= s2 the two largest
+    singular values of the correlation matrix, of a TwoQubitState (a float)
+    or of each state in an (..., 4, 4) stack (an array of shape (...))."""
+    m = rho.matrix if isinstance(rho, TwoQubitState) else np.asarray(rho, dtype=complex)
+    require_physical(m, "chsh_from_rho", herm_tol=HERMITICITY_TOL)
+    c = np.einsum("ijab,...ba->...ij", PAULI2[1:, 1:], m).real
+    s = np.linalg.svd(c, compute_uv=False)
+    values = np.minimum(2.0 * np.sqrt(s[..., 0] ** 2 + s[..., 1] ** 2), TSIRELSON_BOUND + 1e-9)
+    return float(values) if values.ndim == 0 else values
 
 
 def min_entropy(bits) -> MinEntropyResult:

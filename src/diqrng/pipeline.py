@@ -25,7 +25,6 @@ from pathlib import Path
 from . import certify, extract, source, statsuite, tomography
 from .certify import ChshSettings, chsh_from_rho, min_entropy, optimal_settings_for_visibility
 from .extract import BitStream, ExtractorConfig
-from .qmath import TwoQubitState
 from .source import SourceConfig
 from .tomography import BayesConfig, TomoCounts
 
@@ -52,7 +51,7 @@ class ChshStageConfig:
 class TomoStageConfig:
     acquisition_total: int = 10_000
     mle_max_iters: int = 20_000
-    mle_tol: float = 1e-10
+    mle_tol: float = 1e-3  # duality-gap bound on the MLE, in nats
     bayes_r: int = 5000
     bayes_burn_in: int = 2000
     bayes_thin: int = 5
@@ -92,17 +91,13 @@ class PipelineConfig:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PipelineConfig":
         data = dict(data)
-        chsh = dict(data.pop("chsh", {}))
-        settings = chsh.pop("settings", None)
-        return cls(
-            source=SourceConfig(**data.pop("source", {})),
-            chsh=ChshStageConfig(
-                settings=None if settings is None else ChshSettings(**settings), **chsh
-            ),
-            tomo=TomoStageConfig(**data.pop("tomo", {})),
-            extractor=ExtractorConfig(**data.pop("extractor", {})),
-            **data,
-        )
+        chsh = data["chsh"] = dict(data.get("chsh", {}))
+        if chsh.get("settings") is not None:
+            chsh["settings"] = _from_section(ChshSettings, chsh["settings"], "chsh.settings")
+        for name, section in (("source", SourceConfig), ("chsh", ChshStageConfig),
+                              ("tomo", TomoStageConfig), ("extractor", ExtractorConfig)):
+            data[name] = _from_section(section, data.get(name, {}), name)
+        return _from_section(cls, data, "the top level")
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineConfig":
@@ -112,6 +107,15 @@ class PipelineConfig:
         return hashlib.sha256(
             json.dumps(self.to_json_dict(), sort_keys=True).encode()
         ).hexdigest()
+
+
+def _from_section(cls, data: dict, where: str):
+    """cls(**data), with a ValueError naming any key cls does not have."""
+    known = {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
+    return cls(**data)
 
 
 # Published reference measurements for the two operating points, kept in a
@@ -319,6 +323,8 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
             "S": chsh_from_rho(mle.rho_est),
             "iterations": mle.diagnostics["iterations"],
             "log_likelihood": mle.diagnostics["log_likelihood"],
+            "duality_gap": mle.diagnostics["duality_gap"],
+            "kkt_residual": mle.diagnostics["kkt_residual"],
             "state": json.loads(mle.rho_est.to_json()),
         }
     except (ValueError, RuntimeError) as exc:
@@ -336,7 +342,7 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
             tomo_counts,
             pset,
             bayes_cfg,
-            functionals={"S": lambda m: chsh_from_rho(TwoQubitState(m))},
+            functionals={"S": chsh_from_rho},
         )
         s_mean, s_std = bayes.std_of_functionals["S"]
         stages["bayes"] = {

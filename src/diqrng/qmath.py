@@ -193,24 +193,34 @@ class PhysicalityReport:
         return self.physical
 
 
+def physicality_defects(m: np.ndarray):
+    """Trace deviation, hermiticity defect and minimum eigenvalue of every
+    matrix in an (..., 4, 4) stack, as three arrays of shape (...)."""
+    adjoint = m.conj().swapaxes(-1, -2)
+    tr_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    herm = np.max(np.abs(m - adjoint), axis=(-2, -1))
+    min_eig = np.linalg.eigvalsh(0.5 * (m + adjoint))[..., 0]
+    return tr_dev, herm, min_eig
+
+
 def is_physical(rho: TwoQubitState, tol: float = DEFAULT_TOL) -> PhysicalityReport:
     """Check trace one, hermiticity, and positive semi-definiteness within tol."""
-    tr_dev = abs(rho.trace() - 1.0)
-    herm = rho.hermiticity_defect()
-    sym = 0.5 * (rho.matrix + rho.matrix.conj().T)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
+    tr_dev, herm, min_eig = (float(x) for x in physicality_defects(rho.matrix))
     ok = tr_dev <= tol and herm <= tol and min_eig >= -tol
-    return PhysicalityReport(ok, float(tr_dev), herm, min_eig)
+    return PhysicalityReport(ok, tr_dev, herm, min_eig)
 
 
-def _require_physical(rho: TwoQubitState, what: str, tol: float = DEFAULT_TOL):
-    report = is_physical(rho, tol)
-    if not report:
+def require_physical(m: np.ndarray, what: str, herm_tol: float = DEFAULT_TOL):
+    """Raise ValueError unless every matrix of the (..., 4, 4) stack m is a
+    state within DEFAULT_TOL, with hermiticity defect within herm_tol."""
+    tr_dev, herm, min_eig = physicality_defects(m)
+    bad = np.flatnonzero((tr_dev > DEFAULT_TOL) | (herm > herm_tol) | (min_eig < -DEFAULT_TOL))
+    if bad.size:
+        i = bad[0]
         raise ValueError(
-            f"{what} requires a physical state: trace deviation "
-            f"{report.trace_deviation:.2e}, hermiticity defect "
-            f"{report.hermiticity_defect:.2e}, min eigenvalue "
-            f"{report.min_eigenvalue:.2e}"
+            f"{what} requires physical states; {bad.size} of {np.size(tr_dev)} fail, "
+            f"the first (flat index {i}) with trace deviation {tr_dev.flat[i]:.2e}, "
+            f"hermiticity defect {herm.flat[i]:.2e}, min eigenvalue {min_eig.flat[i]:.2e}"
         )
 
 
@@ -243,7 +253,7 @@ def pauli_compose(u) -> TwoQubitState:
 
 def correlation_matrix(rho: TwoQubitState) -> np.ndarray:
     """3x3 block c[i,j] = Tr(rho (sigma_i x sigma_j)), i,j in {x,y,z}."""
-    _require_physical(rho, "correlation_matrix")
+    require_physical(rho.matrix, "correlation_matrix")
     return pauli_decompose(rho)[1:, 1:].copy()
 
 
@@ -255,7 +265,7 @@ def born_probability(rho: TwoQubitState, proj: Projector) -> float:
         raise ValueError(f"projector {proj.label!r} is not idempotent")
     if proj.hermiticity_defect() > 1e-10:
         raise ValueError(f"projector {proj.label!r} is not Hermitian")
-    _require_physical(rho, "born_probability")
+    require_physical(rho.matrix, "born_probability")
     p = float(np.trace(proj.matrix @ rho.matrix).real)
     if p < -DEFAULT_TOL or p > 1.0 + DEFAULT_TOL:
         raise ValueError(f"Born probability {p} outside [0, 1]")
@@ -264,8 +274,7 @@ def born_probability(rho: TwoQubitState, proj: Projector) -> float:
 
 def fidelity(a: TwoQubitState, b: TwoQubitState) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2."""
-    _require_physical(a, "fidelity")
-    _require_physical(b, "fidelity")
+    require_physical(np.stack([a.matrix, b.matrix]), "fidelity")
     sqrt_a = _psd_sqrt(0.5 * (a.matrix + a.matrix.conj().T))
     inner = sqrt_a @ (0.5 * (b.matrix + b.matrix.conj().T)) @ sqrt_a
     w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))

@@ -18,6 +18,7 @@ from diqrng.certify import (
 from diqrng.extract import BitStream
 from diqrng.qmath import (
     TwoQubitState,
+    correlation_matrix,
     pauli_compose,
     random_physical_state,
     random_pure_state,
@@ -163,6 +164,42 @@ class TestChshFromRho:
         u[1, 1] = -2.0
         with pytest.raises(ValueError):
             chsh_from_rho(pauli_compose(u))
+
+    def test_stack_matches_per_state_calls(self):
+        rng = np.random.default_rng(23)
+        states = [random_physical_state(rng, rank=1 + k % 4) for k in range(12)]
+        states += [TwoQubitState.singlet(), TwoQubitState.maximally_mixed()]
+        stack = np.stack([rho.matrix for rho in states]).reshape(2, 7, 4, 4)
+        values = chsh_from_rho(stack)
+        assert values.shape == (2, 7)
+        per_state = np.array([chsh_from_rho(rho) for rho in states]).reshape(2, 7)
+        assert np.max(np.abs(values - per_state)) <= 1e-12
+
+        def reference(rho):
+            # The one-state formula through qmath.correlation_matrix.
+            s1, s2, _ = np.linalg.svd(correlation_matrix(rho), compute_uv=False)
+            return min(2.0 * math.sqrt(s1 * s1 + s2 * s2), 2.0 * SQRT2 + 1e-9)
+
+        expected = np.array([reference(rho) for rho in states]).reshape(2, 7)
+        assert np.max(np.abs(values - expected)) <= 1e-12
+
+    def test_stack_rejects_one_nonphysical_member(self):
+        rng = np.random.default_rng(24)
+        stack = np.stack([random_physical_state(rng).matrix for _ in range(5)])
+        u = np.zeros((4, 4))
+        u[0, 0] = 1.0
+        u[1, 1] = -2.0
+        bad_positivity = stack.copy()
+        bad_positivity[3] = pauli_compose(u).matrix
+        # Hermiticity defect 1e-10: inside the 1e-9 trace and eigenvalue
+        # tolerances, outside the 1e-12 Pauli-decomposition limit.
+        bad_hermiticity = stack.copy()
+        bad_hermiticity[1, 0, 1] += 1e-10
+        for bad, member in ((bad_positivity, 3), (bad_hermiticity, 1)):
+            with pytest.raises(ValueError, match="physical"):
+                chsh_from_rho(bad)
+            with pytest.raises(ValueError):
+                chsh_from_rho(TwoQubitState(bad[member]))
 
 
 def random_pure_state_1q(rng):

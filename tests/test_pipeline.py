@@ -61,12 +61,24 @@ class TestConfig:
     def test_preset_digests_are_pinned(self):
         # Any change to the JSON schema changes run_report config_sha256.
         expected = {
-            "dataset_A": "083f6004d312e9f61c2d4706d165327d71059021e211f8009d96d8216282b816",
-            "dataset_B": "dc30bcca28a56293bb501675e565a7ed580be28f3c7a352a047cb6d87efc6309",
-            "classical_source": "76b0d8693f8292b1daa4c40c6bc9e7830ace0c3e2a09dc6e49eb3070e150ea35",
+            "dataset_A": "4b3d9ac05d060b8e9ec2ef671cbe69f067d1c873e58a6d21cd36b2895a2af51d",
+            "dataset_B": "8270acf48f7316c0345f364b26a3fc10c5c6c50ff935fdcc30418791cb3cba53",
+            "classical_source": "1691ba1223ec22f50874ef59d8b96a308f405658d1cb542194dad1e91196a14a",
         }
         for name, digest in expected.items():
             assert preset_config(name, 7).digest() == digest
+
+    @pytest.mark.parametrize(
+        "section", [None, "source", "chsh", "chsh.settings", "tomo", "extractor"]
+    )
+    def test_unknown_key_rejected_in_every_section(self, section):
+        data = preset_config("dataset_A").to_json_dict()
+        target = data
+        for part in (section.split(".") if section else []):
+            target = target[part]
+        target["bogus"] = 1
+        with pytest.raises(ValueError, match="'bogus'"):
+            PipelineConfig.from_json_dict(data)
 
     def test_presets_pin_the_operating_points(self):
         cfg_a = preset_config("dataset_A")
@@ -232,6 +244,15 @@ class TestCli:
             ["extract", "--preset", "dataset_A", "--bits", str(missing), "--out", str(tmp_path)]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "config, key", [({"n_bitz": 5}, "n_bitz"), ({"source": {"bogus": 1}}, "bogus")]
+    )
+    def test_unknown_config_key_exit_code(self, tmp_path, capsys, config, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["print-config", "--config", str(path)]) == 1
+        assert repr(key) in capsys.readouterr().err
 
     def test_double_extraction_exit_code(self, tmp_path):
         cfg = reduced(preset_config("dataset_A"))

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from diqrng.certify import chsh_from_rho
+from diqrng.pipeline import derive_seed, preset_config
 from diqrng.qmath import TwoQubitState, fidelity, is_physical, random_physical_state
-from diqrng.source import eraser_postselected_state, simulate_setting_counts
+from diqrng.source import eraser_postselected_state, simulate_setting_counts, state_at_delay
 from diqrng.tomography import (
     BayesConfig,
     PosteriorSamples,
     TomoCounts,
-    _log_likelihood_and_grad,
+    _log_likelihood,
+    _log_likelihood_with_gradient,
+    _project_to_states,
     _rho_from_vector,
     bayesian_estimate,
     kwiat_projectors,
@@ -26,6 +29,22 @@ def exact_counts(rho, total=10_000):
     return TomoCounts(
         np.round(PSET.probabilities(rho) * total).astype(np.int64), total
     )
+
+
+def random_traceless_hermitian(rng):
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = a + a.conj().T
+    return h - np.trace(h).real / 4.0 * np.eye(4)
+
+
+def pipeline_tomo_counts(preset, seed):
+    """The tomography counts run_certify builds for a preset and seed."""
+    cfg = preset_config(preset, seed)
+    total = cfg.tomo.acquisition_total
+    counts = simulate_setting_counts(
+        state_at_delay(cfg.source), PSET.projectors, total, derive_seed(seed, "tomo")
+    )
+    return TomoCounts(counts, total), cfg.source.overlap_at_delay()
 
 
 class TestProjectorSet:
@@ -111,36 +130,41 @@ class TestMle:
             mle_estimate(TomoCounts(np.zeros(16, dtype=np.int64), 100))
 
     def test_likelihood_never_decreases(self):
-        # Monotonicity is enforced by the line search; spot-check by
-        # tracing the objective at the returned optimum vs the start.
+        # The duality-gap stop puts the result within tol of the maximum, so
+        # it is at most tol below the start (the projected LS state).
         rho = random_physical_state(np.random.default_rng(1))
         counts = TomoCounts(
             simulate_setting_counts(rho, PSET.projectors, 5000, 3), 5000
         )
-        result = mle_estimate(counts)
+        result = mle_estimate(counts, tol=1e-3)
         assert result.diagnostics["log_likelihood"] > -np.inf
         assert result.physical
+        start = _project_to_states(ls_invert(counts).rho_est.matrix)
+        start_value, _ = _log_likelihood(
+            start, counts.counts.astype(float), np.full(16, 5000.0), PSET.stack(), "binomial"
+        )
+        assert result.diagnostics["log_likelihood"] >= start_value - 1e-3
 
     def test_analytic_gradient_matches_finite_differences(self):
+        # dl = Tr(G drho): check Tr(G H) against central differences of
+        # l(rho + eps H) along random traceless Hermitian directions H.
         rng = np.random.default_rng(2)
         stack = PSET.stack()
         totals = np.full(16, 5000.0)
-        rho = random_physical_state(rng)
-        counts = simulate_setting_counts(rho, PSET.projectors, 5000, 4).astype(float)
+        truth = random_physical_state(rng)
+        counts = simulate_setting_counts(truth, PSET.projectors, 5000, 4).astype(float)
         for _ in range(10):
-            t = rng.standard_normal(16)
-            value, grad = _log_likelihood_and_grad(t, counts, totals, stack, "binomial")
+            rho = random_physical_state(rng).matrix
+            _, _, grad = _log_likelihood_with_gradient(rho, counts, totals, stack, "binomial")
             eps = 1e-6
-            for k in rng.choice(16, size=4, replace=False):
-                t_plus = t.copy()
-                t_plus[k] += eps
-                t_minus = t.copy()
-                t_minus[k] -= eps
-                v_plus, _ = _log_likelihood_and_grad(t_plus, counts, totals, stack, "binomial")
-                v_minus, _ = _log_likelihood_and_grad(t_minus, counts, totals, stack, "binomial")
+            for _ in range(4):
+                h = random_traceless_hermitian(rng)
+                analytic = np.trace(grad @ h).real
+                v_plus, _ = _log_likelihood(rho + eps * h, counts, totals, stack, "binomial")
+                v_minus, _ = _log_likelihood(rho - eps * h, counts, totals, stack, "binomial")
                 fd = (v_plus - v_minus) / (2.0 * eps)
-                scale = max(abs(fd), abs(grad[k]), 1.0)
-                assert abs(grad[k] - fd) / scale <= 1e-5
+                scale = max(abs(fd), abs(analytic), 1.0)
+                assert abs(analytic - fd) / scale <= 1e-5
 
     def test_poisson_likelihood_switch(self):
         rho = random_physical_state(np.random.default_rng(3))
@@ -155,6 +179,42 @@ class TestMle:
         )
         with pytest.raises(RuntimeError, match="gradient norm"):
             mle_estimate(counts, max_iters=5)
+
+    @pytest.mark.parametrize("seed", [20260810, 20260832])
+    def test_converges_at_former_nonconvergent_seeds(self, seed):
+        counts, overlap = pipeline_tomo_counts("dataset_A", seed)
+        result = mle_estimate(counts, tol=1e-3)
+        assert result.diagnostics["duality_gap"] <= 1e-3
+        model = 2.0 * math.sqrt(1.0 + overlap**2)
+        assert abs(chsh_from_rho(result.rho_est) - model) <= 0.08
+
+    def test_duality_gap_certifies_the_optimum(self):
+        tol = 1e-3
+        counts, _ = pipeline_tomo_counts("dataset_A", 20260810)
+        result = mle_estimate(counts, tol=tol)
+        rho_hat = result.rho_est.matrix
+        n = counts.counts.astype(float)
+        total = float(counts.acquisition_total)
+
+        def born(rho):
+            p = [np.trace(proj.matrix @ rho).real for proj in PSET.projectors]
+            return np.clip(p, 1e-12, 1.0 - 1e-12)
+
+        def loglik(rho):
+            p = born(rho)
+            return float(np.sum(n * np.log(p) + (total - n) * np.log(1.0 - p)))
+
+        p_hat = born(rho_hat)
+        weights = n / p_hat - (total - n) / (1.0 - p_hat)
+        g_op = sum(w * proj.matrix for w, proj in zip(weights, PSET.projectors))
+        gap = np.linalg.eigvalsh(g_op)[-1] - np.trace(g_op @ rho_hat).real
+        assert gap <= tol
+        assert gap == pytest.approx(result.diagnostics["duality_gap"], rel=1e-6, abs=1e-8)
+        assert loglik(rho_hat) == pytest.approx(result.diagnostics["log_likelihood"], abs=1e-6)
+        rng = np.random.default_rng(21)
+        for eps in np.geomspace(1e-4, 1e-1, 50):
+            sigma = random_physical_state(rng, rank=int(rng.integers(1, 5))).matrix
+            assert loglik((1.0 - eps) * rho_hat + eps * sigma) <= loglik(rho_hat) + tol
 
 
 class TestBayesian:
@@ -198,7 +258,7 @@ class TestBayesian:
             result, samples = bayesian_estimate(
                 counts,
                 cfg=BayesConfig(R=3000, burn_in=1500, thin=3, rng_seed=9),
-                functionals={"S": lambda m: chsh_from_rho(TwoQubitState(m))},
+                functionals={"S": chsh_from_rho},
             )
             stds.append(result.std_of_functionals["S"][1])
         assert stds[0] > stds[1] > stds[2]
@@ -214,7 +274,7 @@ class TestBayesian:
             result, samples = bayesian_estimate(
                 counts,
                 cfg=BayesConfig(rng_seed=seed),
-                functionals={"S": lambda m: chsh_from_rho(TwoQubitState(m))},
+                functionals={"S": chsh_from_rho},
             )
             mean, std = result.std_of_functionals["S"]
             means.append(mean)
@@ -253,7 +313,9 @@ class TestPosteriorFunctional:
         _, samples = bayesian_estimate(
             counts, cfg=BayesConfig(R=500, burn_in=200, thin=1, rng_seed=17)
         )
-        mean, std = posterior_functional(samples, lambda m: np.trace(m).real)
+        mean, std = posterior_functional(
+            samples, lambda ms: np.trace(ms, axis1=1, axis2=2).real
+        )
         assert mean == pytest.approx(1.0, abs=1e-9)
         assert std < 1e-9
 
@@ -263,7 +325,7 @@ class TestPosteriorFunctional:
             exact_counts(rho, 10_000), cfg=BayesConfig(rng_seed=19)
         )
         mean, _ = posterior_functional(
-            samples, lambda m: fidelity(TwoQubitState(m), rho)
+            samples, lambda ms: [fidelity(TwoQubitState(m), rho) for m in ms]
         )
         assert mean >= 0.95
 
