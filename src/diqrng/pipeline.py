@@ -90,8 +90,8 @@ class PipelineConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PipelineConfig":
-        data = dict(data)
-        chsh = data["chsh"] = dict(data.get("chsh", {}))
+        data = dict(_json_object(data, "the top level"))
+        chsh = data["chsh"] = dict(_json_object(data.get("chsh", {}), "chsh"))
         if chsh.get("settings") is not None:
             chsh["settings"] = _from_section(ChshSettings, chsh["settings"], "chsh.settings")
         for name, section in (("source", SourceConfig), ("chsh", ChshStageConfig),
@@ -109,8 +109,16 @@ class PipelineConfig:
         ).hexdigest()
 
 
+def _json_object(data, where: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"config {where} must be a JSON object, got {json.dumps(data)}")
+    return data
+
+
 def _from_section(cls, data: dict, where: str):
-    """cls(**data), with a ValueError naming any key cls does not have."""
+    """cls(**data), with a ValueError naming the section when it is not a
+    JSON object and naming any key cls does not have."""
+    _json_object(data, where)
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - known)
     if unknown:

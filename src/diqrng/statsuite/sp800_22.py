@@ -100,12 +100,13 @@ def _not_applicable(name, params, note, threshold, fails=False):
 
 
 def _rolling_values(bits: np.ndarray, m: int, cyclic: bool = False) -> np.ndarray:
-    """Overlapping m-bit window values (MSB first) as unsigned integers."""
-    ext = np.concatenate([bits, bits[: m - 1]]) if cyclic else bits
-    n_out = ext.size - m + 1
-    v = np.zeros(n_out, dtype=np.uint32 if m <= 32 else np.uint64)
+    """Overlapping m-bit window values (MSB first) as unsigned integers,
+    taken along the last axis."""
+    ext = np.concatenate([bits, bits[..., : m - 1]], axis=-1) if cyclic else bits
+    n_out = ext.shape[-1] - m + 1
+    v = np.zeros(ext.shape[:-1] + (n_out,), dtype=np.uint32 if m <= 32 else np.uint64)
     for i in range(m):
-        v = (v << 1) | ext[i : i + n_out]
+        v = (v << 1) | ext[..., i : i + n_out]
     return v
 
 
@@ -168,20 +169,25 @@ def runs_test(bits, threshold: float = 0.01, min_n: int = 100) -> TestResult:
 # ---------------------------------------------------------------------------
 
 def _no_run_probability(n: int, run: int) -> float:
-    """P(no run of `run` consecutive ones in n fair bits), exact recurrence."""
+    """P(no run of `run` consecutive ones in n fair bits), exact recurrence.
+
+    Let a_k count the run-free strings of length k: a_k = 2^k for k < run
+    and a_run = 2^run - 1.  For k > run, appending a bit to a run-free
+    string of length k - 1 gives 2 a_{k-1} strings; the ones that now hold
+    a run end in 0 followed by `run` ones after a run-free prefix of length
+    k - 1 - run, and there are a_{k-1-run} of those.  So
+    a_k = 2 a_{k-1} - a_{k-1-run}, and q_k = a_k / 2^k obeys
+    q_k = q_{k-1} - q_{k-1-run} / 2^(run+1): one multiply-subtract per bit.
+    """
     if run <= 0:
         return 0.0
-    q = [1.0] * min(run, n + 1)
     if n < run:
         return 1.0
-    weights = [2.0 ** -(i + 1) for i in range(run)]
-    history = list(q)
-    for _ in range(run, n + 1):
-        value = sum(w * history[-1 - i] for i, w in enumerate(weights))
-        history.append(value)
-        if len(history) > run + 1:
-            history.pop(0)
-    return history[-1]
+    q = [1.0] * run + [1.0 - 2.0**-run]  # q_0 .. q_run
+    tail = 2.0 ** -(run + 1)
+    for k in range(run + 1, n + 1):
+        q.append(q[k - 1] - tail * q[k - 1 - run])
+    return q[n]
 
 
 def _longest_run_bin_probs(block_m: int, lo: int, hi: int) -> np.ndarray:
@@ -264,27 +270,6 @@ def gf2_rank_batch(rows: np.ndarray) -> np.ndarray:
     return rank
 
 
-def gf2_rank_reference(matrix: np.ndarray) -> int:
-    """Plain row-reduction rank of one 0/1 matrix (test oracle companion)."""
-    m = matrix.astype(np.uint8).copy()
-    n_rows, n_cols = m.shape
-    rank = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if m[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for r in range(n_rows):
-            if r != rank and m[r, col]:
-                m[r] ^= m[rank]
-        rank += 1
-    return rank
-
-
 def full_rank_probability(m: int, q: int, r: int) -> float:
     """P(rank = r) for a random m x q matrix over GF(2)."""
     log_p = (r * (q + m - r) - m * q) * math.log(2.0)
@@ -354,53 +339,39 @@ def aperiodic_templates(m: int) -> list:
     return out
 
 
-def _greedy_nonoverlap_count(positions: np.ndarray, m: int) -> int:
-    if positions.size == 0:
-        return 0
-    if positions.size == 1 or np.all(np.diff(positions) >= m):
-        return int(positions.size)
-    count = 0
-    cursor = -m
-    for pos in positions:
-        if pos >= cursor + m:
-            count += 1
-            cursor = int(pos)
-    return count
-
-
 def non_overlapping_template_test(
     bits, m: int = 9, n_blocks: int = 8, threshold: float = 0.01
 ) -> TestResult:
+    """One p-value per aperiodic template of length m.
+
+    W_j counts the occurrences of a template in block j, where the scan
+    skips m bits after each match.  Every template here is unbordered: no
+    proper prefix equals a proper suffix.  Two occurrences closer than m
+    bits would overlap, and the overlap would be such a prefix-suffix pair,
+    so no occurrence is ever skipped and W_j is simply the number of
+    in-block windows equal to the template.  One bincount of
+    (block index << m) | window value therefore gives W for every template
+    and block at once.
+    """
     b = _bits_of(bits)
     n = b.size
     _require_length(n, n_blocks * (2**m + m - 1), "Non Overlapping Template Matching")
     block_m = n // n_blocks
-    used = n_blocks * block_m
-    v = _rolling_values(b[:used], m)
-    k_pos = np.arange(used - m + 1)
-    valid = (k_pos % block_m) <= (block_m - m)
-    positions = k_pos[valid]
-    values = v[valid]
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    sorted_pos = positions[order]
+    windows = _rolling_values(b[: n_blocks * block_m].reshape(n_blocks, block_m), m)
+    windows |= (np.arange(n_blocks, dtype=windows.dtype) << m)[:, np.newaxis]
+    counts = np.bincount(windows.ravel(), minlength=n_blocks << m).reshape(n_blocks, 2**m)
 
     mu = (block_m - m + 1) / 2.0**m
     sigma2 = block_m * (2.0**-m - (2.0 * m - 1.0) * 2.0 ** (-2.0 * m))
-    templates = aperiodic_templates(m)
     template_values = [
-        sum(bit << (m - 1 - i) for i, bit in enumerate(tpl)) for tpl in templates
+        sum(bit << (m - 1 - i) for i, bit in enumerate(tpl)) for tpl in aperiodic_templates(m)
     ]
-    block_edges = np.arange(n_blocks + 1) * block_m
     p_values = []
-    for t_val in template_values:
-        lo = np.searchsorted(sorted_vals, t_val, side="left")
-        hi = np.searchsorted(sorted_vals, t_val, side="right")
-        pos = sorted_pos[lo:hi]  # ascending within equal values (stable sort)
-        cuts = np.searchsorted(pos, block_edges)
+    # chi2 is summed block by block in Python floats, the order a per-block
+    # scan uses, so the p-values do not depend on numpy's summation order.
+    for w_blocks in counts[:, template_values].T.tolist():
         chi2 = 0.0
-        for blk in range(n_blocks):
-            w = _greedy_nonoverlap_count(pos[cuts[blk] : cuts[blk + 1]], m)
+        for w in w_blocks:
             chi2 += (w - mu) ** 2 / sigma2
         p_values.append(gammaincc(n_blocks / 2.0, chi2 / 2.0))
     return _finish(
@@ -529,33 +500,6 @@ def universal_test(bits, threshold: float = 0.01) -> TestResult:
 # ---------------------------------------------------------------------------
 # 10. Linear Complexity
 # ---------------------------------------------------------------------------
-
-def berlekamp_massey(bits) -> int:
-    """Linear complexity of a bit sequence (reference implementation)."""
-    s = [int(x) & 1 for x in _bits_of(bits)]
-    n = len(s)
-    c = [0] * n
-    b = [0] * n
-    if n == 0:
-        return 0
-    c[0] = b[0] = 1
-    length = 0
-    m = -1
-    for i in range(n):
-        d = s[i]
-        for j in range(1, length + 1):
-            d ^= c[j] & s[i - j]
-        if d:
-            t = c.copy()
-            shift = i - m
-            for j in range(n - shift):
-                c[j + shift] ^= b[j]
-            if 2 * length <= i:
-                length = i + 1 - length
-                b = t
-                m = i
-    return length
-
 
 def linear_complexity_batch(blocks: np.ndarray) -> np.ndarray:
     """Berlekamp-Massey linear complexity of many equal-length blocks.

@@ -80,6 +80,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="'bogus'"):
             PipelineConfig.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            ([1, 2], "the top level"),
+            ({"source": 5}, "source"),
+            ({"chsh": [1]}, "chsh"),
+            ({"chsh": {"settings": "x"}}, "chsh.settings"),
+            ({"tomo": "x"}, "tomo"),
+            ({"extractor": None}, "extractor"),
+        ],
+    )
+    def test_non_object_section_rejected(self, data, where):
+        with pytest.raises(ValueError, match=f"config {where} must be a JSON object"):
+            PipelineConfig.from_json_dict(data)
+
     def test_presets_pin_the_operating_points(self):
         cfg_a = preset_config("dataset_A")
         assert cfg_a.source.overlap_at_delay() == pytest.approx(0.9655)
@@ -253,6 +268,16 @@ class TestCli:
         path.write_text(json.dumps(config))
         assert cli.main(["print-config", "--config", str(path)]) == 1
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [('{"source": 5}', "source"), ("[1, 2]", "the top level"), ('{"tomo": "x"}', "tomo")],
+    )
+    def test_non_object_config_exit_code(self, tmp_path, capsys, text, where):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert cli.main(["print-config", "--config", str(path)]) == 1
+        assert f"config {where} must be a JSON object" in capsys.readouterr().err
 
     def test_double_extraction_exit_code(self, tmp_path):
         cfg = reduced(preset_config("dataset_A"))

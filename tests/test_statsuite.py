@@ -8,14 +8,12 @@ from diqrng.statsuite import (
     TEST_NAMES,
     aperiodic_templates,
     approximate_entropy_test,
-    berlekamp_massey,
     block_frequency_test,
     cumulative_sums_test,
     fft_test,
     frequency_test,
     full_rank_probability,
     gf2_rank_batch,
-    gf2_rank_reference,
     ks_uniformity,
     linear_complexity_batch,
     linear_complexity_test,
@@ -30,11 +28,16 @@ from diqrng.statsuite import (
 )
 from diqrng.statsuite import suite
 from diqrng.statsuite.sp800_22 import (
-    _greedy_nonoverlap_count,
     _longest_run_bin_probs,
     _no_run_probability,
     gammaincc,
     ndtr,
+)
+from sp800_22_oracles import (
+    berlekamp_massey,
+    gf2_rank_reference,
+    no_run_probability_weighted_sum,
+    non_overlapping_template_p_values,
 )
 
 
@@ -113,6 +116,15 @@ class TestLongestRuns:
                 if "1" * run not in format(v, f"0{n}b")
             )
             assert _no_run_probability(n, run) == pytest.approx(good / 2**n, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "block_m, runs", [(8, range(2, 5)), (128, range(5, 10)), (10_000, range(11, 17))]
+    )
+    def test_no_run_probability_matches_weighted_sum_recurrence(self, block_m, runs):
+        for run in runs:
+            assert _no_run_probability(block_m, run) == pytest.approx(
+                no_run_probability_weighted_sum(block_m, run), rel=0, abs=1e-13
+            )
 
     def test_reference_bin_probabilities_m8(self):
         # The tabulated M=8 class probabilities are exact dyadic numbers.
@@ -202,18 +214,25 @@ class TestTemplates:
         assert len(aperiodic_templates(4)) == 6
         assert len(aperiodic_templates(5)) == 12
 
-    def test_greedy_counter_matches_naive_scan(self):
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            m = int(rng.integers(2, 6))
-            positions = np.unique(rng.integers(0, 60, size=rng.integers(0, 12)))
-            count = 0
-            cursor = -m
-            for p in positions:  # naive reference scan
-                if p >= cursor + m:
-                    count += 1
-                    cursor = int(p)
-            assert _greedy_nonoverlap_count(positions, m) == count
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 9])
+    def test_p_values_match_sort_and_scan_oracle(self, m):
+        # The oracle sorts the window values and scans each block greedily,
+        # skipping m bits after a match; the bincount must agree exactly.
+        rng = np.random.default_rng(100 + m)
+        templates = aperiodic_templates(m)
+        for planted in (False, True):
+            for _ in range(3):
+                n = int(rng.integers(8 * (2**m + m), 8 * (2**m + m) + 40_000))
+                bits = rng.integers(0, 2, n, dtype=np.uint8)
+                if planted:
+                    tpl = templates[int(rng.integers(len(templates)))]
+                    start = 0
+                    while start + 4 * m <= n:  # runs of back-to-back copies
+                        for k in range(int(rng.integers(1, 4))):
+                            bits[start + k * m : start + (k + 1) * m] = tpl
+                        start += int(rng.integers(4 * m, 12 * m))
+                result = non_overlapping_template_test(bits, m=m)
+                assert result.p_values == non_overlapping_template_p_values(bits, m=m)
 
     def test_planted_template_fails(self):
         rng = np.random.default_rng(9)
@@ -252,13 +271,13 @@ class TestOverlapping:
 
 class TestLinearComplexity:
     def test_all_zero_block(self):
-        assert berlekamp_massey(np.zeros(30, dtype=np.uint8)) == 0
+        assert linear_complexity_batch(np.zeros((1, 30), dtype=np.uint8))[0] == 0
 
     def test_impulse_block_has_full_complexity(self):
         m = 40
         seq = np.zeros(m, dtype=np.uint8)
         seq[-1] = 1
-        assert berlekamp_massey(seq) == m
+        assert linear_complexity_batch(seq[np.newaxis])[0] == m
 
     def test_lfsr_sequence_complexity(self):
         # x^4 + x + 1 LFSR: complexity 4.
@@ -267,10 +286,11 @@ class TestLinearComplexity:
         for _ in range(40):
             seq.append(state[-1])
             state = [state[0] ^ state[-1]] + state[:-1]
-        assert berlekamp_massey(np.array(seq[::-1], dtype=np.uint8)) <= 4
+        assert linear_complexity_batch(np.array([seq[::-1]], dtype=np.uint8))[0] <= 4
 
     def test_exhaustive_minimal_lfsr_agreement_length_10(self):
-        # Full oracle check lives in the acceptance suite; spot-check here.
+        # Spot-check of the Berlekamp-Massey oracle that the batch test
+        # below relies on; the acceptance suite checks the batch exhaustively.
         rng = np.random.default_rng(10)
         for _ in range(64):
             seq = rng.integers(0, 2, 10, dtype=np.uint8)
