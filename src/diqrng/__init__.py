@@ -1,7 +1,8 @@
 """Simulator and certification toolkit for an entanglement-based QRNG.
 
 Modules:
-    qmath      -- two-qubit states, Pauli/correlation decompositions, fidelity
+    qmath      -- two-qubit states, Pauli/correlation decompositions, projector
+                  stacks and the Born map, fidelity
     source     -- HOM + quantum-eraser photon-pair source simulator
     tomography -- LS / MLE / Bayesian density-matrix estimators
     certify    -- CHSH (direct and Horodecki bound) and min-entropy

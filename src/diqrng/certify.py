@@ -14,14 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmath import (
-    HERMITICITY_TOL,
-    PAULI2,
-    TwoQubitState,
-    analyzer_operator,
-    is_physical,
-    require_physical,
-)
+from .qmath import HERMITICITY_TOL, PAULI2, TwoQubitState, kron2, polarizer, require_physical
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 CLASSICAL_BOUND = 2.0
@@ -31,6 +24,9 @@ QUAD_ORDER = ("pp", "mm", "pm", "mp")
 
 #: Setting-pair order: (a,b), (a,b'), (a',b), (a',b').
 PAIR_ORDER = ("ab", "ab'", "a'b", "a'b'")
+
+#: Polarizer offset of an outcome letter in QUAD_ORDER ("m" is the perpendicular one).
+_OUTCOME_OFFSET_DEG = {"p": 0.0, "m": 90.0}
 
 
 @dataclass(frozen=True)
@@ -63,6 +59,13 @@ class ChshSettings:
             (self.a_prime, self.b),
             (self.a_prime, self.b_prime),
         )
+
+    def projectors(self) -> np.ndarray:
+        """Joint outcome projectors P(alpha + da) x P(beta + db), shape
+        (4, 4, 4, 4): setting pairs in PAIR_ORDER, outcomes in QUAD_ORDER."""
+        alice, bob = np.array(self.pairs()).T
+        da, db = np.array([[_OUTCOME_OFFSET_DEG[c] for c in q] for q in QUAD_ORDER]).T
+        return kron2(polarizer(alice[:, None] + da), polarizer(bob[:, None] + db))
 
 
 def optimal_settings_for_visibility(v: float) -> ChshSettings:
@@ -157,21 +160,6 @@ def chsh_direct(counts: ChshCounts) -> ChshResult:
         e_values=tuple(e),
         settings=counts.settings,
     )
-
-
-def predicted_E(rho: TwoQubitState, alpha_deg: float, beta_deg: float) -> float:
-    """Analytic E = Tr(rho A(alpha) x A(beta)) for two-outcome analyzers."""
-    if not is_physical(rho):
-        raise ValueError("predicted_E requires a physical state")
-    op = np.kron(analyzer_operator(alpha_deg), analyzer_operator(beta_deg))
-    return float(np.trace(op @ rho.matrix).real)
-
-
-def chsh_predicted(rho: TwoQubitState, settings: ChshSettings) -> float:
-    """Noise-free S for given analyzer settings (bridge between source model
-    and the direct estimator)."""
-    e = [predicted_E(rho, a, b) for a, b in settings.pairs()]
-    return e[0] - e[1] + e[2] + e[3]
 
 
 def chsh_from_rho(rho):

@@ -61,6 +61,22 @@ class TomoStageConfig:
     def __post_init__(self):
         if self.acquisition_total < 1:
             raise ValueError("acquisition_total must be at least 1")
+        if self.mle_max_iters < 1:
+            raise ValueError("mle_max_iters must be at least 1")
+        if not self.mle_tol > 0:
+            raise ValueError("mle_tol must be positive")
+        self.bayes_config(0)  # BayesConfig rejects bad sampler fields at config load
+
+    def bayes_config(self, rng_seed: int) -> BayesConfig:
+        """The sampler settings of this stage, validated by BayesConfig."""
+        return BayesConfig(
+            R=self.bayes_r,
+            burn_in=self.bayes_burn_in,
+            thin=self.bayes_thin,
+            step=self.bayes_step,
+            K=self.bayes_k,
+            rng_seed=rng_seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -305,7 +321,7 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
     tomo_counts = TomoCounts(
         source.simulate_setting_counts(
             rho,
-            pset.projectors,
+            pset.stack,
             cfg.tomo.acquisition_total,
             derive_seed(cfg.global_seed, "tomo"),
         ),
@@ -338,18 +354,10 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
     except (ValueError, RuntimeError) as exc:
         stages["mle"] = {"status": f"failed: {exc}"}
     try:
-        bayes_cfg = BayesConfig(
-            R=cfg.tomo.bayes_r,
-            burn_in=cfg.tomo.bayes_burn_in,
-            thin=cfg.tomo.bayes_thin,
-            step=cfg.tomo.bayes_step,
-            K=cfg.tomo.bayes_k,
-            rng_seed=derive_seed(cfg.global_seed, "bayes"),
-        )
         bayes, samples = tomography.bayesian_estimate(
             tomo_counts,
             pset,
-            bayes_cfg,
+            cfg.tomo.bayes_config(derive_seed(cfg.global_seed, "bayes")),
             functionals={"S": chsh_from_rho},
         )
         s_mean, s_std = bayes.std_of_functionals["S"]

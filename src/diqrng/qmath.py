@@ -10,7 +10,6 @@ arrays.  All operations are pure functions on effectively immutable values.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,18 @@ PAULI = np.array(
     dtype=complex,
 )
 
+
+def kron2(a, b) -> np.ndarray:
+    """Tensor product a x b of 2x2 matrices, broadcast over leading axes:
+    (..., 2, 2) and (..., 2, 2) give (..., 4, 4)."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = a[..., :, np.newaxis, :, np.newaxis] * b[..., np.newaxis, :, np.newaxis, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
+
+
 #: PAULI2[i, j] = sigma_i x sigma_j, the 16 two-qubit Pauli operators.
-PAULI2 = np.einsum("iab,jcd->ijacbd", PAULI, PAULI).reshape(4, 4, 4, 4)
+PAULI2 = kron2(PAULI[:, np.newaxis], PAULI[np.newaxis, :])
+
 
 DEFAULT_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
@@ -116,60 +125,12 @@ class TwoQubitState:
         return cls(np.array(data["re"]) + 1j * np.array(data["im"]))
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Hermitian idempotent matrix with a human-readable label.
-
-    Single-qubit projectors are 2x2; joint ones are 4x4.  Use
-    :func:`arm_projector` to lift a 2x2 one onto one arm.
-    """
-
-    matrix: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape not in ((2, 2), (4, 4)):
-            raise ValueError(f"projector must be 2x2 or 4x4, got {m.shape}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    def idempotency_defect(self) -> float:
-        m = self.matrix
-        return float(np.max(np.abs(m @ m - m)))
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-
-def ket_polarization(angle_deg: float) -> np.ndarray:
-    """Linear-polarization ket cos(a)|H> + sin(a)|V>."""
-    a = math.radians(angle_deg)
-    return np.array([math.cos(a), math.sin(a)], dtype=complex)
-
-
-def linear_polarizer(angle_deg: float) -> Projector:
-    v = ket_polarization(angle_deg)
-    return Projector(np.outer(v, v.conj()), label=f"lin({angle_deg:g})")
-
-
-def analyzer_operator(angle_deg: float) -> np.ndarray:
-    """Two-outcome analyzer A = P(angle) - P(angle + 90); eigenvalues +-1."""
-    p_plus = linear_polarizer(angle_deg).matrix
-    p_minus = linear_polarizer(angle_deg + 90.0).matrix
-    return p_plus - p_minus
-
-
-def arm_projector(p: Projector, arm: int) -> Projector:
-    """Lift a single-qubit projector onto one arm (0 = heralding, 1 = measured)."""
-    if p.matrix.shape != (2, 2):
-        raise ValueError("arm_projector expects a single-qubit projector")
-    eye = np.eye(2)
-    if arm == 0:
-        return Projector(np.kron(p.matrix, eye), label=p.label + "*I")
-    if arm == 1:
-        return Projector(np.kron(eye, p.matrix), label="I*" + p.label)
-    raise ValueError("arm must be 0 or 1")
+def polarizer(angle_deg) -> np.ndarray:
+    """Projector onto the linear polarization cos(a)|H> + sin(a)|V>, for a
+    scalar or an array of angles in degrees; shape (..., 2, 2)."""
+    a = np.radians(np.asarray(angle_deg, dtype=float))
+    ket = np.stack([np.cos(a), np.sin(a)], axis=-1).astype(complex)
+    return ket[..., :, np.newaxis] * ket[..., np.newaxis, :].conj()
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -257,19 +218,28 @@ def correlation_matrix(rho: TwoQubitState) -> np.ndarray:
     return pauli_decompose(rho)[1:, 1:].copy()
 
 
-def born_probability(rho: TwoQubitState, proj: Projector) -> float:
-    """p = Tr(P rho) for an idempotent Hermitian P on the full two-qubit space."""
-    if proj.matrix.shape != (4, 4):
-        raise ValueError("born_probability needs a two-qubit (4x4) projector")
-    if proj.idempotency_defect() > 1e-10:
-        raise ValueError(f"projector {proj.label!r} is not idempotent")
-    if proj.hermiticity_defect() > 1e-10:
-        raise ValueError(f"projector {proj.label!r} is not Hermitian")
-    require_physical(rho.matrix, "born_probability")
-    p = float(np.trace(proj.matrix @ rho.matrix).real)
-    if p < -DEFAULT_TOL or p > 1.0 + DEFAULT_TOL:
-        raise ValueError(f"Born probability {p} outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
+def born_probabilities(rho: TwoQubitState, stack) -> np.ndarray:
+    """p_k = Tr(P_k rho) for every projector of a (K, 4, 4) stack.
+
+    rho must be a state, and every P_k Hermitian and idempotent within
+    1e-10; each is checked once per call.  Probabilities outside
+    [-1e-9, 1 + 1e-9] raise; the rest are clipped to [0, 1].
+    """
+    stack = np.asarray(stack)
+    if stack.ndim != 3 or stack.shape[1:] != (4, 4):
+        raise ValueError(f"born_probabilities needs a (K, 4, 4) stack, got {stack.shape}")
+    require_physical(rho.matrix, "born_probabilities")
+    for defect, what in (
+        (np.abs(stack @ stack - stack), "idempotent"),
+        (np.abs(stack - stack.conj().swapaxes(-1, -2)), "Hermitian"),
+    ):
+        bad = np.flatnonzero(np.max(defect, axis=(-2, -1)) > 1e-10)
+        if bad.size:
+            raise ValueError(f"projector {bad[0]} of the stack is not {what}")
+    p = np.einsum("kij,ji->k", stack, rho.matrix).real
+    if np.any((p < -DEFAULT_TOL) | (p > 1.0 + DEFAULT_TOL)):
+        raise ValueError(f"Born probabilities {p} outside [0, 1]")
+    return np.clip(p, 0.0, 1.0)
 
 
 def fidelity(a: TwoQubitState, b: TwoQubitState) -> float:
@@ -280,29 +250,3 @@ def fidelity(a: TwoQubitState, b: TwoQubitState) -> float:
     w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     f = float(np.sum(np.sqrt(np.clip(w, 0.0, None)))) ** 2
     return min(max(f, 0.0), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Random states (simulation and test helpers)
-# ---------------------------------------------------------------------------
-
-def random_physical_state(rng: np.random.Generator, rank: int | None = None) -> TwoQubitState:
-    """Ginibre-ensemble density matrix; full rank unless rank is given."""
-    k = 4 if rank is None else rank
-    if not 1 <= k <= 4:
-        raise ValueError("rank must be in 1..4")
-    g = rng.standard_normal((4, k)) + 1j * rng.standard_normal((4, k))
-    m = g @ g.conj().T
-    return TwoQubitState(m / np.trace(m).real)
-
-
-def random_pure_state(rng: np.random.Generator) -> TwoQubitState:
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return TwoQubitState.from_vector(v)
-
-
-def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Haar-ish random unitary from the QR of a Ginibre matrix."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -20,13 +20,7 @@ from scipy.optimize import curve_fit
 
 from .certify import ChshCounts, ChshSettings
 from .extract import BitStream
-from .qmath import (
-    Projector,
-    TwoQubitState,
-    arm_projector,
-    born_probability,
-    linear_polarizer,
-)
+from .qmath import TwoQubitState, born_probabilities, kron2, polarizer
 
 # Sub-stream tags keeping the independent consumers of one seed apart.
 _HOM_STREAM = 1
@@ -118,21 +112,6 @@ class HomScan:
             lines.append(f"{float(p)!r},{int(c)}")
         path.write_text("\n".join(lines) + "\n")
         return path
-
-    @classmethod
-    def from_csv(cls, path) -> "HomScan":
-        lines = Path(path).read_text().strip().splitlines()
-        header = {}
-        for token in lines[0].lstrip("# ").split():
-            key, value = token.split("=")
-            header[key] = value
-        rows = [line.split(",") for line in lines[2:]]
-        return cls(
-            positions_nm=np.array([float(r[0]) for r in rows]),
-            counts=np.array([int(r[1]) for r in rows]),
-            dwell_s=float(header["dwell_s"]),
-            rng_seed=int(header["rng_seed"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -331,7 +310,7 @@ def generate_events(cfg: SourceConfig, n_bits: int) -> EventStream:
     if cfg.det_efficiency == 0.0 and cfg.dark_rate * cfg.coincidence_window == 0.0:
         raise ValueError("no coincidences possible with zero detection efficiency")
     rho = state_at_delay(cfg)
-    p_v = born_probability(rho, arm_projector(linear_polarizer(90.0), 1))
+    p_v = born_probabilities(rho, kron2(np.eye(2), polarizer([90.0])))[0]
 
     chunks = []
     totals = np.zeros(4, dtype=np.int64)
@@ -365,24 +344,13 @@ def generate_events(cfg: SourceConfig, n_bits: int) -> EventStream:
 # Poissonian projector counts (feed tomography and direct CHSH)
 # ---------------------------------------------------------------------------
 
-def simulate_counts(
-    rho: TwoQubitState, proj: Projector, expected_total: float, rng_seed: int
-) -> int:
-    """One Poissonian count: Poisson(expected_total * Born probability)."""
-    if expected_total < 0:
-        raise ValueError("expected_total must be non-negative")
-    p = born_probability(rho, proj)
-    rng = np.random.default_rng([int(rng_seed), _COUNT_STREAM])
-    return int(rng.poisson(expected_total * p))
-
-
 def simulate_setting_counts(
-    rho: TwoQubitState, projectors, expected_total: float, rng_seed: int
+    rho: TwoQubitState, stack, expected_total: float, rng_seed: int
 ) -> np.ndarray:
-    """Poissonian counts for an ordered projector list under one seed."""
+    """Poissonian counts, one per projector of a (K, 4, 4) stack, under one seed."""
     if expected_total < 0:
         raise ValueError("expected_total must be non-negative")
-    probs = np.array([born_probability(rho, p) for p in projectors])
+    probs = born_probabilities(rho, stack)
     rng = np.random.default_rng([int(rng_seed), _COUNT_STREAM])
     return rng.poisson(expected_total * probs).astype(np.int64)
 
@@ -393,28 +361,11 @@ def simulate_chsh_counts(
     pairs_per_setting: int,
     rng_seed: int,
 ) -> ChshCounts:
-    """Coincidence quads for the four CHSH setting pairs.
-
-    Per pair (alpha, beta) the four outcome projectors follow the quad order
-    N(a,b), N(a_perp,b_perp), N(a,b_perp), N(a_perp,b).
-    """
+    """Coincidence quads for the four CHSH setting pairs, from the joint
+    projectors of ``settings.projectors()`` (pairs in PAIR_ORDER, outcomes
+    in QUAD_ORDER)."""
     if pairs_per_setting < 1:
         raise ValueError("pairs_per_setting must be at least 1")
-    quads = np.empty((4, 4), dtype=np.int64)
-    rng = np.random.default_rng([int(rng_seed), _COUNT_STREAM])
-    for row, (alpha, beta) in enumerate(settings.pairs()):
-        p_a = linear_polarizer(alpha).matrix
-        p_ap = linear_polarizer(alpha + 90.0).matrix
-        p_b = linear_polarizer(beta).matrix
-        p_bp = linear_polarizer(beta + 90.0).matrix
-        joint = [
-            np.kron(p_a, p_b),
-            np.kron(p_ap, p_bp),
-            np.kron(p_a, p_bp),
-            np.kron(p_ap, p_b),
-        ]
-        probs = np.array(
-            [born_probability(rho, Projector(j)) for j in joint]
-        )
-        quads[row] = rng.poisson(pairs_per_setting * probs)
-    return ChshCounts(quads=quads, settings=settings)
+    stack = settings.projectors().reshape(16, 4, 4)
+    quads = simulate_setting_counts(rho, stack, pairs_per_setting, rng_seed)
+    return ChshCounts(quads=quads.reshape(4, 4), settings=settings)

@@ -8,15 +8,14 @@ over a K-component pure-state mixture (always physical, with credible
 spreads for any functional of the state).
 
 Likelihood convention: each of the 16 settings is an independent
-acquisition of ``acquisition_total`` pairs, so the default log-likelihood
+acquisition of ``acquisition_total`` pairs, so the log-likelihood
 conditions each count on its setting total,
 
     l(rho) = sum_i [ n_i log p_i + (N_i - n_i) log(1 - p_i) ],
 
 whose maximizer at noise-free frequencies is the generating state (the bare
 product of p_i^{n_i} is not stationary at the truth for this projector list,
-whose operator sum is far from proportional to the identity).  A "poisson"
-switch treats the counts as unconditioned Poisson draws instead.
+whose operator sum is far from proportional to the identity).
 """
 
 from __future__ import annotations
@@ -29,13 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .qmath import (
-    PAULI2,
-    Projector,
-    TwoQubitState,
-    is_physical,
-    pauli_compose,
-)
+from .qmath import PAULI2, TwoQubitState, is_physical, kron2, pauli_compose
 
 KWIAT_LABELS = (
     "HH", "HV", "VV", "VH", "RH", "RV", "DV", "DH",
@@ -53,24 +46,18 @@ _KET = {
 
 @dataclass(frozen=True)
 class ProjectorSet:
-    """Ordered, informationally complete list of 16 two-qubit projectors."""
+    """Ordered, informationally complete set of 16 two-qubit projectors: a
+    read-only (16, 4, 4) ``stack`` and one label per projector."""
 
-    projectors: tuple
+    stack: np.ndarray
     labels: tuple
 
     def __post_init__(self):
-        if len(self.projectors) != 16 or len(self.labels) != 16:
+        stack = np.array(self.stack, dtype=complex)
+        if stack.shape != (16, 4, 4) or len(self.labels) != 16:
             raise ValueError("a tomography projector set has exactly 16 entries")
-
-    def stack(self) -> np.ndarray:
-        return np.stack([p.matrix for p in self.projectors])
-
-    def probabilities(self, rho: TwoQubitState) -> np.ndarray:
-        return np.einsum("kij,ji->k", self.stack(), rho.matrix).real
-
-    def born_map_rank(self) -> int:
-        """Rank of the map from Pauli coefficients to the 16 probabilities."""
-        return int(np.linalg.matrix_rank(_pauli_map(self.stack()), tol=1e-10))
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
 
 
 def _pauli_map(stack: np.ndarray) -> np.ndarray:
@@ -81,11 +68,9 @@ def _pauli_map(stack: np.ndarray) -> np.ndarray:
 def kwiat_projectors() -> ProjectorSet:
     """The standard 16-setting polarization list (first letter = heralding
     arm analyzer, second = measured arm)."""
-    projectors = []
-    for label in KWIAT_LABELS:
-        ket = np.kron(_KET[label[0]], _KET[label[1]])
-        projectors.append(Projector(np.outer(ket, ket.conj()), label=label))
-    return ProjectorSet(tuple(projectors), KWIAT_LABELS)
+    kets = np.array([[_KET[label[0]], _KET[label[1]]] for label in KWIAT_LABELS])
+    arm = kets[..., :, np.newaxis] * kets[..., np.newaxis, :].conj()
+    return ProjectorSet(kron2(arm[:, 0], arm[:, 1]), KWIAT_LABELS)
 
 
 @dataclass(frozen=True)
@@ -156,7 +141,7 @@ class PosteriorSamples:
 
 def _design_matrix(pset: ProjectorSet):
     """p = c0 + B u_free over the 15 free Pauli coefficients."""
-    full = _pauli_map(pset.stack()) / 4.0
+    full = _pauli_map(pset.stack) / 4.0
     return full[:, 0], full[:, 1:]  # (16,), (16, 15)
 
 
@@ -198,40 +183,29 @@ def ls_invert(counts: TomoCounts, pset: ProjectorSet | None = None) -> TomoResul
 _P_CLIP = 1e-12
 
 
-def _log_likelihood(rho: np.ndarray, counts, totals, stack, likelihood):
-    """Log-likelihood of the 16 counts under rho, and the clipped Born
-    probabilities it was evaluated at."""
+def _log_likelihood(rho: np.ndarray, counts, totals, stack):
+    """Binomial log-likelihood of the 16 counts under rho, and the clipped
+    Born probabilities it was evaluated at."""
     probs = np.einsum("kij,ji->k", stack, rho).real
     probs = np.clip(probs, _P_CLIP, 1.0 - _P_CLIP)
-    if likelihood == "binomial":
-        value = np.sum(counts * np.log(probs) + (totals - counts) * np.log1p(-probs))
-    elif likelihood == "poisson":
-        value = np.sum(counts * np.log(totals * probs) - totals * probs)
-    else:
-        raise ValueError(f"unknown likelihood {likelihood!r}")
+    value = np.sum(counts * np.log(probs) + (totals - counts) * np.log1p(-probs))
     return float(value), probs
 
 
-def _log_likelihood_with_gradient(rho: np.ndarray, counts, totals, stack, likelihood):
+def _log_likelihood_with_gradient(rho: np.ndarray, counts, totals, stack):
     """l(rho), its clipped Born probabilities, and the gradient operator
     G = sum_k (dl/dp_k) P_k, so that dl = Tr(G drho)."""
-    value, probs = _log_likelihood(rho, counts, totals, stack, likelihood)
-    if likelihood == "binomial":
-        weights = counts / probs - (totals - counts) / (1.0 - probs)
-    else:
-        weights = counts / probs - totals
+    value, probs = _log_likelihood(rho, counts, totals, stack)
+    weights = counts / probs - (totals - counts) / (1.0 - probs)
     return value, probs, np.einsum("k,kij->ij", weights, stack)
 
 
-def _divergence(p_new, p, counts, totals, likelihood) -> float:
+def _divergence(p_new, p, counts, totals) -> float:
     """l(p) + dl(p).(p_new - p) - l(p_new) >= 0, summed term by term so it
     stays accurate where a difference of log-likelihoods would cancel."""
     u = p_new / p - 1.0
-    div = counts * (u - np.log1p(u))
-    if likelihood == "binomial":
-        v = (p - p_new) / (1.0 - p)
-        div += (totals - counts) * (v - np.log1p(v))
-    return float(np.sum(div))
+    v = (p - p_new) / (1.0 - p)
+    return float(np.sum(counts * (u - np.log1p(u)) + (totals - counts) * (v - np.log1p(v))))
 
 
 def _project_to_states(h: np.ndarray) -> np.ndarray:
@@ -249,7 +223,6 @@ def mle_estimate(
     pset: ProjectorSet | None = None,
     max_iters: int = 20_000,
     tol: float = 1e-3,
-    likelihood: str = "binomial",
 ) -> TomoResult:
     """Maximum-likelihood state by accelerated projected gradient ascent on
     rho (FISTA; Shang, Zhang and Ng, PRA 95, 062336, 2017).
@@ -266,7 +239,7 @@ def mle_estimate(
         raise ValueError("maximum likelihood needs at least one positive count")
     n = counts.counts.astype(float)
     totals = np.full(16, float(counts.acquisition_total))
-    model = (n, totals, pset.stack(), likelihood)
+    model = (n, totals, pset.stack)
     rho = _project_to_states(ls_invert(counts, pset).rho_est.matrix)
     value, y_probs, grad = _log_likelihood_with_gradient(rho, *model)
     y, y_grad, theta = rho, grad, 1.0
@@ -290,7 +263,7 @@ def mle_estimate(
             cand = _project_to_states(y + step * y_grad)
             cand_value, cand_probs, cand_grad = _log_likelihood_with_gradient(cand, *model)
             d = cand - y
-            div = _divergence(cand_probs, y_probs, n, totals, likelihood)
+            div = _divergence(cand_probs, y_probs, n, totals)
             if div <= np.vdot(d, d).real / (2.0 * step):
                 break
             step *= 0.5
@@ -312,7 +285,6 @@ def mle_estimate(
             "log_likelihood": value,
             "duality_gap": gap,
             "kkt_residual": float(np.linalg.norm(grad @ rho - mu * rho)),
-            "likelihood": likelihood,
         },
     )
 
@@ -338,8 +310,6 @@ class BayesConfig:
     step: float = 0.08
     K: int = 4
     rng_seed: int = 0
-    likelihood: str = "binomial"
-    adapt: bool = True
 
     def __post_init__(self):
         if self.R < 100:
@@ -382,7 +352,7 @@ def bayesian_estimate(
     """
     pset = pset or kwiat_projectors()
     cfg = cfg or BayesConfig()
-    stack = pset.stack()
+    stack = pset.stack
     n = counts.counts.astype(float)
     totals = np.full(16, float(counts.acquisition_total))
     empty_record = int(counts.counts.sum()) == 0
@@ -393,7 +363,7 @@ def bayesian_estimate(
         rho = _rho_from_vector(x, cfg.K)
         if empty_record:
             return -0.5 * float(x @ x), rho
-        ll, _ = _log_likelihood(rho, n, totals, stack, cfg.likelihood)
+        ll, _ = _log_likelihood(rho, n, totals, stack)
         return ll - 0.5 * float(x @ x), rho
 
     x = rng.standard_normal(dim)
@@ -413,11 +383,9 @@ def bayesian_estimate(
             window_accepts += 1
             if i >= cfg.burn_in:
                 accepted_post += 1
-        if cfg.adapt and i < cfg.burn_in and (i + 1) % 50 == 0:
-            rate = window_accepts / 50.0
-            step *= math.exp(0.6 * (rate - 0.3))
-            window_accepts = 0
-        elif (i + 1) % 50 == 0:
+        if (i + 1) % 50 == 0:
+            if i < cfg.burn_in:
+                step *= math.exp(0.6 * (window_accepts / 50.0 - 0.3))
             window_accepts = 0
         if i >= cfg.burn_in and (i - cfg.burn_in) % cfg.thin == cfg.thin - 1:
             kept_x[kept] = x
@@ -431,7 +399,6 @@ def bayesian_estimate(
         "burn_in": cfg.burn_in,
         "thin": cfg.thin,
         "K": cfg.K,
-        "likelihood": cfg.likelihood,
     }
     if acceptance < 0.01 or acceptance > 0.95:
         warnings.warn(

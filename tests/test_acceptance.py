@@ -33,7 +33,7 @@ from diqrng.pipeline import (
     run_certify,
     run_hom,
 )
-from diqrng.qmath import TwoQubitState, fidelity, random_physical_state
+from diqrng.qmath import TwoQubitState, born_probabilities, fidelity
 from diqrng.source import (
     generate_events,
     simulate_chsh_counts,
@@ -58,6 +58,7 @@ from diqrng.tomography import (
     ls_invert,
     mle_estimate,
 )
+from model_oracles import random_physical_state
 
 MODULE_START = time.perf_counter()
 SQRT2 = math.sqrt(2.0)
@@ -166,7 +167,7 @@ class TestCriterion3TomographyOracleEquivalence:
             rho = random_physical_state(rng)
             total = 10_000
             counts = TomoCounts(
-                np.round(pset.probabilities(rho) * total).astype(np.int64), total
+                np.round(born_probabilities(rho, pset.stack) * total).astype(np.int64), total
             )
             f_ls = fidelity(ls_invert(counts, pset).rho_est, rho)
             f_mle = fidelity(mle_estimate(counts, pset).rho_est, rho)
@@ -186,23 +187,23 @@ class TestCriterion3TomographyOracleEquivalence:
     def test_mle_gradient_against_finite_differences(self):
         pset = kwiat_projectors()
         rng = np.random.default_rng(2718)
-        stack = pset.stack()
+        stack = pset.stack
         totals = np.full(16, 5000.0)
         rho = random_physical_state(rng)
-        counts = simulate_setting_counts(rho, pset.projectors, 5000, 99).astype(float)
+        counts = simulate_setting_counts(rho, pset.stack, 5000, 99).astype(float)
         worst_rel = 0.0
         for _ in range(10):
             # dl = Tr(G drho) along traceless Hermitian directions H.
             rho = random_physical_state(rng).matrix
-            _, _, grad = _log_likelihood_with_gradient(rho, counts, totals, stack, "binomial")
+            _, _, grad = _log_likelihood_with_gradient(rho, counts, totals, stack)
             eps = 1e-6
             for _ in range(16):
                 a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
                 h = a + a.conj().T
                 h -= np.trace(h).real / 4.0 * np.eye(4)
                 analytic = np.trace(grad @ h).real
-                vp, _ = _log_likelihood(rho + eps * h, counts, totals, stack, "binomial")
-                vm, _ = _log_likelihood(rho - eps * h, counts, totals, stack, "binomial")
+                vp, _ = _log_likelihood(rho + eps * h, counts, totals, stack)
+                vm, _ = _log_likelihood(rho - eps * h, counts, totals, stack)
                 fd = (vp - vm) / (2.0 * eps)
                 rel = abs(analytic - fd) / max(abs(fd), abs(analytic), 1.0)
                 worst_rel = max(worst_rel, rel)
@@ -237,7 +238,7 @@ class TestCriterion4EstimatorChshBand:
         seen = 0
         for seed in range(100):
             counts = TomoCounts(
-                simulate_setting_counts(rho, pset.projectors, 100, seed), 100
+                simulate_setting_counts(rho, pset.stack, 100, seed), 100
             )
             if counts.counts.sum() == 0:
                 continue

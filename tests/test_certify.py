@@ -9,22 +9,20 @@ from diqrng.certify import (
     ChshSettings,
     chsh_direct,
     chsh_from_rho,
-    chsh_predicted,
     correlation_E,
     min_entropy,
     optimal_settings_for_visibility,
-    predicted_E,
 )
 from diqrng.extract import BitStream
-from diqrng.qmath import (
-    TwoQubitState,
-    correlation_matrix,
-    pauli_compose,
+from diqrng.qmath import TwoQubitState, correlation_matrix, pauli_compose
+from diqrng.source import eraser_postselected_state, simulate_chsh_counts
+from model_oracles import (
+    chsh_predicted,
+    chsh_quad_projectors,
+    predicted_E,
     random_physical_state,
-    random_pure_state,
     random_unitary,
 )
-from diqrng.source import eraser_postselected_state, simulate_chsh_counts
 
 SQRT2 = math.sqrt(2.0)
 
@@ -295,6 +293,15 @@ class TestMinEntropy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             min_entropy(np.array([], dtype=np.uint8))
+
+
+class TestChshProjectors:
+    @pytest.mark.parametrize("v", [None, 0.9655, 0.758])
+    def test_match_the_per_quad_kron_products(self, v):
+        settings = ChshSettings() if v is None else optimal_settings_for_visibility(v)
+        stack = settings.projectors()
+        assert stack.shape == (4, 4, 4, 4)
+        assert np.max(np.abs(stack - chsh_quad_projectors(settings))) <= 1e-15
 
 
 class TestSettingsValidation:

@@ -95,6 +95,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"config {where} must be a JSON object"):
             PipelineConfig.from_json_dict(data)
 
+    def test_bayes_config_carries_the_stage_fields(self):
+        tomo = reduced(preset_config("dataset_A")).tomo
+        bayes = tomo.bayes_config(123)
+        assert (bayes.R, bayes.burn_in, bayes.thin, bayes.step, bayes.K, bayes.rng_seed) == (
+            800, 400, 2, tomo.bayes_step, tomo.bayes_k, 123
+        )
+
     def test_presets_pin_the_operating_points(self):
         cfg_a = preset_config("dataset_A")
         assert cfg_a.source.overlap_at_delay() == pytest.approx(0.9655)
@@ -278,6 +285,22 @@ class TestCli:
         path.write_text(text)
         assert cli.main(["print-config", "--config", str(path)]) == 1
         assert f"config {where} must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tomo, message",
+        [
+            ({"bayes_r": 50}, "R >= 100"),
+            ({"bayes_r": 500}, "burn-in"),
+            ({"bayes_thin": 0}, "thin"),
+            ({"mle_tol": -1}, "mle_tol"),
+            ({"mle_max_iters": 0}, "mle_max_iters"),
+        ],
+    )
+    def test_bad_tomo_config_exit_code(self, tmp_path, capsys, tomo, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"tomo": tomo}))
+        assert cli.main(["print-config", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_double_extraction_exit_code(self, tmp_path):
         cfg = reduced(preset_config("dataset_A"))

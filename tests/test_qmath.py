@@ -5,21 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diqrng import qmath
 from diqrng.qmath import (
     PAULI,
     PAULI2,
-    Projector,
     TwoQubitState,
-    arm_projector,
-    born_probability,
+    born_probabilities,
     correlation_matrix,
     fidelity,
     is_physical,
-    linear_polarizer,
+    kron2,
     pauli_compose,
     pauli_decompose,
+    polarizer,
+)
+from model_oracles import (
+    linear_polarizer,
     random_physical_state,
+    random_pure_state,
     random_unitary,
 )
 
@@ -143,29 +145,51 @@ class TestCorrelationMatrix:
 class TestBornProbability:
     def test_singlet_marginals(self):
         rho = TwoQubitState.singlet()
-        p_h = born_probability(rho, arm_projector(linear_polarizer(0.0), 0))
-        p_v = born_probability(rho, arm_projector(linear_polarizer(90.0), 0))
+        p_h, p_v = born_probabilities(rho, kron2(polarizer([0.0, 90.0]), np.eye(2)))
         assert p_h == pytest.approx(0.5, abs=1e-12)
         assert p_v == pytest.approx(0.5, abs=1e-12)
 
     def test_identity_projector(self):
         rng = np.random.default_rng(13)
-        eye = Projector(np.eye(4), label="I")
+        eye = np.eye(4)[np.newaxis]
         for _ in range(10):
-            assert born_probability(random_physical_state(rng), eye) == pytest.approx(1.0)
+            assert born_probabilities(random_physical_state(rng), eye)[0] == pytest.approx(1.0)
 
     def test_complete_projector_set_sums_to_one(self):
         rng = np.random.default_rng(14)
-        basis = [Projector(np.diag([1.0 if i == k else 0.0 for i in range(4)])) for k in range(4)]
+        basis = np.array([np.diag([1.0 if i == k else 0.0 for i in range(4)]) for k in range(4)])
         for _ in range(50):
             rho = random_physical_state(rng)
-            total = sum(born_probability(rho, p) for p in basis)
+            total = sum(born_probabilities(rho, basis))
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_non_idempotent(self):
-        bad = Projector(0.5 * np.eye(4))
-        with pytest.raises(ValueError):
-            born_probability(TwoQubitState.singlet(), bad)
+        stack = kron2(polarizer([0.0, 45.0, 90.0]), np.eye(2)).copy()
+        stack[1] = 0.5 * np.eye(4)
+        with pytest.raises(ValueError, match="projector 1 of the stack is not idempotent"):
+            born_probabilities(TwoQubitState.singlet(), stack)
+
+    def test_rejects_non_hermitian(self):
+        # [[1, 1], [0, 0]] is idempotent but not Hermitian.
+        stack = kron2(polarizer([0.0, 45.0, 90.0]), np.eye(2)).copy()
+        stack[2] = kron2(np.array([[1.0, 1.0], [0.0, 0.0]]), np.eye(2))
+        with pytest.raises(ValueError, match="projector 2 of the stack is not Hermitian"):
+            born_probabilities(TwoQubitState.singlet(), stack)
+
+    def test_rejects_nonphysical_state(self):
+        with pytest.raises(ValueError, match="physical"):
+            born_probabilities(TwoQubitState(np.eye(4)), np.eye(4)[np.newaxis])
+
+    def test_polarizer_and_kron2_match_the_explicit_forms(self):
+        angles = np.array([[0.0, 22.5, 45.0], [67.5, 90.0, 135.0]])
+        stack = polarizer(angles)
+        assert stack.shape == (2, 3, 2, 2)
+        for index in np.ndindex(angles.shape):
+            assert np.max(np.abs(stack[index] - linear_polarizer(angles[index]))) <= 1e-15
+        joint = kron2(stack, polarizer(30.0))
+        assert joint.shape == (2, 3, 4, 4)
+        for index in np.ndindex(angles.shape):
+            assert np.array_equal(joint[index], np.kron(stack[index], polarizer(30.0)))
 
 
 class TestIsPhysical:
@@ -214,7 +238,7 @@ class TestFidelity:
         rng = np.random.default_rng(16)
         for _ in range(20):
             a = random_physical_state(rng)
-            b = qmath.random_pure_state(rng)
+            b = random_pure_state(rng)
             f_ab = fidelity(a, b)
             f_ba = fidelity(b, a)
             assert f_ab == pytest.approx(f_ba, abs=1e-7)

@@ -5,14 +5,16 @@ import pytest
 
 from diqrng.certify import chsh_from_rho
 from diqrng.pipeline import derive_seed, preset_config
-from diqrng.qmath import TwoQubitState, fidelity, is_physical, random_physical_state
+from diqrng.qmath import TwoQubitState, born_probabilities, fidelity, is_physical
 from diqrng.source import eraser_postselected_state, simulate_setting_counts, state_at_delay
 from diqrng.tomography import (
     BayesConfig,
     PosteriorSamples,
+    ProjectorSet,
     TomoCounts,
     _log_likelihood,
     _log_likelihood_with_gradient,
+    _pauli_map,
     _project_to_states,
     _rho_from_vector,
     bayesian_estimate,
@@ -21,13 +23,14 @@ from diqrng.tomography import (
     mle_estimate,
     posterior_functional,
 )
+from model_oracles import random_physical_state
 
 PSET = kwiat_projectors()
 
 
 def exact_counts(rho, total=10_000):
     return TomoCounts(
-        np.round(PSET.probabilities(rho) * total).astype(np.int64), total
+        np.round(born_probabilities(rho, PSET.stack) * total).astype(np.int64), total
     )
 
 
@@ -42,27 +45,34 @@ def pipeline_tomo_counts(preset, seed):
     cfg = preset_config(preset, seed)
     total = cfg.tomo.acquisition_total
     counts = simulate_setting_counts(
-        state_at_delay(cfg.source), PSET.projectors, total, derive_seed(seed, "tomo")
+        state_at_delay(cfg.source), PSET.stack, total, derive_seed(seed, "tomo")
     )
     return TomoCounts(counts, total), cfg.source.overlap_at_delay()
 
 
 class TestProjectorSet:
     def test_labels_and_shapes(self):
-        assert len(PSET.projectors) == 16
-        for proj in PSET.projectors:
-            assert proj.matrix.shape == (4, 4)
-            assert proj.idempotency_defect() < 1e-12
+        assert len(PSET.stack) == 16
+        for proj in PSET.stack:
+            assert proj.shape == (4, 4)
+            assert np.max(np.abs(proj @ proj - proj)) < 1e-12
+
+    def test_stack_is_read_only_and_sized(self):
+        assert PSET.stack.shape == (16, 4, 4)
+        with pytest.raises(ValueError):
+            PSET.stack[0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            ProjectorSet(PSET.stack[:15], PSET.labels[:15])
 
     def test_singlet_probabilities(self):
-        probs = dict(zip(PSET.labels, PSET.probabilities(TwoQubitState.singlet())))
+        probs = dict(zip(PSET.labels, born_probabilities(TwoQubitState.singlet(), PSET.stack)))
         assert probs["HH"] == pytest.approx(0.0, abs=1e-12)
         assert probs["VV"] == pytest.approx(0.0, abs=1e-12)
         assert probs["HV"] == pytest.approx(0.5, abs=1e-12)
         assert probs["VH"] == pytest.approx(0.5, abs=1e-12)
 
     def test_born_map_has_full_rank(self):
-        assert PSET.born_map_rank() == 16
+        assert np.linalg.matrix_rank(_pauli_map(PSET.stack), tol=1e-10) == 16
 
     def test_counts_json_roundtrip(self):
         counts = exact_counts(TwoQubitState.singlet())
@@ -98,7 +108,7 @@ class TestLeastSquares:
         nonphysical_seen = 0
         for seed in range(100):
             counts = TomoCounts(
-                simulate_setting_counts(rho, PSET.projectors, 100, seed), 100
+                simulate_setting_counts(rho, PSET.stack, 100, seed), 100
             )
             if counts.counts.sum() == 0:
                 continue
@@ -134,14 +144,14 @@ class TestMle:
         # it is at most tol below the start (the projected LS state).
         rho = random_physical_state(np.random.default_rng(1))
         counts = TomoCounts(
-            simulate_setting_counts(rho, PSET.projectors, 5000, 3), 5000
+            simulate_setting_counts(rho, PSET.stack, 5000, 3), 5000
         )
         result = mle_estimate(counts, tol=1e-3)
         assert result.diagnostics["log_likelihood"] > -np.inf
         assert result.physical
         start = _project_to_states(ls_invert(counts).rho_est.matrix)
         start_value, _ = _log_likelihood(
-            start, counts.counts.astype(float), np.full(16, 5000.0), PSET.stack(), "binomial"
+            start, counts.counts.astype(float), np.full(16, 5000.0), PSET.stack
         )
         assert result.diagnostics["log_likelihood"] >= start_value - 1e-3
 
@@ -149,33 +159,27 @@ class TestMle:
         # dl = Tr(G drho): check Tr(G H) against central differences of
         # l(rho + eps H) along random traceless Hermitian directions H.
         rng = np.random.default_rng(2)
-        stack = PSET.stack()
+        stack = PSET.stack
         totals = np.full(16, 5000.0)
         truth = random_physical_state(rng)
-        counts = simulate_setting_counts(truth, PSET.projectors, 5000, 4).astype(float)
+        counts = simulate_setting_counts(truth, PSET.stack, 5000, 4).astype(float)
         for _ in range(10):
             rho = random_physical_state(rng).matrix
-            _, _, grad = _log_likelihood_with_gradient(rho, counts, totals, stack, "binomial")
+            _, _, grad = _log_likelihood_with_gradient(rho, counts, totals, stack)
             eps = 1e-6
             for _ in range(4):
                 h = random_traceless_hermitian(rng)
                 analytic = np.trace(grad @ h).real
-                v_plus, _ = _log_likelihood(rho + eps * h, counts, totals, stack, "binomial")
-                v_minus, _ = _log_likelihood(rho - eps * h, counts, totals, stack, "binomial")
+                v_plus, _ = _log_likelihood(rho + eps * h, counts, totals, stack)
+                v_minus, _ = _log_likelihood(rho - eps * h, counts, totals, stack)
                 fd = (v_plus - v_minus) / (2.0 * eps)
                 scale = max(abs(fd), abs(analytic), 1.0)
                 assert abs(analytic - fd) / scale <= 1e-5
 
-    def test_poisson_likelihood_switch(self):
-        rho = random_physical_state(np.random.default_rng(3))
-        counts = exact_counts(rho, 100_000)
-        result = mle_estimate(counts, likelihood="poisson")
-        assert fidelity(result.rho_est, rho) >= 0.999
-
     def test_nonconvergence_raises_with_diagnostics(self):
         rho, _ = eraser_postselected_state(45.0, 0.9655)
         counts = TomoCounts(
-            simulate_setting_counts(rho, PSET.projectors, 10_000, 0), 10_000
+            simulate_setting_counts(rho, PSET.stack, 10_000, 0), 10_000
         )
         with pytest.raises(RuntimeError, match="gradient norm"):
             mle_estimate(counts, max_iters=5)
@@ -197,7 +201,7 @@ class TestMle:
         total = float(counts.acquisition_total)
 
         def born(rho):
-            p = [np.trace(proj.matrix @ rho).real for proj in PSET.projectors]
+            p = [np.trace(proj @ rho).real for proj in PSET.stack]
             return np.clip(p, 1e-12, 1.0 - 1e-12)
 
         def loglik(rho):
@@ -206,7 +210,7 @@ class TestMle:
 
         p_hat = born(rho_hat)
         weights = n / p_hat - (total - n) / (1.0 - p_hat)
-        g_op = sum(w * proj.matrix for w, proj in zip(weights, PSET.projectors))
+        g_op = sum(w * proj for w, proj in zip(weights, PSET.stack))
         gap = np.linalg.eigvalsh(g_op)[-1] - np.trace(g_op @ rho_hat).real
         assert gap <= tol
         assert gap == pytest.approx(result.diagnostics["duality_gap"], rel=1e-6, abs=1e-8)
@@ -253,7 +257,7 @@ class TestBayesian:
         stds = []
         for total in (1000, 10_000, 100_000):
             counts = TomoCounts(
-                simulate_setting_counts(rho, PSET.projectors, total, 8), total
+                simulate_setting_counts(rho, PSET.stack, total, 8), total
             )
             result, samples = bayesian_estimate(
                 counts,
@@ -266,7 +270,7 @@ class TestBayesian:
     def test_two_chains_agree_within_three_sigma(self):
         rho, _ = eraser_postselected_state(45.0, 0.9655)
         counts = TomoCounts(
-            simulate_setting_counts(rho, PSET.projectors, 10_000, 10), 10_000
+            simulate_setting_counts(rho, PSET.stack, 10_000, 10), 10_000
         )
         means = []
         stds = []
