@@ -98,8 +98,8 @@ def cmd_run_all(args) -> int:
         "preset": report["preset"],
         "hom_visibility": report["hom"]["visibility"],
         "chsh_direct": report["certify"]["chsh_direct"]["S"],
-        "chsh_mle": report["certify"]["tomography"].get("mle", {}).get("S"),
-        "chsh_bayes": report["certify"]["tomography"].get("bayes", {}).get("S_mean"),
+        "chsh_mle": report["certify"]["tomography"]["mle"]["S"],
+        "chsh_bayes": report["certify"]["tomography"]["bayes"]["S_mean"],
         "min_entropy_extracted": report["min_entropy"]["extracted"]["h_inf"],
         "suite_all_passed": report["verdict"]["suite_all_passed"],
         "report": str(Path(args.out or cfg.output_dir) / "run_report.json"),

@@ -327,57 +327,49 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
         ),
         cfg.tomo.acquisition_total,
     )
-    stages: dict = {}
-    report["tomography"] = stages
-    try:
-        ls = tomography.ls_invert(tomo_counts, pset)
-        stages["ls"] = {
+    ls = tomography.ls_invert(tomo_counts, pset)
+    mle = tomography.mle_estimate(
+        tomo_counts, pset, max_iters=cfg.tomo.mle_max_iters, tol=cfg.tomo.mle_tol
+    )
+    bayes, samples = tomography.bayesian_estimate(
+        tomo_counts,
+        pset,
+        cfg.tomo.bayes_config(derive_seed(cfg.global_seed, "bayes")),
+        functionals={"S": chsh_from_rho},
+    )
+    s_post = bayes.std_of_functionals["S"]
+    stages = report["tomography"] = {
+        "ls": {
             "physical": ls.physical,
             "min_eigenvalue": ls.diagnostics["min_eigenvalue"],
             "S": chsh_from_rho(ls.rho_est) if ls.physical else None,
             "state": json.loads(ls.rho_est.to_json()),
-        }
-    except (ValueError, RuntimeError) as exc:
-        stages["ls"] = {"status": f"failed: {exc}"}
-    try:
-        mle = tomography.mle_estimate(
-            tomo_counts, pset, max_iters=cfg.tomo.mle_max_iters, tol=cfg.tomo.mle_tol
-        )
-        stages["mle"] = {
+        },
+        "mle": {
             "S": chsh_from_rho(mle.rho_est),
             "iterations": mle.diagnostics["iterations"],
             "log_likelihood": mle.diagnostics["log_likelihood"],
             "duality_gap": mle.diagnostics["duality_gap"],
             "kkt_residual": mle.diagnostics["kkt_residual"],
             "state": json.loads(mle.rho_est.to_json()),
-        }
-    except (ValueError, RuntimeError) as exc:
-        stages["mle"] = {"status": f"failed: {exc}"}
-    try:
-        bayes, samples = tomography.bayesian_estimate(
-            tomo_counts,
-            pset,
-            cfg.tomo.bayes_config(derive_seed(cfg.global_seed, "bayes")),
-            functionals={"S": chsh_from_rho},
-        )
-        s_mean, s_std = bayes.std_of_functionals["S"]
-        stages["bayes"] = {
-            "S_mean": s_mean,
-            "S_std": s_std,
+        },
+        "bayes": {
+            "S_mean": s_post.mean,
+            "S_std": s_post.std,
+            "S_split_rhat": s_post.split_rhat,
+            "S_ess": s_post.ess,
             "S_of_mean_state": chsh_from_rho(bayes.rho_est),
             "acceptance_rate": samples.acceptance_rate,
             "R": samples.R,
             "state": json.loads(bayes.rho_est.to_json()),
-        }
-    except (ValueError, RuntimeError) as exc:
-        stages["bayes"] = {"status": f"failed: {exc}"}
-
+        },
+    }
     report["chsh_rho"] = {
         "model": report["chsh_model"],
-        "ls": stages.get("ls", {}).get("S"),
-        "mle": stages.get("mle", {}).get("S"),
-        "bayes_mean": stages.get("bayes", {}).get("S_mean"),
-        "bayes_std": stages.get("bayes", {}).get("S_std"),
+        "ls": stages["ls"]["S"],
+        "mle": stages["mle"]["S"],
+        "bayes_mean": s_post.mean,
+        "bayes_std": s_post.std,
     }
     if bits is not None:
         me = min_entropy(bits)

@@ -5,7 +5,15 @@ maximum likelihood by accelerated projected gradient ascent on the density
 matrix (always physical, stopped by a duality-gap certificate), and a
 pseudo-Bayesian posterior mean sampled with random-walk Metropolis-Hastings
 over a K-component pure-state mixture (always physical, with credible
-spreads for any functional of the state).
+spreads, split-R-hat and effective sample size for any functional of the
+state).
+
+The Metropolis chain rejects most proposals, so it prefetches them: while
+it keeps rejecting, the next proposals are the current state plus noise
+already drawn, and up to eight of them are evaluated as one numpy batch.
+The result is the sequential chain bit for bit, because a rejected step
+leaves the state unchanged, the noise does not depend on the state, and no
+batch crosses a 50-step adaptation window, where the step size may change.
 
 Likelihood convention: each of the 16 settings is an independent
 acquisition of ``acquisition_total`` pairs, so the log-likelihood
@@ -24,6 +32,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -184,20 +193,21 @@ _P_CLIP = 1e-12
 
 
 def _log_likelihood(rho: np.ndarray, counts, totals, stack):
-    """Binomial log-likelihood of the 16 counts under rho, and the clipped
-    Born probabilities it was evaluated at."""
-    probs = np.einsum("kij,ji->k", stack, rho).real
+    """Binomial log-likelihood of the 16 counts under each state of an
+    (..., 4, 4) stack, shape (...), and the clipped (..., 16) Born
+    probabilities it was evaluated at."""
+    probs = np.einsum("kij,...ji->...k", stack, rho).real
     probs = np.clip(probs, _P_CLIP, 1.0 - _P_CLIP)
-    value = np.sum(counts * np.log(probs) + (totals - counts) * np.log1p(-probs))
-    return float(value), probs
+    value = np.sum(counts * np.log(probs) + (totals - counts) * np.log1p(-probs), axis=-1)
+    return value, probs
 
 
 def _log_likelihood_with_gradient(rho: np.ndarray, counts, totals, stack):
     """l(rho), its clipped Born probabilities, and the gradient operator
-    G = sum_k (dl/dp_k) P_k, so that dl = Tr(G drho)."""
+    G = sum_k (dl/dp_k) P_k, so that dl = Tr(G drho), for one state."""
     value, probs = _log_likelihood(rho, counts, totals, stack)
     weights = counts / probs - (totals - counts) / (1.0 - probs)
-    return value, probs, np.einsum("k,kij->ij", weights, stack)
+    return float(value), probs, np.einsum("k,kij->ij", weights, stack)
 
 
 def _divergence(p_new, p, counts, totals) -> float:
@@ -326,14 +336,35 @@ def _gamma_from_normal(y: np.ndarray) -> np.ndarray:
 
 
 def _rho_from_vector(x: np.ndarray, k_components: int) -> np.ndarray:
-    params = x.reshape(k_components, 9)
-    kets = params[:, 0:4] + 1j * params[:, 4:8]
-    norms = np.linalg.norm(kets, axis=1)
+    """The mixture state of each (..., 9K) parameter vector, (..., 4, 4)."""
+    params = x.reshape(x.shape[:-1] + (k_components, 9))
+    kets = params[..., 0:4] + 1j * params[..., 4:8]
+    norms = np.linalg.norm(kets, axis=-1)
     norms = np.where(norms < 1e-12, 1e-12, norms)
-    kets = kets / norms[:, np.newaxis]
-    gammas = _gamma_from_normal(params[:, 8])
-    weights = gammas / gammas.sum()
-    return np.einsum("k,ki,kj->ij", weights, kets, kets.conj())
+    kets = kets / norms[..., np.newaxis]
+    gammas = _gamma_from_normal(params[..., 8])
+    weights = gammas / gammas.sum(axis=-1, keepdims=True)
+    return np.einsum("...k,...ki,...kj->...ij", weights, kets, kets.conj())
+
+
+def _log_target(x: np.ndarray, k_components: int, model):
+    """Unnormalized log posterior of each (..., 9K) vector, and its state.
+
+    The prior is standard normal; ``model`` is (counts, totals, stack), or
+    None for an empty record (flat likelihood).  x.x is a matmul so that a
+    batch gives the same bits as one vector at a time.
+    """
+    rho = _rho_from_vector(x, k_components)
+    log_p = -0.5 * (x[..., np.newaxis, :] @ x[..., :, np.newaxis])[..., 0, 0]
+    if model is not None:
+        log_p = _log_likelihood(rho, *model)[0] + log_p
+    return log_p, rho
+
+
+#: Steps per adaptation window; the step size only changes between windows.
+_WINDOW = 50
+#: Proposals evaluated as one batch while the chain keeps rejecting.
+_PREFETCH = 8
 
 
 def bayesian_estimate(
@@ -344,57 +375,81 @@ def bayesian_estimate(
 ):
     """Posterior mean state and samples; returns (TomoResult, PosteriorSamples).
 
-    ``functionals`` maps names to callables on the (R, 4, 4) sample stack
-    (see :func:`posterior_functional`); their posterior means and standard
-    deviations land in ``TomoResult.std_of_functionals``.  All-zero counts
-    are treated as an empty record (flat likelihood), so the posterior is
-    the prior and the sample mean approaches I/4.
+    ``functionals`` maps names to callables on the (R, 4, 4) sample stack;
+    their :class:`FunctionalSummary` (posterior mean, standard deviation,
+    split-R-hat and ESS, see :func:`posterior_functional`) lands in
+    ``TomoResult.std_of_functionals``, with a warning when R-hat > 1.01 or
+    ESS < 400.  All-zero counts are treated as an empty record (flat
+    likelihood), so the posterior is the prior and the sample mean
+    approaches I/4.
+
+    The chain is random-walk Metropolis with the step adapted towards 30 %
+    acceptance every 50 steps during burn-in.  Its proposals are prefetched
+    (Brockwell, J. Comput. Graph. Stat. 15, 246, 2006): up to ``_PREFETCH``
+    proposals x + step z_i are evaluated as one batch against the current
+    x, the first one whose log u_i clears the Metropolis test is the next
+    accepted step, the ones before it are rejections and the ones after it
+    are thrown away and re-evaluated from the new x.  This gives exactly
+    the sequential chain: a rejected step leaves x unchanged, the noise
+    z_i and log u_i do not depend on the state (they are drawn per window
+    in the sequential order), and no batch crosses a window boundary,
+    where the step may change.  ``diagnostics["evaluations"]`` counts the
+    log-targets computed, thrown-away ones included.
     """
     pset = pset or kwiat_projectors()
     cfg = cfg or BayesConfig()
-    stack = pset.stack
-    n = counts.counts.astype(float)
-    totals = np.full(16, float(counts.acquisition_total))
-    empty_record = int(counts.counts.sum()) == 0
+    model = None
+    if int(counts.counts.sum()) > 0:
+        totals = np.full(16, float(counts.acquisition_total))
+        model = (counts.counts.astype(float), totals, pset.stack)
     dim = 9 * cfg.K
     rng = np.random.default_rng([int(cfg.rng_seed), 0xBA7E5])
 
-    def log_target(x):
-        rho = _rho_from_vector(x, cfg.K)
-        if empty_record:
-            return -0.5 * float(x @ x), rho
-        ll, _ = _log_likelihood(rho, n, totals, stack)
-        return ll - 0.5 * float(x @ x), rho
-
     x = rng.standard_normal(dim)
-    log_p, rho = log_target(x)
+    log_p, rho = _log_target(x, cfg.K, model)
+    evaluations = 1
     step = cfg.step
     total_steps = cfg.burn_in + cfg.R * cfg.thin
     kept_x = np.empty((cfg.R, dim))
     kept_rho = np.empty((cfg.R, 4, 4), dtype=complex)
     kept = 0
     accepted_post = 0
-    window_accepts = 0
-    for i in range(total_steps):
-        proposal = x + step * rng.standard_normal(dim)
-        cand_log_p, cand_rho = log_target(proposal)
-        if math.log(rng.random()) < cand_log_p - log_p:
-            x, log_p, rho = proposal, cand_log_p, cand_rho
-            window_accepts += 1
-            if i >= cfg.burn_in:
-                accepted_post += 1
-        if (i + 1) % 50 == 0:
-            if i < cfg.burn_in:
-                step *= math.exp(0.6 * (window_accepts / 50.0 - 0.3))
-            window_accepts = 0
-        if i >= cfg.burn_in and (i - cfg.burn_in) % cfg.thin == cfg.thin - 1:
-            kept_x[kept] = x
-            kept_rho[kept] = rho
-            kept += 1
+    noise = np.empty((_WINDOW, dim))
+    log_u = np.empty(_WINDOW)
+    for start in range(0, total_steps, _WINDOW):
+        width = min(_WINDOW, total_steps - start)
+        for j in range(width):
+            rng.standard_normal(out=noise[j])
+            log_u[j] = math.log(rng.random())
+        window_accepts = 0
+        j = 0
+        while j < width:
+            end = min(j + _PREFETCH, width)
+            proposals = x + step * noise[j:end]
+            cand_log_p, cand_rho = _log_target(proposals, cfg.K, model)
+            evaluations += end - j
+            hits = np.flatnonzero(log_u[j:end] < cand_log_p - log_p)
+            accept = j + int(hits[0]) if hits.size else end
+            stop = min(accept + 1, end)
+            for a in range(j, stop):
+                i = start + a
+                if a == accept:
+                    x, log_p, rho = proposals[a - j], cand_log_p[a - j], cand_rho[a - j]
+                    window_accepts += 1
+                    if i >= cfg.burn_in:
+                        accepted_post += 1
+                if i >= cfg.burn_in and (i - cfg.burn_in) % cfg.thin == cfg.thin - 1:
+                    kept_x[kept] = x
+                    kept_rho[kept] = rho
+                    kept += 1
+            j = stop
+        if width == _WINDOW and start + _WINDOW <= cfg.burn_in:
+            step *= math.exp(0.6 * (window_accepts / _WINDOW - 0.3))
     acceptance = accepted_post / (cfg.R * cfg.thin)
     diagnostics = {
         "acceptance_rate": acceptance,
         "step_final": step,
+        "evaluations": evaluations,
         "R": cfg.R,
         "burn_in": cfg.burn_in,
         "thin": cfg.thin,
@@ -415,7 +470,14 @@ def bayesian_estimate(
     rho_mean = TwoQubitState(kept_rho.mean(axis=0))
     std_map = {}
     for name, phi in (functionals or {}).items():
-        std_map[name] = posterior_functional(samples, phi)
+        summary = std_map[name] = posterior_functional(samples, phi)
+        if summary.split_rhat > 1.01 or summary.ess < 400:
+            warnings.warn(
+                f"posterior {name} draws have split R-hat {summary.split_rhat:.3f} and "
+                f"ESS {summary.ess:.0f} (want <= 1.01 and >= 400); its mean and "
+                "standard deviation rest on few effective draws",
+                stacklevel=2,
+            )
     result = TomoResult(
         rho_est=rho_mean,
         method="Bayesian",
@@ -426,8 +488,53 @@ def bayesian_estimate(
     return result, samples
 
 
-def posterior_functional(samples: PosteriorSamples, phi) -> tuple:
-    """Posterior mean and standard deviation of a state functional.
+class FunctionalSummary(NamedTuple):
+    """Posterior summary of one state functional's chain-ordered draws."""
+
+    mean: float
+    std: float
+    split_rhat: float
+    ess: float
+
+
+def split_rhat(draws: np.ndarray, segments: int = 4) -> float:
+    """Potential scale reduction of one chain's draws cut into ``segments``
+    equal consecutive pieces (the classic between/within formula); leading
+    draws that do not fill a piece are dropped.  NaN when a piece has fewer
+    than 2 draws or no spread."""
+    draws = np.asarray(draws, dtype=float)
+    n = draws.size // segments
+    if n < 2:
+        return math.nan
+    pieces = draws[draws.size - n * segments:].reshape(segments, n)
+    within = pieces.var(axis=1, ddof=1).mean()
+    if within == 0.0:
+        return math.nan
+    between = n * pieces.mean(axis=1).var(ddof=1)
+    return float(math.sqrt(((n - 1) / n * within + between / n) / within))
+
+
+def effective_sample_size(draws: np.ndarray) -> float:
+    """Effective sample size of one chain's draws, n / tau, with tau from
+    Geyer's initial positive sequence: autocorrelation pairs rho_2k +
+    rho_2k+1 are summed up to the first one that is not positive.  NaN when
+    the draws have no spread."""
+    centred = np.asarray(draws, dtype=float) - np.mean(draws)
+    n = centred.size
+    spectrum = np.fft.rfft(centred, 2 * n)
+    acov = np.fft.irfft(spectrum * spectrum.conj(), 2 * n)[:n]
+    if acov[0] == 0.0:
+        return math.nan
+    rho = acov / acov[0]
+    pairs = rho[0 : n - 1 : 2] + rho[1:n:2]
+    stop = np.flatnonzero(pairs <= 0.0)
+    tau = 2.0 * pairs[: stop[0] if stop.size else pairs.size].sum() - 1.0
+    return float(n / tau)
+
+
+def posterior_functional(samples: PosteriorSamples, phi) -> FunctionalSummary:
+    """Posterior mean, standard deviation, split-R-hat (4 pieces) and ESS of
+    a state functional.
 
     ``phi`` is called once, on the (R, 4, 4) stack of sampled density
     matrices, and must return R values.
@@ -437,4 +544,9 @@ def posterior_functional(samples: PosteriorSamples, phi) -> tuple:
     values = np.asarray(phi(samples.rho_samples), dtype=float)
     if values.shape != (samples.R,):
         raise ValueError(f"functional gave shape {values.shape}, expected ({samples.R},)")
-    return float(values.mean()), float(values.std(ddof=1))
+    return FunctionalSummary(
+        float(values.mean()),
+        float(values.std(ddof=1)),
+        split_rhat(values),
+        effective_sample_size(values),
+    )

@@ -1,7 +1,8 @@
 """Test-side references for the quantum model: the analytic CHSH prediction
 with two-outcome analyzers A = P(angle) - P(angle + 90), the per-quad joint
 polarizer projectors built one np.kron at a time, random states and
-unitaries, and a reader for the HOM scan CSV.
+unitaries, a reader for the HOM scan CSV, and the Bayes chain run one
+proposal at a time.
 
 The library builds its projectors as broadcast stacks (``qmath.polarizer``,
 ``qmath.kron2``, ``ChshSettings.projectors``); the constructions here are
@@ -19,6 +20,7 @@ import numpy as np
 from diqrng.certify import ChshSettings
 from diqrng.qmath import TwoQubitState, is_physical
 from diqrng.source import HomScan
+from diqrng.tomography import _log_likelihood, _rho_from_vector
 
 
 def linear_polarizer(angle_deg: float) -> np.ndarray:
@@ -94,3 +96,49 @@ def hom_scan_from_csv(path) -> HomScan:
         dwell_s=float(header["dwell_s"]),
         rng_seed=int(header["rng_seed"]),
     )
+
+
+def random_walk_chain_reference(counts, pset, cfg):
+    """The Bayes chain one proposal at a time: the sequential random-walk
+    Metropolis loop that ``tomography.bayesian_estimate`` prefetches.
+    Returns (samples, rho_samples, acceptance_rate, step_final)."""
+    stack = pset.stack
+    n = counts.counts.astype(float)
+    totals = np.full(16, float(counts.acquisition_total))
+    empty_record = int(counts.counts.sum()) == 0
+    dim = 9 * cfg.K
+    rng = np.random.default_rng([int(cfg.rng_seed), 0xBA7E5])
+
+    def log_target(x):
+        rho = _rho_from_vector(x, cfg.K)
+        if empty_record:
+            return -0.5 * float(x @ x), rho
+        ll, _ = _log_likelihood(rho, n, totals, stack)
+        return ll - 0.5 * float(x @ x), rho
+
+    x = rng.standard_normal(dim)
+    log_p, rho = log_target(x)
+    step = cfg.step
+    total_steps = cfg.burn_in + cfg.R * cfg.thin
+    kept_x = np.empty((cfg.R, dim))
+    kept_rho = np.empty((cfg.R, 4, 4), dtype=complex)
+    kept = 0
+    accepted_post = 0
+    window_accepts = 0
+    for i in range(total_steps):
+        proposal = x + step * rng.standard_normal(dim)
+        cand_log_p, cand_rho = log_target(proposal)
+        if math.log(rng.random()) < cand_log_p - log_p:
+            x, log_p, rho = proposal, cand_log_p, cand_rho
+            window_accepts += 1
+            if i >= cfg.burn_in:
+                accepted_post += 1
+        if (i + 1) % 50 == 0:
+            if i < cfg.burn_in:
+                step *= math.exp(0.6 * (window_accepts / 50.0 - 0.3))
+            window_accepts = 0
+        if i >= cfg.burn_in and (i - cfg.burn_in) % cfg.thin == cfg.thin - 1:
+            kept_x[kept] = x
+            kept_rho[kept] = rho
+            kept += 1
+    return kept_x, kept_rho, accepted_post / (cfg.R * cfg.thin), step

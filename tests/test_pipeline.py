@@ -302,6 +302,24 @@ class TestCli:
         assert cli.main(["print-config", "--config", str(path)]) == 1
         assert message in capsys.readouterr().err
 
+    def test_estimator_failure_is_a_stage_failure(self, tmp_path, capsys):
+        # An MLE that cannot converge fails certify (exit 2); it is not
+        # written into certify.json as a "failed" status with exit 0.
+        path = tmp_path / "one-iteration.json"
+        path.write_text(json.dumps({"tomo": {"mle_max_iters": 1}}))
+        rc = cli.main(["certify", "--config", str(path), "--out", str(tmp_path / "cert")])
+        assert rc == 2
+        assert "MLE did not converge in 1 iterations" in capsys.readouterr().err
+        assert not (tmp_path / "cert" / "certify.json").exists()
+        out = tmp_path / "run"
+        rc = cli.main(
+            ["run-all", "--config", str(path), "--out", str(out), "--n-bits", "100000"]
+        )
+        assert rc == 2
+        report = json.loads((out / "run_report.json").read_text())
+        assert report["failed_stage"] == "certify"
+        assert "MLE did not converge" in report["error"]
+
     def test_double_extraction_exit_code(self, tmp_path):
         cfg = reduced(preset_config("dataset_A"))
         raw, _ = run_generate(cfg, None, n_bits=REDUCED_BITS)

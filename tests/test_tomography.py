@@ -18,12 +18,14 @@ from diqrng.tomography import (
     _project_to_states,
     _rho_from_vector,
     bayesian_estimate,
+    effective_sample_size,
     kwiat_projectors,
     ls_invert,
     mle_estimate,
     posterior_functional,
+    split_rhat,
 )
-from model_oracles import random_physical_state
+from model_oracles import random_physical_state, random_walk_chain_reference
 
 PSET = kwiat_projectors()
 
@@ -280,9 +282,9 @@ class TestBayesian:
                 cfg=BayesConfig(rng_seed=seed),
                 functionals={"S": chsh_from_rho},
             )
-            mean, std = result.std_of_functionals["S"]
-            means.append(mean)
-            stds.append(std)
+            summary = result.std_of_functionals["S"]
+            means.append(summary.mean)
+            stds.append(summary.std)
         combined = math.hypot(stds[0], stds[1])
         assert abs(means[0] - means[1]) <= 3.0 * combined
 
@@ -310,6 +312,35 @@ class TestBayesian:
         with pytest.raises(ValueError):
             bayesian_estimate(counts, cfg=BayesConfig(R=500, burn_in=1000))
 
+    @pytest.mark.parametrize(
+        "case",
+        ["pipeline dataset_A 20260809", "K=1 burn_in=230 thin=1", "K=2 burn_in=117 thin=3", "empty"],
+    )
+    def test_prefetched_chain_matches_sequential_oracle(self, case):
+        # The prefetched chain must be the one-proposal-at-a-time chain, bit
+        # for bit.  The odd burn-in lengths end inside an adaptation window.
+        if case.startswith("pipeline"):
+            counts, _ = pipeline_tomo_counts("dataset_A", 20260809)
+            cfg = preset_config("dataset_A", 20260809).tomo.bayes_config(
+                derive_seed(20260809, "bayes")
+            )
+        elif case.startswith("K=1"):
+            counts, _ = pipeline_tomo_counts("dataset_B", 20260808)
+            cfg = BayesConfig(R=500, burn_in=230, thin=1, K=1, rng_seed=31)
+        elif case.startswith("K=2"):
+            counts, _ = pipeline_tomo_counts("dataset_B", 20260808)
+            cfg = BayesConfig(R=400, burn_in=117, thin=3, K=2, rng_seed=32)
+        else:
+            counts = TomoCounts(np.zeros(16, dtype=np.int64), 100)
+            cfg = BayesConfig(R=600, burn_in=100, thin=2, rng_seed=33)
+        result, samples = bayesian_estimate(counts, PSET, cfg)
+        ref_x, ref_rho, ref_acceptance, ref_step = random_walk_chain_reference(counts, PSET, cfg)
+        assert np.array_equal(samples.samples, ref_x)
+        assert np.array_equal(samples.rho_samples, ref_rho)
+        assert np.array_equal(samples.acceptance_rate, ref_acceptance)
+        assert np.array_equal(result.diagnostics["step_final"], ref_step)
+        assert result.diagnostics["evaluations"] > cfg.burn_in + cfg.R * cfg.thin
+
 
 class TestPosteriorFunctional:
     def test_trace_functional_is_constant(self):
@@ -317,21 +348,21 @@ class TestPosteriorFunctional:
         _, samples = bayesian_estimate(
             counts, cfg=BayesConfig(R=500, burn_in=200, thin=1, rng_seed=17)
         )
-        mean, std = posterior_functional(
+        summary = posterior_functional(
             samples, lambda ms: np.trace(ms, axis1=1, axis2=2).real
         )
-        assert mean == pytest.approx(1.0, abs=1e-9)
-        assert std < 1e-9
+        assert summary.mean == pytest.approx(1.0, abs=1e-9)
+        assert summary.std < 1e-9
 
     def test_fidelity_with_truth_functional(self):
         rho = random_physical_state(np.random.default_rng(18))
         _, samples = bayesian_estimate(
             exact_counts(rho, 10_000), cfg=BayesConfig(rng_seed=19)
         )
-        mean, _ = posterior_functional(
+        summary = posterior_functional(
             samples, lambda ms: [fidelity(TwoQubitState(m), rho) for m in ms]
         )
-        assert mean >= 0.95
+        assert summary.mean >= 0.95
 
     def test_needs_at_least_two_samples(self):
         samples = PosteriorSamples(
@@ -342,6 +373,39 @@ class TestPosteriorFunctional:
         )
         with pytest.raises(ValueError):
             posterior_functional(samples, lambda m: 1.0)
+
+    @pytest.mark.parametrize(
+        "preset, seed, rhat, ess",
+        [("dataset_A", 20260809, 1.195, 15), ("dataset_B", 20260808, 1.026, 131)],
+    )
+    def test_pipeline_chain_convergence_is_reported(self, preset, seed, rhat, ess):
+        counts, _ = pipeline_tomo_counts(preset, seed)
+        cfg = preset_config(preset, seed).tomo.bayes_config(derive_seed(seed, "bayes"))
+        with pytest.warns(UserWarning, match="split R-hat"):
+            result, _ = bayesian_estimate(counts, PSET, cfg, functionals={"S": chsh_from_rho})
+        summary = result.std_of_functionals["S"]
+        assert round(summary.split_rhat, 3) == rhat
+        assert round(summary.ess) == ess
+
+    def test_rhat_and_ess_of_independent_draws(self):
+        draws = np.random.default_rng(41).standard_normal(20_000)
+        assert split_rhat(draws) == pytest.approx(1.0, abs=0.005)
+        assert effective_sample_size(draws) == pytest.approx(20_000, rel=0.1)
+
+    def test_ess_of_an_autoregressive_chain(self):
+        phi, n = 0.9, 100_000
+        rng = np.random.default_rng(42)
+        noise = rng.standard_normal(n)
+        draws = np.empty(n)
+        draws[0] = noise[0] / math.sqrt(1.0 - phi**2)
+        for i in range(1, n):
+            draws[i] = phi * draws[i - 1] + noise[i]
+        assert effective_sample_size(draws) == pytest.approx(n * (1 - phi) / (1 + phi), rel=0.15)
+        assert split_rhat(draws) == pytest.approx(1.0, abs=0.01)
+
+    def test_constant_draws_have_no_convergence_figures(self):
+        assert math.isnan(split_rhat(np.ones(100)))
+        assert math.isnan(effective_sample_size(np.ones(100)))
 
 
 class TestOracleEquivalence:
