@@ -327,16 +327,19 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
         ),
         cfg.tomo.acquisition_total,
     )
-    ls = tomography.ls_invert(tomo_counts, pset)
-    mle = tomography.mle_estimate(
-        tomo_counts, pset, max_iters=cfg.tomo.mle_max_iters, tol=cfg.tomo.mle_tol
-    )
-    bayes, samples = tomography.bayesian_estimate(
-        tomo_counts,
-        pset,
-        cfg.tomo.bayes_config(derive_seed(cfg.global_seed, "bayes")),
-        functionals={"S": chsh_from_rho},
-    )
+    bayes_cfg = cfg.tomo.bayes_config(derive_seed(cfg.global_seed, "bayes"))
+    try:
+        ls = tomography.ls_invert(tomo_counts, pset)
+        mle = tomography.mle_estimate(
+            tomo_counts, pset, max_iters=cfg.tomo.mle_max_iters, tol=cfg.tomo.mle_tol
+        )
+        bayes, samples = tomography.bayesian_estimate(
+            tomo_counts, pset, bayes_cfg, functionals={"S": chsh_from_rho}
+        )
+    except ValueError as exc:
+        # The counts are simulated here, so an estimator that rejects them
+        # is a failure of this stage, not a config error.
+        raise RuntimeError(f"tomography estimate failed: {exc}") from exc
     s_post = bayes.std_of_functionals["S"]
     stages = report["tomography"] = {
         "ls": {

@@ -11,9 +11,14 @@ state).
 The Metropolis chain rejects most proposals, so it prefetches them: while
 it keeps rejecting, the next proposals are the current state plus noise
 already drawn, and up to eight of them are evaluated as one numpy batch.
-The result is the sequential chain bit for bit, because a rejected step
-leaves the state unchanged, the noise does not depend on the state, and no
-batch crosses a 50-step adaptation window, where the step size may change.
+This makes the sequential chain's accept/reject decisions, because a
+rejected step leaves the state unchanged, the noise does not depend on the
+state, and no batch crosses a 50-step adaptation window, where the step
+size may change.  A batched log-target can differ from the one-state value
+by one ulp (about 1.5e-11 at l = -7.8e4), so a Metropolis test that ties to
+that precision could go the other way; the tests pin the kept draws,
+acceptance rate and final step bit for bit against the sequential loop at
+a pipeline case, two small K = 1 and K = 2 chains and the empty record.
 
 Likelihood convention: each of the 16 settings is an independent
 acquisition of ``acquisition_total`` pairs, so the log-likelihood
@@ -389,11 +394,14 @@ def bayesian_estimate(
     proposals x + step z_i are evaluated as one batch against the current
     x, the first one whose log u_i clears the Metropolis test is the next
     accepted step, the ones before it are rejections and the ones after it
-    are thrown away and re-evaluated from the new x.  This gives exactly
-    the sequential chain: a rejected step leaves x unchanged, the noise
-    z_i and log u_i do not depend on the state (they are drawn per window
-    in the sequential order), and no batch crosses a window boundary,
-    where the step may change.  ``diagnostics["evaluations"]`` counts the
+    are thrown away and re-evaluated from the new x.  This makes the
+    sequential chain's decisions: a rejected step leaves x unchanged, the
+    noise z_i and log u_i do not depend on the state (they are drawn per
+    window in the sequential order), and no batch crosses a window
+    boundary, where the step may change.  The one caveat is rounding: a
+    batched log-target can differ from the one-state value by one ulp, so
+    only a test that ties to that precision could be decided differently
+    (see the module docstring).  ``diagnostics["evaluations"]`` counts the
     log-targets computed, thrown-away ones included.
     """
     pset = pset or kwiat_projectors()
@@ -497,16 +505,16 @@ class FunctionalSummary(NamedTuple):
     ess: float
 
 
-def split_rhat(draws: np.ndarray, segments: int = 4) -> float:
-    """Potential scale reduction of one chain's draws cut into ``segments``
-    equal consecutive pieces (the classic between/within formula); leading
-    draws that do not fill a piece are dropped.  NaN when a piece has fewer
-    than 2 draws or no spread."""
+def split_rhat(draws: np.ndarray) -> float:
+    """Potential scale reduction of one chain's draws cut into 4 equal
+    consecutive pieces (the classic between/within formula); leading draws
+    that do not fill a piece are dropped.  NaN when a piece has fewer than
+    2 draws or no spread."""
     draws = np.asarray(draws, dtype=float)
-    n = draws.size // segments
+    n = draws.size // 4
     if n < 2:
         return math.nan
-    pieces = draws[draws.size - n * segments:].reshape(segments, n)
+    pieces = draws[draws.size - 4 * n:].reshape(4, n)
     within = pieces.var(axis=1, ddof=1).mean()
     if within == 0.0:
         return math.nan

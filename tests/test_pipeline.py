@@ -302,14 +302,27 @@ class TestCli:
         assert cli.main(["print-config", "--config", str(path)]) == 1
         assert message in capsys.readouterr().err
 
-    def test_estimator_failure_is_a_stage_failure(self, tmp_path, capsys):
-        # An MLE that cannot converge fails certify (exit 2); it is not
-        # written into certify.json as a "failed" status with exit 0.
-        path = tmp_path / "one-iteration.json"
-        path.write_text(json.dumps({"tomo": {"mle_max_iters": 1}}))
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"tomo": {"mle_max_iters": 1}}, "MLE did not converge in 1 iterations"),
+            # One pair per setting: this seed simulates 16 zero counts.
+            (
+                {"tomo": {"acquisition_total": 1}, "global_seed": 187},
+                "maximum likelihood needs at least one positive count",
+            ),
+        ],
+        ids=["mle not converged", "all-zero counts"],
+    )
+    def test_estimator_failure_is_a_stage_failure(self, tmp_path, capsys, config, message):
+        # An estimator that fails at run time fails certify (exit 2); it is
+        # neither written into certify.json as a "failed" status with exit 0
+        # nor reported as a validation error (exit 1).
+        path = tmp_path / "estimator-failure.json"
+        path.write_text(json.dumps(config))
         rc = cli.main(["certify", "--config", str(path), "--out", str(tmp_path / "cert")])
         assert rc == 2
-        assert "MLE did not converge in 1 iterations" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "cert" / "certify.json").exists()
         out = tmp_path / "run"
         rc = cli.main(
@@ -318,7 +331,7 @@ class TestCli:
         assert rc == 2
         report = json.loads((out / "run_report.json").read_text())
         assert report["failed_stage"] == "certify"
-        assert "MLE did not converge" in report["error"]
+        assert message in report["error"]
 
     def test_double_extraction_exit_code(self, tmp_path):
         cfg = reduced(preset_config("dataset_A"))
