@@ -6,7 +6,7 @@ Modules:
     source     -- HOM + quantum-eraser photon-pair source simulator
     tomography -- LS / MLE / Bayesian density-matrix estimators
     certify    -- CHSH (direct and Horodecki bound) and min-entropy
-    extract    -- word-packed Toeplitz randomness extraction
+    extract    -- bitsliced Toeplitz randomness extraction (four-Russians tables)
     statsuite  -- the 15 SP 800-22 statistical tests plus KS aggregation
     pipeline   -- config-driven end-to-end runs (dataset_A / dataset_B presets)
     cli        -- command-line entry points

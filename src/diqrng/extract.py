@@ -1,4 +1,4 @@
-"""Toeplitz-hash randomness extraction over GF(2), block-wise and word-packed.
+"""Toeplitz-hash randomness extraction over GF(2), block-wise and bitsliced.
 
 Bit convention: streams are packed little-endian into 64-bit words, i.e. bit
 ``i`` of the stream lives in word ``i // 64`` at bit position ``i % 64``
@@ -9,6 +9,19 @@ Toeplitz indexing: with a seed of length n + m - 1, the hash matrix is
 ``T[i, j] = seed[i - j + n - 1]`` for i in [0, m) and j in [0, n).  Worked
 3x2 example: n=3, m=2, seed=(1,0,1,1), x=(1,1,0) gives y=(1,0).
 The same seed (one matrix) is reused across all blocks of a run.
+
+Lane layout: :func:`bitslice` turns B blocks of L bits into L rows of
+``ceil(B / 64)`` uint64 words, one row per bit position.  Bit ``b`` of word
+``w`` in row ``k`` is bit ``k`` of block ``64 w + b``, so each of the 64 bit
+lanes of a word carries one block, and a word-wide AND or XOR of two rows
+acts on 64 blocks at once.  Lanes past the last block are zero.  The
+Toeplitz hash ``y = T x`` is then row arithmetic: output row ``i`` is the
+XOR of the input rows ``j`` with ``T[i, j] = 1``.  It is computed by the
+method of the four Russians (Arlazarov et al., 1970): for each group of 8
+input rows the 256 XOR combinations are tabulated once, and every output row
+XORs in the entry that byte of its Toeplitz row selects.  The
+Berlekamp-Massey kernel of the SP 800-22 Linear Complexity test uses the same
+layout.
 """
 
 from __future__ import annotations
@@ -41,6 +54,28 @@ def _bits_to_words(bits: np.ndarray) -> np.ndarray:
 def _words_to_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
     data = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
     return np.unpackbits(data, bitorder="little", count=n_bits)
+
+
+def bitslice(blocks: np.ndarray) -> np.ndarray:
+    """Transpose (B, L) 0/1 blocks into (L, ceil(B / 64)) uint64 rows.
+
+    Bit ``b`` of word ``w`` in row ``k`` is bit ``k`` of block ``64 w + b``;
+    lanes past the last block are zero.
+    """
+    blocks = np.asarray(blocks, dtype=np.uint8)
+    n_blocks, length = blocks.shape
+    n_words = (n_blocks + _WORD_BITS - 1) // _WORD_BITS
+    buf = np.zeros((length, n_words * 8), dtype=np.uint8)
+    # packbits runs several times faster on a contiguous transpose.
+    lanes = np.ascontiguousarray(blocks.T)
+    buf[:, : (n_blocks + 7) // 8] = np.packbits(lanes, axis=1, bitorder="little")
+    return buf.view("<u8")
+
+
+def _unbitslice(rows: np.ndarray, n_blocks: int) -> np.ndarray:
+    """Inverse of :func:`bitslice`: (L, W) rows back to (n_blocks, L) bits."""
+    bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
+    return bits[:, :n_blocks].T
 
 
 @dataclass(frozen=True)
@@ -166,8 +201,9 @@ class ToeplitzSeed:
     def hex(self) -> str:
         return np.packbits(self.bits, bitorder="little").tobytes().hex()
 
-    def packed_rows(self) -> np.ndarray:
-        """(m, ceil(n/64)) uint64 matrix; row i is T[i, :] packed LSB-first.
+    def row_bytes(self) -> np.ndarray:
+        """(m, ceil(n/8)) uint8 matrix; byte g of row i holds T[i, 8g .. 8g+7]
+        LSB first (zero past column n - 1).
 
         Row i over j is seed[i+n-1], seed[i+n-2], ..., seed[i]: a reversed
         sliding window of the seed.
@@ -175,11 +211,7 @@ class ToeplitzSeed:
         rev = self.bits[::-1]
         windows = np.lib.stride_tricks.sliding_window_view(rev, self.n)
         rows = windows[::-1][: self.m]  # row i == reversed seed[i : i + n]
-        packed = np.packbits(rows, axis=1, bitorder="little")
-        n_words = (self.n + _WORD_BITS - 1) // _WORD_BITS
-        buf = np.zeros((self.m, n_words * 8), dtype=np.uint8)
-        buf[:, : packed.shape[1]] = packed
-        return np.ascontiguousarray(buf).view("<u8")
+        return np.packbits(np.ascontiguousarray(rows), axis=1, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -239,19 +271,44 @@ def choose_output_length(n: int, h_inf: float, epsilon: float) -> int:
     return m
 
 
-def _hash_packed_blocks(blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """GF(2) mat-vec for many blocks at once.
+#: Bytes of four-Russians tables built at a time (8 input rows per table).
+_TABLE_CHUNK_BYTES = 1 << 21
 
-    blocks: (B, W) uint64, rows: (m, W) uint64.  Output bit (b, i) is the
-    parity of popcount(blocks[b] & rows[i]); the XOR fold first preserves the
-    parity, so a single popcount per (b, i) pair suffices.
+
+def _hash_bitsliced(x_rows: np.ndarray, t_bytes: np.ndarray) -> np.ndarray:
+    """GF(2) mat-vec ``y = T x`` in every lane of bitsliced input.
+
+    x_rows: (n, W) bitsliced blocks (:func:`bitslice`); t_bytes: (m, G)
+    Toeplitz rows from :meth:`ToeplitzSeed.row_bytes`, G = ceil(n / 8).
+    Returns the (m, W) bitsliced outputs.  For each group g of 8 input rows
+    the 256 XOR combinations are built by doubling (entry v | 2^k is entry v
+    XOR row 8g + k), and output row i XORs in the entry that byte g of its
+    Toeplitz row selects.  Tables are built a chunk of groups at a time.
     """
-    n_blocks = blocks.shape[0]
-    m, n_words = rows.shape
-    acc = np.zeros((n_blocks, m), dtype=np.uint64)
-    for w in range(n_words):
-        acc ^= blocks[:, w : w + 1] & rows[:, w][np.newaxis, :]
-    return (np.bitwise_count(acc) & np.uint64(1)).astype(np.uint8)
+    n, n_words = x_rows.shape
+    m, n_groups = t_bytes.shape
+    x = np.zeros((n_groups * 8, n_words), dtype="<u8")
+    x[:n] = x_rows
+    x = x.reshape(n_groups, 8, n_words)
+    selectors = np.ascontiguousarray(t_bytes.T)  # (G, m): one index vector per group
+    chunk = max(1, _TABLE_CHUNK_BYTES // (256 * 8 * n_words))
+    tables = np.empty((min(chunk, n_groups), 256, n_words), dtype="<u8")
+    tables[:, 0] = 0
+    y = np.zeros((m, n_words), dtype="<u8")
+    picked = np.empty_like(y)
+    for start in range(0, n_groups, chunk):
+        stop = min(start + chunk, n_groups)
+        built = tables[: stop - start]
+        for k in range(8):
+            np.bitwise_xor(
+                built[:, : 1 << k],
+                x[start:stop, k, np.newaxis],
+                out=built[:, 1 << k : 2 << k],
+            )
+        for g in range(start, stop):
+            np.take(built[g - start], selectors[g], axis=0, out=picked)
+            y ^= picked
+    return y
 
 
 def toeplitz_hash(x, seed: ToeplitzSeed) -> np.ndarray:
@@ -259,42 +316,30 @@ def toeplitz_hash(x, seed: ToeplitzSeed) -> np.ndarray:
     bits = np.asarray(x, dtype=np.uint8).ravel()
     if bits.size != seed.n:
         raise ValueError(f"block length {bits.size} != seed n = {seed.n}")
-    block = _bits_to_words(bits)[np.newaxis, :]
-    return _hash_packed_blocks(block, seed.packed_rows())[0]
+    y = _hash_bitsliced(bitslice(bits[np.newaxis, :]), seed.row_bytes())
+    return _unbitslice(y, 1)[0]
 
 
 def extract_stream(raw: BitStream, cfg: ExtractorConfig) -> BitStream:
     """Split into n-bit blocks, hash each with one shared seed, concatenate.
 
     A trailing partial block is discarded.  Block-parallel by construction:
-    every block sees the same matrix and its output lands at a fixed offset.
+    every block sees the same matrix, 64 blocks share each bitsliced word,
+    and each block's output lands at a fixed offset.
     """
     if raw.n_bits < cfg.n:
         raise ValueError(
             f"input has {raw.n_bits} bits, shorter than one {cfg.n}-bit block"
         )
     seed = cfg.build_seed()
-    rows = seed.packed_rows()
-    m = seed.m
     n_blocks = raw.n_bits // cfg.n
-
-    bits = raw.to_bits()[: n_blocks * cfg.n].reshape(n_blocks, cfg.n)
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    n_words = rows.shape[1]
-    buf = np.zeros((n_blocks, n_words * 8), dtype=np.uint8)
-    buf[:, : packed.shape[1]] = packed
-    blocks = np.ascontiguousarray(buf).view("<u8")
-
-    out = np.empty((n_blocks, m), dtype=np.uint8)
-    chunk = max(1, (1 << 22) // max(1, m * n_words))  # ~32 MB working set
-    for start in range(0, n_blocks, chunk):
-        stop = min(start + chunk, n_blocks)
-        out[start:stop] = _hash_packed_blocks(blocks[start:stop], rows)
+    blocks = raw.to_bits()[: n_blocks * cfg.n].reshape(n_blocks, cfg.n)
+    out = _unbitslice(_hash_bitsliced(bitslice(blocks), seed.row_bytes()), n_blocks)
 
     provenance = {
         "stage": "extracted",
         "block_n": cfg.n,
-        "block_m": m,
+        "block_m": seed.m,
         "n_blocks": n_blocks,
         "seed_sha256": hashlib.sha256(seed.bits.tobytes()).hexdigest(),
         "seed_hex": seed.hex(),

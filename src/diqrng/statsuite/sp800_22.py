@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaincc, kolmogorov, ndtr
 
+from diqrng.extract import bitslice
+
 
 @dataclass(frozen=True)
 class TestResult:
@@ -504,47 +506,52 @@ def universal_test(bits, threshold: float = 0.01) -> TestResult:
 def linear_complexity_batch(blocks: np.ndarray) -> np.ndarray:
     """Berlekamp-Massey linear complexity of many equal-length blocks.
 
-    Word-packed and vectorized across blocks: the connection polynomial C
-    and the pre-shifted correction polynomial B << (n - m) live in uint64
-    words; the per-step discrepancy is a masked parity against a shared
-    right-shifted window of the reversed sequence.
+    Bitsliced (:func:`diqrng.extract.bitslice`): row j of the connection
+    polynomial C and of the pre-shifted correction polynomial
+    B' = x^(n - m) B holds coefficient j of 64 blocks per uint64 word, so
+    each step is a few word-row operations shared by all blocks.
+
+    - B' only ever moves up one degree per step, in every block at once, so
+      it is a window into a buffer whose start moves down one row per step.
+    - The discrepancy is one XOR-reduce of C against the reversed sequence,
+      whose rows at offset M - 1 - n hold s_n, s_(n-1), ... .
+    - The update is C ^= B' & d; blocks with d = 1 and 2L <= n are promoted
+      (B' <- the old C, L <- n + 1 - L).
+    - deg C <= L and deg B' <= n + 1 - L, so only the first
+      max(max L, n + 1 - min L) + 1 rows can be nonzero.
     """
     blocks = np.asarray(blocks, dtype=np.uint8)
     n_blocks, m_len = blocks.shape
-    n_words = m_len // 64 + 1
-    rev = np.packbits(blocks[:, ::-1], axis=1, bitorder="little")
-    padded = np.zeros((n_blocks, (2 * n_words + 2) * 8), dtype=np.uint8)
-    padded[:, : rev.shape[1]] = rev
-    r_words = np.ascontiguousarray(padded).view("<u8")
-
-    c_poly = np.zeros((n_blocks, n_words), dtype=np.uint64)
-    bs_poly = np.zeros((n_blocks, n_words), dtype=np.uint64)
-    c_poly[:, 0] = 1
-    bs_poly[:, 0] = 1
+    rows = bitslice(blocks)
+    n_words = rows.shape[1]
+    # s_(n-j) for j = 0 .. n, then zeros: row j of seq[m_len - 1 - n:].
+    seq = np.zeros((m_len + 2, n_words), dtype=np.uint64)
+    seq[:m_len] = rows[::-1]
+    c_poly = np.zeros((m_len + 2, n_words), dtype=np.uint64)
+    c_poly[0] = ~np.uint64(0)
+    # Row j of B' is b_buf[offset + j]; B = 1 at m = -1.
+    b_buf = np.zeros((m_len + 2, n_words), dtype=np.uint64)
+    offset = m_len + 1
+    b_buf[offset] = ~np.uint64(0)
     lengths = np.zeros(n_blocks, dtype=np.int64)
-    one = np.uint64(1)
-    s63 = np.uint64(63)
+    mask_bytes = np.zeros(n_words * 8, dtype=np.uint8)
+    promote = mask_bytes.view(np.uint64)
+    lo = hi = 0  # min and max of lengths
     for n in range(m_len):
-        # bs_poly tracks B << (n - m); m starts at -1 so shift first.
-        carry = bs_poly[:, :-1] >> s63
-        bs_poly[:, 1:] = (bs_poly[:, 1:] << one) | carry
-        bs_poly[:, 0] <<= one
-        shift = m_len - 1 - n
-        q, r = divmod(shift, 64)
-        if r == 0:
-            window = r_words[:, q : q + n_words]
-        else:
-            window = (r_words[:, q : q + n_words] >> np.uint64(r)) | (
-                r_words[:, q + 1 : q + 1 + n_words] << np.uint64(64 - r)
-            )
-        d = (np.bitwise_count(c_poly & window).sum(axis=1) & 1).astype(bool)
-        promote = d & (2 * lengths <= n)
-        if promote.any():
-            stash = c_poly[promote].copy()
-        c_poly[d] ^= bs_poly[d]
-        if promote.any():
-            bs_poly[promote] = stash
-            lengths[promote] = n + 1 - lengths[promote]
+        offset -= 1
+        r = max(hi, n + 1 - lo) + 1
+        c_rows = c_poly[:r]
+        b_rows = b_buf[offset : offset + r]
+        d = np.bitwise_xor.reduce(c_rows & seq[m_len - 1 - n : m_len - 1 - n + r], axis=0)
+        mask_bytes[: (n_blocks + 7) // 8] = np.packbits(2 * lengths <= n, bitorder="little")
+        promote &= d
+        swap = (c_rows ^ b_rows) & promote
+        c_rows ^= b_rows & d
+        b_rows ^= swap
+        promoted = np.unpackbits(mask_bytes, count=n_blocks, bitorder="little").astype(bool)
+        if promoted.any():
+            lengths[promoted] = n + 1 - lengths[promoted]
+            lo, hi = int(lengths.min()), int(lengths.max())
     return lengths
 
 
@@ -583,11 +590,24 @@ def linear_complexity_test(bits, block_m: int = 500, threshold: float = 0.01) ->
 # 11. Serial
 # ---------------------------------------------------------------------------
 
-def _psi_squared(b: np.ndarray, m: int) -> float:
+def _window_counts(b: np.ndarray, m: int) -> np.ndarray:
+    """Counts of the n cyclic m-bit windows, indexed by value (MSB first)."""
+    return np.bincount(_rolling_values(b, m, cyclic=True), minlength=2**m)
+
+
+def _prefix_counts(counts: np.ndarray) -> np.ndarray:
+    """(m-1)-bit window counts from the m-bit ones.
+
+    Windows are read MSB first, so the (m-1)-bit window at a position is
+    the m-bit one shifted right by one, and values 2u and 2u + 1 both
+    count towards u.  The integer counts equal a direct (m-1)-bit count.
+    """
+    return counts.reshape(-1, 2).sum(axis=1)
+
+
+def _psi_squared(counts: np.ndarray, m: int, n: int) -> float:
     if m == 0:
         return 0.0
-    n = b.size
-    counts = np.bincount(_rolling_values(b, m, cyclic=True), minlength=2**m)
     return float(2.0**m / n * np.sum(counts.astype(np.float64) ** 2) - n)
 
 
@@ -597,9 +617,11 @@ def serial_test(bits, m: int = 16, threshold: float = 0.01) -> TestResult:
     if m < 2:
         raise ValueError("Serial needs m >= 2")
     _require_length(n, 2**m, "Serial")
-    psi_m = _psi_squared(b, m)
-    psi_m1 = _psi_squared(b, m - 1)
-    psi_m2 = _psi_squared(b, m - 2)
+    counts_m = _window_counts(b, m)
+    counts_m1 = _prefix_counts(counts_m)
+    psi_m = _psi_squared(counts_m, m, n)
+    psi_m1 = _psi_squared(counts_m1, m - 1, n)
+    psi_m2 = _psi_squared(_prefix_counts(counts_m1), m - 2, n)
     delta1 = psi_m - psi_m1
     delta2 = psi_m - 2.0 * psi_m1 + psi_m2
     p1 = gammaincc(2.0 ** (m - 2), delta1 / 2.0)
@@ -613,11 +635,9 @@ def serial_test(bits, m: int = 16, threshold: float = 0.01) -> TestResult:
 # 12. Approximate Entropy
 # ---------------------------------------------------------------------------
 
-def _phi(b: np.ndarray, m: int) -> float:
+def _phi(counts: np.ndarray, m: int, n: int) -> float:
     if m == 0:
         return 0.0
-    n = b.size
-    counts = np.bincount(_rolling_values(b, m, cyclic=True), minlength=2**m)
     nz = counts[counts > 0].astype(np.float64)
     return float(np.sum(nz / n * np.log(nz / n)))
 
@@ -626,7 +646,8 @@ def approximate_entropy_test(bits, m: int = 10, threshold: float = 0.01) -> Test
     b = _bits_of(bits)
     n = b.size
     _require_length(n, 2**m, "Approximate Entropy")
-    ap_en = _phi(b, m) - _phi(b, m + 1)
+    counts_m1 = _window_counts(b, m + 1)
+    ap_en = _phi(_prefix_counts(counts_m1), m, n) - _phi(counts_m1, m + 1, n)
     chi2 = 2.0 * n * (math.log(2.0) - ap_en)
     p = gammaincc(2.0 ** (m - 1), chi2 / 2.0)
     return _finish(

@@ -7,19 +7,32 @@ from diqrng.extract import (
     BitStream,
     ExtractorConfig,
     ToeplitzSeed,
+    bitslice,
     choose_output_length,
     extract_stream,
     toeplitz_hash,
 )
 
+#: Block counts around the 64-lane word boundaries.
+BLOCK_COUNTS = (1, 63, 64, 65, 130)
+
 
 def naive_toeplitz_oracle(x, seed_bits, n, m):
-    """Dense GF(2) matrix-vector product straight from the index formula."""
-    t = np.zeros((m, n), dtype=np.uint8)
-    for i in range(m):
-        for j in range(n):
-            t[i, j] = seed_bits[i - j + n - 1]
-    return (t @ np.asarray(x, dtype=np.uint8)) % 2
+    """Dense GF(2) matrix-vector product straight from the index formula.
+
+    ``x`` is one n-bit block or a (B, n) stack; the result is (m,) or
+    (B, m).  T is built a few hundred rows at a time and multiplied in
+    float32, which is exact for sums of up to 2**24 ones.
+    """
+    x = np.asarray(x, dtype=np.float32)
+    seed_bits = np.asarray(seed_bits)
+    i = np.arange(m)[:, np.newaxis]
+    j = np.arange(n)[np.newaxis, :]
+    out = np.empty(x.shape[:-1] + (m,), dtype=np.uint8)
+    for start in range(0, m, 256):
+        t = seed_bits[i[start : start + 256] - j + n - 1].astype(np.float32)
+        out[..., start : start + 256] = (x @ t.T) % 2
+    return out
 
 
 class TestBitStream:
@@ -118,6 +131,21 @@ class TestToeplitzHash:
             ToeplitzSeed(np.ones(4, dtype=np.uint8), n=3, m=3)
 
 
+class TestBitslice:
+    @pytest.mark.parametrize("n_blocks", BLOCK_COUNTS)
+    def test_lane_layout(self, n_blocks):
+        rng = np.random.default_rng(n_blocks)
+        blocks = rng.integers(0, 2, (n_blocks, 9), dtype=np.uint8)
+        rows = bitslice(blocks)
+        assert rows.dtype == np.uint64
+        assert rows.shape == (9, -(-n_blocks // 64))
+        for k in range(9):
+            for block in range(rows.shape[1] * 64):
+                w, b = divmod(block, 64)
+                lane = (int(rows[k, w]) >> b) & 1
+                assert lane == (blocks[block, k] if block < n_blocks else 0)
+
+
 class TestChooseOutputLength:
     def test_leftover_hash_sizing(self):
         assert choose_output_length(4500, 0.9997, 2.0**-100) == 4298
@@ -192,6 +220,28 @@ class TestExtractStream:
         out = extract_stream(raw, ExtractorConfig(seed_bits=seed_bits))
         seed = ToeplitzSeed(seed_bits, 4500, 1200)
         assert np.array_equal(out.to_bits(), toeplitz_hash(raw.to_bits(), seed))
+
+
+class TestBitslicedEdges:
+    """Block counts around the 64-lane words and block lengths that are not
+    a multiple of 8 or 64, against the dense oracle, with a partial
+    trailing block that must be dropped."""
+
+    @pytest.mark.parametrize("n_blocks", BLOCK_COUNTS)
+    @pytest.mark.parametrize(
+        "n, m_values",
+        [(9, (1, 4, 8)), (65, (1, 17, 64)), (130, (1, 35, 129)), (4500, (1, 1200, 4499))],
+    )
+    def test_extract_stream_matches_oracle(self, n_blocks, n, m_values):
+        rng = np.random.default_rng([n_blocks, n])
+        raw_bits = rng.integers(0, 2, n_blocks * n + n - 1, dtype=np.uint8)
+        blocks = raw_bits[: n_blocks * n].reshape(n_blocks, n)
+        for m in m_values:
+            cfg = ExtractorConfig(n=n, m=m, rng_seed=m)
+            out = extract_stream(BitStream.from_bits(raw_bits), cfg)
+            expected = naive_toeplitz_oracle(blocks, cfg.build_seed().bits, n, m)
+            assert out.n_bits == n_blocks * m
+            assert np.array_equal(out.to_bits().reshape(n_blocks, m), expected), f"m={m}"
 
 
 class TestBiasedInputWhitening:

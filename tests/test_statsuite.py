@@ -30,6 +30,8 @@ from diqrng.statsuite import suite
 from diqrng.statsuite.sp800_22 import (
     _longest_run_bin_probs,
     _no_run_probability,
+    _prefix_counts,
+    _window_counts,
     gammaincc,
     ndtr,
 )
@@ -304,6 +306,27 @@ class TestLinearComplexity:
             ref = np.array([berlekamp_massey(b) for b in blocks])
             assert np.array_equal(batch, ref), f"M={m_len}"
 
+    @pytest.mark.parametrize(
+        "n_blocks, m_len",
+        [(n_blocks, m_len) for n_blocks in (1, 63, 64, 65, 130) for m_len in (1, 2, 9, 65, 130)]
+        + [(65, 500)],
+    )
+    def test_bitsliced_batch_matches_reference_at_lane_edges(self, n_blocks, m_len):
+        # Random blocks with all-zero (L = 0), all-one (L = 1) and impulse
+        # (L = M) blocks among them, so one word holds the extreme lengths
+        # that bound the rows each step may touch.
+        rng = np.random.default_rng([n_blocks, m_len])
+        blocks = rng.integers(0, 2, (n_blocks, m_len), dtype=np.uint8)
+        special = rng.permutation(n_blocks)[:3]
+        blocks[special[:1]] = 0
+        blocks[special[1:2]] = 1
+        blocks[special[2:3]] = 0
+        blocks[special[2:3], -1] = 1
+        batch = linear_complexity_batch(blocks)
+        ref = np.array([berlekamp_massey(b) for b in blocks])
+        assert batch.shape == (n_blocks,)
+        assert np.array_equal(batch, ref)
+
     def test_periodic_stream_fails(self):
         bits = np.tile(np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8), 65_000)
         result = linear_complexity_test(bits)
@@ -353,6 +376,16 @@ class TestSerialAndApEn:
         bits = bits_from_string("0100110101")
         result = approximate_entropy_test(bits, m=3)
         assert result.p_values[0] == pytest.approx(0.261961, abs=1e-4)
+
+    @pytest.mark.parametrize("m", (2, 3, 11, 16))
+    def test_prefix_counts_equal_direct_counts(self, m):
+        # Serial and Approximate Entropy derive the shorter window counts
+        # from the longest one; the integer counts must be the direct ones.
+        rng = np.random.default_rng(m)
+        for n in (37, 5003):
+            bits = rng.integers(0, 2, n, dtype=np.uint8)
+            counts = _window_counts(bits, m)
+            assert np.array_equal(_prefix_counts(counts), _window_counts(bits, m - 1))
 
     def test_apen_all_zeros_fails(self):
         result = approximate_entropy_test(np.zeros(40_000, dtype=np.uint8), m=3)
