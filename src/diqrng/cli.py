@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation problem (bad config or arguments),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,29 +18,19 @@ from .pipeline import PipelineConfig, preset_config
 
 
 def _load_config(args) -> PipelineConfig:
-    if getattr(args, "config", None):
+    if args.config:
         cfg = PipelineConfig.from_json(Path(args.config).read_text())
-    elif getattr(args, "preset", None):
+    elif args.preset:
         cfg = preset_config(args.preset)
     else:
         cfg = PipelineConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = _replace(cfg, global_seed=args.seed)
-    if getattr(args, "out", None):
-        cfg = _replace(cfg, output_dir=args.out)
-    if getattr(args, "threshold", None) is not None:
-        cfg = _replace(cfg, suite_threshold=args.threshold)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, global_seed=args.seed)
+    if args.out:
+        cfg = dataclasses.replace(cfg, output_dir=args.out)
+    if args.threshold is not None:
+        cfg = dataclasses.replace(cfg, suite_threshold=args.threshold)
     return cfg
-
-
-def _replace(cfg: PipelineConfig, **kwargs) -> PipelineConfig:
-    import dataclasses
-
-    return dataclasses.replace(cfg, **kwargs)
-
-
-def _out_dir(cfg: PipelineConfig, args) -> Path:
-    return Path(args.out or cfg.output_dir)
 
 
 def cmd_print_config(args) -> int:
@@ -50,14 +41,14 @@ def cmd_print_config(args) -> int:
 
 def cmd_simulate_hom(args) -> int:
     cfg = _load_config(args)
-    result = pipeline.run_hom(cfg, _out_dir(cfg, args))
+    result = pipeline.run_hom(cfg, cfg.output_dir)
     print(json.dumps({k: result[k] for k in ("visibility", "stderr")}, indent=2))
     return 0
 
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args)
-    _, info = pipeline.run_generate(cfg, _out_dir(cfg, args), n_bits=args.n_bits)
+    _, info = pipeline.run_generate(cfg, cfg.output_dir, n_bits=args.n_bits)
     print(json.dumps(info, indent=2))
     return 0
 
@@ -65,7 +56,7 @@ def cmd_generate(args) -> int:
 def cmd_certify(args) -> int:
     cfg = _load_config(args)
     bits = BitStream.load(args.bits) if args.bits else None
-    report = pipeline.run_certify(cfg, bits, _out_dir(cfg, args))
+    report = pipeline.run_certify(cfg, bits, cfg.output_dir)
     summary = {
         "chsh_model": report["chsh_model"],
         "chsh_direct": report["chsh_direct"]["S"],
@@ -78,7 +69,7 @@ def cmd_certify(args) -> int:
 def cmd_extract(args) -> int:
     cfg = _load_config(args)
     raw = BitStream.load(args.bits)
-    _, info = pipeline.run_extract(cfg, raw, _out_dir(cfg, args))
+    _, info = pipeline.run_extract(cfg, raw, cfg.output_dir)
     print(json.dumps(info, indent=2))
     return 0
 
@@ -86,24 +77,15 @@ def cmd_extract(args) -> int:
 def cmd_test(args) -> int:
     cfg = _load_config(args)
     bits = BitStream.load(args.bits)
-    report = pipeline.run_test(cfg, bits, _out_dir(cfg, args))
+    report = pipeline.run_test(cfg, bits, cfg.output_dir)
     print(json.dumps({"all_passed": report.all_passed, "failing": report.failing()}, indent=2))
     return 0
 
 
 def cmd_run_all(args) -> int:
     cfg = _load_config(args)
-    report = pipeline.run_all(cfg, _out_dir(cfg, args), n_bits=args.n_bits)
-    summary = {
-        "preset": report["preset"],
-        "hom_visibility": report["hom"]["visibility"],
-        "chsh_direct": report["certify"]["chsh_direct"]["S"],
-        "chsh_mle": report["certify"]["tomography"]["mle"]["S"],
-        "chsh_bayes": report["certify"]["tomography"]["bayes"]["S_mean"],
-        "min_entropy_extracted": report["min_entropy"]["extracted"]["h_inf"],
-        "suite_all_passed": report["verdict"]["suite_all_passed"],
-        "report": str(Path(args.out or cfg.output_dir) / "run_report.json"),
-    }
+    report = pipeline.run_all(cfg, cfg.output_dir, n_bits=args.n_bits)
+    summary = {**report["summary"], "report": str(Path(cfg.output_dir) / "run_report.json")}
     print(json.dumps(summary, indent=2))
     return 0
 

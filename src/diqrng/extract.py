@@ -236,6 +236,9 @@ class ExtractorConfig:
             raise ValueError(f"unknown extractor mode {self.mode!r}")
         if self.n < 2:
             raise ValueError("block input length must be at least 2")
+        m = self.resolve_m()  # the condition ToeplitzSeed enforces, checked at config load
+        if not 1 <= m < self.n:
+            raise ValueError(f"extractor needs 1 <= m < n, got m={m} and n={self.n}")
 
     def resolve_m(self) -> int:
         if self.m is not None:

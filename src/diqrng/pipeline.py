@@ -91,6 +91,10 @@ class PipelineConfig:
     n_bits: int = 4_500_000
     preset: str | None = None
 
+    def __post_init__(self):
+        if self.n_bits < 1:
+            raise ValueError("n_bits must be at least 1")
+
     def seeds(self) -> dict:
         return {label: derive_seed(self.global_seed, label) for label in SEED_LABELS}
 
@@ -314,7 +318,6 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
         "e_values": list(direct.e_values),
         "settings": settings.as_dict(),
         "pairs_per_setting": cfg.chsh.pairs_per_setting,
-        "violates_classical": direct.violates_classical,
     }
 
     pset = tomography.kwiat_projectors()
@@ -341,7 +344,7 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
         # is a failure of this stage, not a config error.
         raise RuntimeError(f"tomography estimate failed: {exc}") from exc
     s_post = bayes.std_of_functionals["S"]
-    stages = report["tomography"] = {
+    report["tomography"] = {
         "ls": {
             "physical": ls.physical,
             "min_eigenvalue": ls.diagnostics["min_eigenvalue"],
@@ -367,24 +370,10 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
             "state": json.loads(bayes.rho_est.to_json()),
         },
     }
-    report["chsh_rho"] = {
-        "model": report["chsh_model"],
-        "ls": stages["ls"]["S"],
-        "mle": stages["mle"]["S"],
-        "bayes_mean": s_post.mean,
-        "bayes_std": s_post.std,
-    }
     if bits is not None:
-        me = min_entropy(bits)
-        report["min_entropy"] = {
-            "h_inf": me.h_inf,
-            "p_max": me.p_max,
-            "n_bits": me.n_bits,
-            "stage": bits.stage,
-        }
-    s_direct = report["chsh_direct"]["S"]
+        report["min_entropy"] = {**dataclasses.asdict(min_entropy(bits)), "stage": bits.stage}
     report["verdict"] = {
-        "entangled": abs(s_direct) > certify.CLASSICAL_BOUND,
+        "entangled": direct.violates_classical,
         "basis": "strict |S| > 2 on the direct estimate",
     }
     if out_dir is not None:
@@ -406,7 +395,7 @@ def run_extract(cfg: PipelineConfig, raw: BitStream, out_dir=None):
         "n_bits_out": extracted.n_bits,
         "sha256": extracted.sha256(),
         "block_n": ext_cfg.n,
-        "block_m": ext_cfg.resolve_m(),
+        "block_m": extracted.provenance["block_m"],
         "mode": ext_cfg.mode,
         "seed_sha256": extracted.provenance["seed_sha256"],
     }
@@ -426,19 +415,8 @@ def run_test(cfg: PipelineConfig, bits: BitStream, out_dir=None, reference: dict
     if out_dir is not None:
         out_dir = _ensure_dir(out_dir)
         suite_report.save_json(out_dir / "suite.json")
-        csv_text = _suite_csv_with_reference(suite_report, reference)
-        (out_dir / "suite.csv").write_text(csv_text)
+        suite_report.save_csv(out_dir / "suite.csv", (reference or {}).get("suite_p_values"))
     return suite_report
-
-
-def _suite_csv_with_reference(report, reference: dict | None) -> str:
-    ref = (reference or {}).get("suite_p_values", {})
-    lines = ["test,p_value,passed,reference_p_value"]
-    for name, result in report.results.items():
-        p = "" if math.isnan(result.p_value) else f"{result.p_value:.6f}"
-        ref_p = ref.get(name, "")
-        lines.append(f"{name},{p},{result.passed},{ref_p}")
-    return "\n".join(lines) + "\n"
 
 
 def run_all(cfg: PipelineConfig, out_dir=None, n_bits: int | None = None) -> dict:
@@ -465,15 +443,11 @@ def run_all(cfg: PipelineConfig, out_dir=None, n_bits: int | None = None) -> dic
         extracted, ext_info = run_extract(cfg, raw, out_dir)
         report["extract"] = ext_info
         stage = "min-entropy"
-        me_raw = min_entropy(raw)
-        me_ext = min_entropy(extracted)
+        # The raw stream's min-entropy is the one certify already computed.
+        me_raw = {k: v for k, v in report["certify"]["min_entropy"].items() if k != "stage"}
         report["min_entropy"] = {
-            "raw": {"h_inf": me_raw.h_inf, "p_max": me_raw.p_max, "n_bits": me_raw.n_bits},
-            "extracted": {
-                "h_inf": me_ext.h_inf,
-                "p_max": me_ext.p_max,
-                "n_bits": me_ext.n_bits,
-            },
+            "raw": me_raw,
+            "extracted": dataclasses.asdict(min_entropy(extracted)),
         }
         stage = "test"
         suite_report = run_test(cfg, extracted, out_dir, reference)
@@ -489,14 +463,12 @@ def run_all(cfg: PipelineConfig, out_dir=None, n_bits: int | None = None) -> dic
         "suite_all_passed": suite_report.all_passed,
         "suite_failing": suite_report.failing(),
     }
+    tomo = report["certify"]["tomography"]
     report["summary"] = {
         "hom_visibility": report["hom"]["visibility"],
         "chsh_direct": report["certify"]["chsh_direct"]["S"],
-        "chsh_mle": report["certify"]["chsh_rho"]["mle"],
-        "chsh_bayes": {
-            "mean": report["certify"]["chsh_rho"]["bayes_mean"],
-            "std": report["certify"]["chsh_rho"]["bayes_std"],
-        },
+        "chsh_mle": tomo["mle"]["S"],
+        "chsh_bayes": {"mean": tomo["bayes"]["S_mean"], "std": tomo["bayes"]["S_std"]},
         "min_entropy_raw": report["min_entropy"]["raw"]["h_inf"],
         "min_entropy_extracted": report["min_entropy"]["extracted"]["h_inf"],
     }

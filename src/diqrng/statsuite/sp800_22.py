@@ -89,7 +89,7 @@ def _finish(name, p_values, threshold, params, note="", applicable=True):
     )
 
 
-def _not_applicable(name, params, note, threshold, fails=False):
+def _not_applicable(name, params, note, fails=False):
     return TestResult(
         name=name,
         p_values=(0.0,) if fails else (),
@@ -156,7 +156,6 @@ def runs_test(bits, threshold: float = 0.01, min_n: int = 100) -> TestResult:
             "Runs",
             {"pi": pi, "n": n},
             "not applicable: frequency pre-test failed",
-            threshold,
             fails=True,
         )
     v_obs = 1 + int(np.count_nonzero(np.diff(b)))
@@ -725,7 +724,6 @@ def random_excursions_test(bits, threshold: float = 0.01) -> TestResult:
             "Random Excursions",
             {"J": j_cycles},
             f"not applicable: only {j_cycles} cycles (< 500)",
-            threshold,
         )
     p_values = []
     states = [-4, -3, -2, -1, 1, 2, 3, 4]
@@ -751,7 +749,6 @@ def random_excursions_variant_test(bits, threshold: float = 0.01) -> TestResult:
             "Random Excursions Variant",
             {"J": j_cycles},
             f"not applicable: only {j_cycles} cycles (< 500)",
-            threshold,
         )
     states = [x for x in range(-9, 10) if x != 0]
     p_values = []

@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .sp800_22 import (
     InsufficientLengthError,
     TestResult,
     _bits_of,
     _ks_p,
+    _not_applicable,
     approximate_entropy_test,
     block_frequency_test,
     cumulative_sums_test,
@@ -30,25 +30,6 @@ from .sp800_22 import (
     runs_test,
     serial_test,
     universal_test,
-)
-
-#: The fifteen tests of the suite, alphabetical, as reported.
-TEST_NAMES = (
-    "Approximate Entropy",
-    "Block Frequency",
-    "Cumulative Sums",
-    "FFT",
-    "Frequency",
-    "Linear Complexity",
-    "Longest Runs",
-    "Non Overlapping Template Matching",
-    "Overlapping Template Matching",
-    "Random Excursions",
-    "Random Excursions Variant",
-    "Rank",
-    "Runs",
-    "Serial",
-    "Universal",
 )
 
 _TEST_FUNCTIONS = {
@@ -68,6 +49,9 @@ _TEST_FUNCTIONS = {
     "Serial": serial_test,
     "Universal": universal_test,
 }
+
+#: The fifteen tests of the suite, alphabetical, as reported.
+TEST_NAMES = tuple(_TEST_FUNCTIONS)
 
 RECOMMENDED_SUITE_LENGTH = 1_000_000
 
@@ -112,14 +96,14 @@ class SuiteReport:
                 "passed": r.passed,
                 "applicable": r.applicable,
                 "note": r.note,
-                "params": _jsonable(r.params),
+                "params": r.params,
             }
         return {
             "tests": tests,
             "threshold": self.threshold,
             "ks_aggregate": self.ks_aggregate,
             "all_passed": self.all_passed,
-            "stream_metadata": _jsonable(self.stream_metadata),
+            "stream_metadata": self.stream_metadata,
         }
 
     def save_json(self, path) -> Path:
@@ -127,16 +111,21 @@ class SuiteReport:
         path.write_text(json.dumps(self.to_json_dict(), indent=2))
         return path
 
-    def to_csv(self) -> str:
-        lines = ["test,p_value,passed,n_p_values,note"]
-        for name, r in self.results.items():
-            p = "" if math.isnan(r.p_value) else f"{r.p_value:.6f}"
-            lines.append(f"{name},{p},{r.passed},{len(r.p_values)},{r.note}")
-        return "\n".join(lines) + "\n"
-
-    def save_csv(self, path) -> Path:
+    def save_csv(self, path, reference: dict | None = None) -> Path:
+        """One row per test; ``reference`` maps test names to published
+        p-values for the last column (empty where absent)."""
         path = Path(path)
-        path.write_text(self.to_csv())
+        reference = reference or {}
+        with path.open("w", newline="") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(
+                ["test", "p_value", "passed", "n_p_values", "note", "reference_p_value"]
+            )
+            for name, r in self.results.items():
+                p = "" if math.isnan(r.p_value) else f"{r.p_value:.6f}"
+                writer.writerow(
+                    [name, p, r.passed, len(r.p_values), r.note, reference.get(name)]
+                )
         return path
 
 
@@ -161,15 +150,7 @@ def run_suite(bits, threshold: float = 0.01, stream_metadata: dict | None = None
         try:
             results[name] = _TEST_FUNCTIONS[name](b, threshold=threshold)
         except InsufficientLengthError as exc:
-            results[name] = TestResult(
-                name=name,
-                p_values=(),
-                p_value=float("nan"),
-                passed=True,
-                params={},
-                note=f"not applicable: {exc}",
-                applicable=False,
-            )
+            results[name] = _not_applicable(name, {}, f"not applicable: {exc}")
     collected = [p for r in results.values() for p in r.p_values if not math.isnan(p)]
     ks = _ks_p(collected) if len(collected) >= 5 else None
     return SuiteReport(
@@ -178,17 +159,3 @@ def run_suite(bits, threshold: float = 0.01, stream_metadata: dict | None = None
         ks_aggregate=ks,
         stream_metadata=dict(stream_metadata or {}),
     )
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj

@@ -305,6 +305,43 @@ class TestCli:
     @pytest.mark.parametrize(
         "config, message",
         [
+            ({"extractor": {"m": 5000}}, "1 <= m < n, got m=5000 and n=4500"),
+            ({"extractor": {"m": 0}}, "1 <= m < n, got m=0 and n=4500"),
+            ({"extractor": {"mode": "leftover_hash"}}, "leftover_hash mode needs h_inf"),
+            ({"n_bits": 0}, "n_bits must be at least 1"),
+        ],
+        ids=["m above n", "m zero", "leftover_hash without h_inf", "no bits"],
+    )
+    def test_bad_extractor_or_length_config_exit_code(self, tmp_path, capsys, config, message):
+        # Rejected at config load: run-all exits 1 before any stage runs.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["print-config", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        out = tmp_path / "run"
+        assert cli.main(["run-all", "--config", str(path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_all_prints_the_report_summary(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = cli.main(
+            ["run-all", "--preset", "dataset_A", "--out", str(out), "--n-bits", "100000"]
+        )
+        assert rc == 0
+        report = json.loads((out / "run_report.json").read_text())
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == {**report["summary"], "report": str(out / "run_report.json")}
+        certify_me = dict(report["certify"]["min_entropy"])
+        assert certify_me.pop("stage") == "raw"
+        assert report["min_entropy"]["raw"] == certify_me
+        assert "chsh_rho" not in report["certify"]
+        assert "violates_classical" not in report["certify"]["chsh_direct"]
+        assert report["summary"]["chsh_mle"] == report["certify"]["tomography"]["mle"]["S"]
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
             ({"tomo": {"mle_max_iters": 1}}, "MLE did not converge in 1 iterations"),
             # One pair per setting: this seed simulates 16 zero counts.
             (

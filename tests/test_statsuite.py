@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from diqrng.statsuite import (
     runs_test,
     serial_test,
 )
+from diqrng.pipeline import REFERENCE_EXPERIMENT
 from diqrng.statsuite import suite
 from diqrng.statsuite.sp800_22 import (
     _longest_run_bin_probs,
@@ -500,6 +502,22 @@ class TestSuite:
         assert data["threshold"] == 0.01
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 16  # header + 15 tests
+        # Not-applicable notes hold commas ("..., got 20000"); quoting keeps
+        # every row at the header's six fields.
+        with pytest.warns(UserWarning):
+            report = run_suite(np.random.default_rng(16).integers(0, 2, 20_000, dtype=np.uint8))
+        reference = REFERENCE_EXPERIMENT["dataset_A"]["suite_p_values"]
+        with report.save_csv(tmp_path / "short.csv", reference).open(newline="") as f:
+            header, *rows = list(csv.reader(f))
+        assert header == ["test", "p_value", "passed", "n_p_values", "note", "reference_p_value"]
+        assert [row[0] for row in rows] == list(TEST_NAMES)
+        assert all(len(row) == 6 for row in rows)
+        by_name = {row[0]: row for row in rows}
+        assert by_name["Rank"][4] == report.results["Rank"].note
+        assert ", got 20000" in by_name["Rank"][4]
+        assert by_name["Rank"][1] == ""
+        for name, row in by_name.items():
+            assert float(row[5]) == reference[name]
 
     def test_short_stream_yields_structured_na(self):
         with pytest.warns(UserWarning):
