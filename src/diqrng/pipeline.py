@@ -18,6 +18,8 @@ import datetime
 import hashlib
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -135,15 +137,36 @@ def _json_object(data, where: str) -> dict:
     return data
 
 
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", type(None): "null"}
+
+
+def _json_field(value, hint, key: str, where: str):
+    """A JSON value for a field annotated int, float, str, or one of these
+    or None.  An int field takes an integral number (2.0 becomes 2), a float
+    field any number; a bool is not a number.  Values of other fields
+    (sections, arrays) pass through unchecked."""
+    kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    if not set(kinds) <= set(_JSON_KINDS) or type(value) in kinds:
+        return value
+    if type(value) is int and float in kinds:
+        return value
+    if type(value) is float and int in kinds and value.is_integer():
+        return int(value)
+    expected = " or ".join(_JSON_KINDS[kind] for kind in kinds)
+    raise ValueError(f"config key {key!r} in {where} must be {expected}, got {json.dumps(value)}")
+
+
 def _from_section(cls, data: dict, where: str):
     """cls(**data), with a ValueError naming the section when it is not a
-    JSON object and naming any key cls does not have."""
+    JSON object, and naming the key of any field cls does not have or whose
+    value has the wrong JSON type."""
     _json_object(data, where)
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
-    return cls(**data)
+    hints = typing.get_type_hints(cls)
+    return cls(**{key: _json_field(value, hints[key], key, where) for key, value in data.items()})
 
 
 # Published reference measurements for the two operating points, kept in a
@@ -274,7 +297,7 @@ def run_hom(cfg: PipelineConfig, out_dir=None) -> dict:
 def run_generate(cfg: PipelineConfig, out_dir=None, n_bits: int | None = None):
     """Heralded raw bit stream of exactly n_bits, written with its sidecar."""
     src = replace(cfg.source, rng_seed=derive_seed(cfg.global_seed, "bits"))
-    events = source.generate_events(src, n_bits or cfg.n_bits)
+    events = source.generate_events(src, cfg.n_bits if n_bits is None else n_bits)
     info = {
         "n_bits": events.bits.n_bits,
         "sha256": events.bits.sha256(),
@@ -422,6 +445,8 @@ def run_test(cfg: PipelineConfig, bits: BitStream, out_dir=None, reference: dict
 def run_all(cfg: PipelineConfig, out_dir=None, n_bits: int | None = None) -> dict:
     """The full workflow; failures halt with the stage name, keeping partial
     artifacts on disk."""
+    if n_bits is not None and n_bits < 1:
+        raise ValueError("n_bits must be at least 1")  # a bad argument, not a stage failure
     out_dir = _ensure_dir(out_dir if out_dir is not None else cfg.output_dir)
     reference = REFERENCE_EXPERIMENT.get(cfg.preset or "", None)
     report = {

@@ -14,11 +14,18 @@ already drawn, and up to eight of them are evaluated as one numpy batch.
 This makes the sequential chain's accept/reject decisions, because a
 rejected step leaves the state unchanged, the noise does not depend on the
 state, and no batch crosses a 50-step adaptation window, where the step
-size may change.  A batched log-target can differ from the one-state value
-by one ulp (about 1.5e-11 at l = -7.8e4), so a Metropolis test that ties to
-that precision could go the other way; the tests pin the kept draws,
-acceptance rate and final step bit for bit against the sequential loop at
-a pipeline case, two small K = 1 and K = 2 chains and the empty record.
+size may change.
+
+The chain's log-target never forms a density matrix: the Born probabilities
+come from the real and imaginary parts of the kets through one fixed
+(64, 16) real matrix of quadratic forms, and rho is built only for the kept
+draws, once, after the chain.  That log-target can differ from the rho-form
+value l(rho(x)) of the likelihood the MLE uses by a few ulps (at most 2,
+about 2.9e-11 at l = -7.8e4, over the kept draws of the pipeline chains),
+so a Metropolis test that ties to that precision could go the other way.
+The tests pin the kept draws, their states, the acceptance rate and the
+final step bit for bit against a sequential loop on l(rho(x)) at a pipeline
+case, two small K = 1 and K = 2 chains and the empty record.
 
 Likelihood convention: each of the 16 settings is an independent
 acquisition of ``acquisition_total`` pairs, so the log-likelihood
@@ -197,14 +204,21 @@ def ls_invert(counts: TomoCounts, pset: ProjectorSet | None = None) -> TomoResul
 _P_CLIP = 1e-12
 
 
+def _binomial_log_likelihood(probs: np.ndarray, counts, totals):
+    """Binomial log-likelihood of the 16 counts at each (..., 16) row of
+    Born probabilities, shape (...), and the clipped probabilities it was
+    evaluated at."""
+    probs = np.clip(probs, _P_CLIP, 1.0 - _P_CLIP)
+    value = np.sum(counts * np.log(probs) + (totals - counts) * np.log1p(-probs), axis=-1)
+    return value, probs
+
+
 def _log_likelihood(rho: np.ndarray, counts, totals, stack):
     """Binomial log-likelihood of the 16 counts under each state of an
     (..., 4, 4) stack, shape (...), and the clipped (..., 16) Born
     probabilities it was evaluated at."""
     probs = np.einsum("kij,...ji->...k", stack, rho).real
-    probs = np.clip(probs, _P_CLIP, 1.0 - _P_CLIP)
-    value = np.sum(counts * np.log(probs) + (totals - counts) * np.log1p(-probs), axis=-1)
-    return value, probs
+    return _binomial_log_likelihood(probs, counts, totals)
 
 
 def _log_likelihood_with_gradient(rho: np.ndarray, counts, totals, stack):
@@ -352,18 +366,37 @@ def _rho_from_vector(x: np.ndarray, k_components: int) -> np.ndarray:
     return np.einsum("...k,...ki,...kj->...ij", weights, kets, kets.conj())
 
 
-def _log_target(x: np.ndarray, k_components: int, model):
-    """Unnormalized log posterior of each (..., 9K) vector, and its state.
+def _quadratic_forms(stack: np.ndarray) -> np.ndarray:
+    """The (64, 16) real matrix whose column j is Q_j = [[Re P_j, -Im P_j],
+    [Im P_j, Re P_j]] flattened, so that psi^dag P_j psi = v^T Q_j v for
+    the real 8-vector v = [Re psi, Im psi] of any ket and any Hermitian P_j."""
+    forms = np.block([[stack.real, -stack.imag], [stack.imag, stack.real]])
+    return forms.reshape(len(stack), 64).T.copy()
 
-    The prior is standard normal; ``model`` is (counts, totals, stack), or
-    None for an empty record (flat likelihood).  x.x is a matmul so that a
-    batch gives the same bits as one vector at a time.
+
+def _log_target(x: np.ndarray, k_components: int, model):
+    """Unnormalized log posterior of each (..., 9K) parameter vector.
+
+    The prior is standard normal; ``model`` is (counts, totals, Q) with Q
+    from :func:`_quadratic_forms`, or None for an empty record (flat
+    likelihood).  The Born probabilities are computed from the kets in real
+    arithmetic, without forming rho: with v_k = [Re psi_k, Im psi_k] and
+    c_k = w_k / |v_k|^2, p = R Q for R = sum_k c_k v_k v_k^T.  x.x is a
+    matmul so that a batch gives the same bits as one vector at a time.
     """
-    rho = _rho_from_vector(x, k_components)
     log_p = -0.5 * (x[..., np.newaxis, :] @ x[..., :, np.newaxis])[..., 0, 0]
-    if model is not None:
-        log_p = _log_likelihood(rho, *model)[0] + log_p
-    return log_p, rho
+    if model is None:
+        return log_p
+    counts, totals, forms = model
+    params = x.reshape(x.shape[:-1] + (k_components, 9))
+    kets = params[..., 0:8]
+    gammas = _gamma_from_normal(params[..., 8])
+    # c_k = w_k / |v_k|^2, with the ket-norm floor of _rho_from_vector.
+    sq_norms = np.maximum(np.sum(kets * kets, axis=-1), 1e-24)
+    scale = gammas / (gammas.sum(axis=-1, keepdims=True) * sq_norms)
+    outer = np.swapaxes(kets, -1, -2) @ (scale[..., np.newaxis] * kets)
+    probs = outer.reshape(outer.shape[:-2] + (64,)) @ forms
+    return _binomial_log_likelihood(probs, counts, totals)[0] + log_p
 
 
 #: Steps per adaptation window; the step size only changes between windows.
@@ -398,28 +431,33 @@ def bayesian_estimate(
     sequential chain's decisions: a rejected step leaves x unchanged, the
     noise z_i and log u_i do not depend on the state (they are drawn per
     window in the sequential order), and no batch crosses a window
-    boundary, where the step may change.  The one caveat is rounding: a
-    batched log-target can differ from the one-state value by one ulp, so
-    only a test that ties to that precision could be decided differently
-    (see the module docstring).  ``diagnostics["evaluations"]`` counts the
-    log-targets computed, thrown-away ones included.
+    boundary, where the step may change.
+
+    The log-target is computed from the 9K parameters in real arithmetic
+    (:func:`_log_target`), without a density matrix; the kept draws'
+    states are built once at the end, by :func:`_rho_from_vector` on the
+    (R, 9K) stack.  The one caveat is rounding: this log-target can differ
+    from the rho-form value l(rho(x)) by a few ulps, so only a Metropolis
+    test that ties to that precision could be decided differently from a
+    chain that evaluates l(rho(x)) (see the module docstring).
+    ``diagnostics["evaluations"]`` counts the log-targets computed,
+    thrown-away ones included.
     """
     pset = pset or kwiat_projectors()
     cfg = cfg or BayesConfig()
     model = None
     if int(counts.counts.sum()) > 0:
         totals = np.full(16, float(counts.acquisition_total))
-        model = (counts.counts.astype(float), totals, pset.stack)
+        model = (counts.counts.astype(float), totals, _quadratic_forms(pset.stack))
     dim = 9 * cfg.K
     rng = np.random.default_rng([int(cfg.rng_seed), 0xBA7E5])
 
     x = rng.standard_normal(dim)
-    log_p, rho = _log_target(x, cfg.K, model)
+    log_p = _log_target(x, cfg.K, model)
     evaluations = 1
     step = cfg.step
     total_steps = cfg.burn_in + cfg.R * cfg.thin
     kept_x = np.empty((cfg.R, dim))
-    kept_rho = np.empty((cfg.R, 4, 4), dtype=complex)
     kept = 0
     accepted_post = 0
     noise = np.empty((_WINDOW, dim))
@@ -434,7 +472,7 @@ def bayesian_estimate(
         while j < width:
             end = min(j + _PREFETCH, width)
             proposals = x + step * noise[j:end]
-            cand_log_p, cand_rho = _log_target(proposals, cfg.K, model)
+            cand_log_p = _log_target(proposals, cfg.K, model)
             evaluations += end - j
             hits = np.flatnonzero(log_u[j:end] < cand_log_p - log_p)
             accept = j + int(hits[0]) if hits.size else end
@@ -442,18 +480,18 @@ def bayesian_estimate(
             for a in range(j, stop):
                 i = start + a
                 if a == accept:
-                    x, log_p, rho = proposals[a - j], cand_log_p[a - j], cand_rho[a - j]
+                    x, log_p = proposals[a - j], cand_log_p[a - j]
                     window_accepts += 1
                     if i >= cfg.burn_in:
                         accepted_post += 1
                 if i >= cfg.burn_in and (i - cfg.burn_in) % cfg.thin == cfg.thin - 1:
                     kept_x[kept] = x
-                    kept_rho[kept] = rho
                     kept += 1
             j = stop
         if width == _WINDOW and start + _WINDOW <= cfg.burn_in:
             step *= math.exp(0.6 * (window_accepts / _WINDOW - 0.3))
     acceptance = accepted_post / (cfg.R * cfg.thin)
+    kept_rho = _rho_from_vector(kept_x, cfg.K)
     diagnostics = {
         "acceptance_rate": acceptance,
         "step_final": step,

@@ -102,7 +102,8 @@ def random_walk_chain_reference(counts, pset, cfg):
     """The Bayes chain one proposal at a time: the sequential random-walk
     Metropolis loop that ``tomography.bayesian_estimate`` prefetches.
     It calls the package's ``_rho_from_vector`` and ``_log_likelihood`` on
-    one state at a time, the form the MLE also uses.
+    one state at a time, the rho form the MLE also uses, so it checks the
+    chain's real-arithmetic log-target as well as its prefetching.
     Returns (samples, rho_samples, acceptance_rate, step_final)."""
     stack = pset.stack
     n = counts.counts.astype(float)

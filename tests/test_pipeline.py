@@ -95,6 +95,34 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"config {where} must be a JSON object"):
             PipelineConfig.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "data, key, where, expected",
+        [
+            ({"n_bits": "x"}, "n_bits", "the top level", "an integer"),
+            ({"n_bits": True}, "n_bits", "the top level", "an integer"),
+            ({"preset": 3}, "preset", "the top level", "a string or null"),
+            ({"source": {"visibility_v0": False}}, "visibility_v0", "source", "a number"),
+            ({"chsh": {"pairs_per_setting": "x"}}, "pairs_per_setting", "chsh", "an integer"),
+            ({"chsh": {"settings": {"a": 0, "a_prime": 45, "b": 22.5, "b_prime": "67.5"}}},
+             "b_prime", "chsh.settings", "a number"),
+            ({"tomo": {"bayes_k": 2.5}}, "bayes_k", "tomo", "an integer"),
+            ({"tomo": {"bayes_step": "0.08"}}, "bayes_step", "tomo", "a number"),
+            ({"extractor": {"m": 1.5}}, "m", "extractor", "an integer or null"),
+        ],
+    )
+    def test_wrong_json_type_rejected(self, data, key, where, expected):
+        message = f"config key '{key}' in {where} must be {expected}, got"
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig.from_json_dict(data)
+
+    def test_json_numbers_fill_int_and_float_fields(self):
+        cfg = PipelineConfig.from_json_dict(
+            {"n_bits": 1e5, "suite_threshold": 1, "extractor": {"m": None}}
+        )
+        assert cfg.n_bits == 100_000 and type(cfg.n_bits) is int
+        assert cfg.suite_threshold == 1
+        assert cfg.extractor.m is None
+
     def test_bayes_config_carries_the_stage_fields(self):
         tomo = reduced(preset_config("dataset_A")).tomo
         bayes = tomo.bayes_config(123)
@@ -294,6 +322,7 @@ class TestCli:
             ({"bayes_thin": 0}, "thin"),
             ({"mle_tol": -1}, "mle_tol"),
             ({"mle_max_iters": 0}, "mle_max_iters"),
+            ({"bayes_k": 2.5}, "config key 'bayes_k' in tomo must be an integer, got 2.5"),
         ],
     )
     def test_bad_tomo_config_exit_code(self, tmp_path, capsys, tomo, message):
@@ -308,9 +337,12 @@ class TestCli:
             ({"extractor": {"m": 5000}}, "1 <= m < n, got m=5000 and n=4500"),
             ({"extractor": {"m": 0}}, "1 <= m < n, got m=0 and n=4500"),
             ({"extractor": {"mode": "leftover_hash"}}, "leftover_hash mode needs h_inf"),
+            ({"extractor": {"m": 1.5}}, "key 'm' in extractor must be an integer or null"),
             ({"n_bits": 0}, "n_bits must be at least 1"),
+            ({"n_bits": "x"}, "key 'n_bits' in the top level must be an integer, got \"x\""),
         ],
-        ids=["m above n", "m zero", "leftover_hash without h_inf", "no bits"],
+        ids=["m above n", "m zero", "leftover_hash without h_inf", "fractional m", "no bits",
+             "string n_bits"],
     )
     def test_bad_extractor_or_length_config_exit_code(self, tmp_path, capsys, config, message):
         # Rejected at config load: run-all exits 1 before any stage runs.
@@ -321,6 +353,20 @@ class TestCli:
         out = tmp_path / "run"
         assert cli.main(["run-all", "--config", str(path), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_bits_requested_exit_code(self, tmp_path, capsys):
+        # --n-bits 0 is a request for no bits, not for the config's length.
+        with pytest.raises(ValueError, match="n_bits must be at least 1"):
+            run_generate(preset_config("dataset_A"), None, n_bits=0)
+        rc = cli.main(
+            ["generate", "--preset", "dataset_A", "--n-bits", "0", "--out", str(tmp_path)]
+        )
+        assert rc == 1
+        assert "n_bits must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "raw_bits.bin").exists()
+        out = tmp_path / "run"
+        assert cli.main(["run-all", "--preset", "dataset_A", "--n-bits", "0", "--out", str(out)]) == 1
         assert not out.exists()
 
     def test_run_all_prints_the_report_summary(self, tmp_path, capsys):

@@ -13,8 +13,11 @@ deliberate choice of this package, and their repo values are pinned:
 - Overlapping Template: the exact count distribution instead of the
   compound-Poisson approximation (document 0.110434).
 - Linear Complexity: pi_0 = 1/96 = 0.010417 instead of the 0.01047 of NIST's
-  C code (document 0.826335); the test below shows that substituting
-  NIST's value gives the document's number.
+  C code (document 0.826335).
+
+For Longest Runs and Linear Complexity the tests below recompute the
+chi-square from the block statistics and show that substituting NIST's
+values gives the document's number.
 """
 
 import math
@@ -41,7 +44,7 @@ from diqrng.statsuite import (
     serial_test,
     universal_test,
 )
-from diqrng.statsuite.sp800_22 import _LINEAR_COMPLEXITY_PI
+from diqrng.statsuite.sp800_22 import _LINEAR_COMPLEXITY_PI, _longest_run_bin_probs
 
 N_BITS = 10**6
 
@@ -135,3 +138,26 @@ def test_nist_pi0_gives_the_document_linear_complexity(e_bits):
     nist_pi = _LINEAR_COMPLEXITY_PI.copy()
     nist_pi[0] = 0.01047
     assert p_value(nist_pi) == pytest.approx(0.826335, abs=5e-7)
+
+
+def test_nist_table_gives_the_document_longest_runs(e_bits):
+    # The chi-square of longest_runs_test, recomputed from the longest run of
+    # ones in each block of 10**4 bits (classes <= 10, 11, ..., 15, >= 16),
+    # with either class table.
+    block_m = 10_000
+    n_blocks = N_BITS // block_m
+    text = (e_bits + ord("0")).astype(np.uint8).tobytes()
+    longest = [
+        max(map(len, text[i * block_m : (i + 1) * block_m].split(b"0"))) for i in range(n_blocks)
+    ]
+    nu = np.bincount(np.clip(longest, 10, 16) - 10, minlength=7)
+
+    def p_value(pi):
+        expected = n_blocks * np.asarray(pi)
+        return float(gammaincc(3.0, np.sum((nu - expected) ** 2 / expected) / 2.0))
+
+    exact_pi = _longest_run_bin_probs(block_m, 10, 16)
+    assert p_value(exact_pi) == longest_runs_test(e_bits).p_values[0]
+    # SP 800-22 Rev 1a, section 3.4: the probabilities rounded to 4 decimals.
+    nist_pi = [0.0882, 0.2092, 0.2483, 0.1933, 0.1208, 0.0675, 0.0727]
+    assert p_value(nist_pi) == pytest.approx(0.718945, abs=5e-7)

@@ -14,8 +14,10 @@ from diqrng.tomography import (
     TomoCounts,
     _log_likelihood,
     _log_likelihood_with_gradient,
+    _log_target,
     _pauli_map,
     _project_to_states,
+    _quadratic_forms,
     _rho_from_vector,
     bayesian_estimate,
     effective_sample_size,
@@ -311,6 +313,33 @@ class TestBayesian:
             bayesian_estimate(counts, cfg=BayesConfig(R=50))
         with pytest.raises(ValueError):
             bayesian_estimate(counts, cfg=BayesConfig(R=500, burn_in=1000))
+
+    @pytest.mark.parametrize("k_components", [1, 2, 4])
+    def test_log_target_matches_rho_form_likelihood(self, k_components):
+        # The chain's real-arithmetic Born map against l(rho(x)), the form the
+        # MLE and the sequential oracle use, plus the standard normal prior.
+        counts, _ = pipeline_tomo_counts("dataset_A", 20260808)
+        n = counts.counts.astype(float)
+        totals = np.full(16, float(counts.acquisition_total))
+        x = np.random.default_rng(40 + k_components).standard_normal((200, 9 * k_components))
+        prior = -0.5 * np.sum(x * x, axis=-1)
+        want = _log_likelihood(_rho_from_vector(x, k_components), n, totals, PSET.stack)[0] + prior
+        got = _log_target(x, k_components, (n, totals, _quadratic_forms(PSET.stack)))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # An empty record has a flat likelihood: the log-target is the prior.
+        np.testing.assert_allclose(_log_target(x, k_components, None), prior, rtol=1e-12, atol=0.0)
+
+    def test_quadratic_forms_of_any_hermitian_set(self):
+        # psi^dag P psi = v^T Q v with v = [Re psi, Im psi], also for
+        # Hermitian operators that are not rank-1 projectors.
+        rng = np.random.default_rng(44)
+        a = rng.standard_normal((16, 4, 4)) + 1j * rng.standard_normal((16, 4, 4))
+        stack = a + a.conj().transpose(0, 2, 1)
+        kets = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
+        v = np.concatenate([kets.real, kets.imag], axis=1)
+        got = np.einsum("ra,rb->rab", v, v).reshape(10, 64) @ _quadratic_forms(stack)
+        want = np.einsum("ri,kij,rj->rk", kets.conj(), stack, kets).real
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize(
         "case",
