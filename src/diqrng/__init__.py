@@ -1,14 +1,15 @@
 """Simulator and certification toolkit for an entanglement-based QRNG.
 
 Modules:
-    qmath      -- two-qubit states, Pauli/correlation decompositions, projector
-                  stacks and the Born map, fidelity
+    qmath      -- two-qubit states, Pauli composition, projector stacks and
+                  the Born map
     source     -- HOM + quantum-eraser photon-pair source simulator
     tomography -- LS / MLE / Bayesian density-matrix estimators
     certify    -- CHSH (direct and Horodecki bound) and min-entropy
     extract    -- bitsliced Toeplitz randomness extraction (four-Russians tables)
     statsuite  -- the 15 SP 800-22 statistical tests plus KS aggregation
-    pipeline   -- config-driven end-to-end runs (dataset_A / dataset_B presets)
+    pipeline   -- config-driven end-to-end runs (dataset_A / dataset_B presets);
+                  the only module that writes JSON, all of it strict
     cli        -- command-line entry points
 """
 

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from . import pipeline
 from .extract import BitStream
-from .pipeline import PipelineConfig, preset_config
+from .pipeline import PipelineConfig, json_text, preset_config
 
 
 def _load_config(args) -> PipelineConfig:
@@ -42,14 +41,14 @@ def cmd_print_config(args) -> int:
 def cmd_simulate_hom(args) -> int:
     cfg = _load_config(args)
     result = pipeline.run_hom(cfg, cfg.output_dir)
-    print(json.dumps({k: result[k] for k in ("visibility", "stderr")}, indent=2))
+    print(json_text({k: result[k] for k in ("visibility", "stderr")}))
     return 0
 
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args)
     _, info = pipeline.run_generate(cfg, cfg.output_dir, n_bits=args.n_bits)
-    print(json.dumps(info, indent=2))
+    print(json_text(info))
     return 0
 
 
@@ -62,7 +61,7 @@ def cmd_certify(args) -> int:
         "chsh_direct": report["chsh_direct"]["S"],
         "verdict": report["verdict"],
     }
-    print(json.dumps(summary, indent=2))
+    print(json_text(summary))
     return 0
 
 
@@ -70,7 +69,7 @@ def cmd_extract(args) -> int:
     cfg = _load_config(args)
     raw = BitStream.load(args.bits)
     _, info = pipeline.run_extract(cfg, raw, cfg.output_dir)
-    print(json.dumps(info, indent=2))
+    print(json_text(info))
     return 0
 
 
@@ -78,7 +77,7 @@ def cmd_test(args) -> int:
     cfg = _load_config(args)
     bits = BitStream.load(args.bits)
     report = pipeline.run_test(cfg, bits, cfg.output_dir)
-    print(json.dumps({"all_passed": report.all_passed, "failing": report.failing()}, indent=2))
+    print(json_text({"all_passed": report.all_passed, "failing": report.failing()}))
     return 0
 
 
@@ -86,7 +85,7 @@ def cmd_run_all(args) -> int:
     cfg = _load_config(args)
     report = pipeline.run_all(cfg, cfg.output_dir, n_bits=args.n_bits)
     summary = {**report["summary"], "report": str(Path(cfg.output_dir) / "run_report.json")}
-    print(json.dumps(summary, indent=2))
+    print(json_text(summary))
     return 0
 
 

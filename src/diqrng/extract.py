@@ -154,7 +154,7 @@ class BitStream:
         for key, value in self.provenance.items():
             if key != "stage":
                 sidecar[key] = value
-        Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2))
+        Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2, allow_nan=False))
         return path
 
     @classmethod

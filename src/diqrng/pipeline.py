@@ -9,6 +9,13 @@ published reference numbers side by side, never merged.
 Every stage derives its RNG seed from the global seed through a labeled
 hash, so bit generation, coincidence sampling, tomography acquisition, the
 Bayesian chain, and the extractor seed are pairwise independent streams.
+
+This module is the only one that turns report data into JSON text: the
+library types hand over plain dicts, :func:`json_text` encodes them for the
+report files and the CLI, and :meth:`PipelineConfig.from_json_dict` reads a
+config back.  The text is strict JSON: a diagnostic that is undefined for a
+run (a NaN split-R-hat, a not-applicable p-value) is written as ``null``,
+and a config holding NaN or Infinity is rejected.
 """
 
 from __future__ import annotations
@@ -108,27 +115,44 @@ class PipelineConfig:
         return data
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json_text(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PipelineConfig":
-        data = dict(_json_object(data, "the top level"))
-        chsh = data["chsh"] = dict(_json_object(data.get("chsh", {}), "chsh"))
-        if chsh.get("settings") is not None:
-            chsh["settings"] = _from_section(ChshSettings, chsh["settings"], "chsh.settings")
-        for name, section in (("source", SourceConfig), ("chsh", ChshStageConfig),
-                              ("tomo", TomoStageConfig), ("extractor", ExtractorConfig)):
-            data[name] = _from_section(section, data.get(name, {}), name)
-        return _from_section(cls, data, "the top level")
+        return _from_section(cls, data, _TOP_LEVEL)
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineConfig":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(json.loads(text, parse_constant=_not_json))
 
     def digest(self) -> str:
         return hashlib.sha256(
             json.dumps(self.to_json_dict(), sort_keys=True).encode()
         ).hexdigest()
+
+
+def _finite(data):
+    """data with every non-finite float, at any depth, replaced by None."""
+    if isinstance(data, float):
+        return data if math.isfinite(data) else None
+    if isinstance(data, dict):
+        return {key: _finite(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_finite(value) for value in data]
+    return data
+
+
+def json_text(data, sort_keys: bool = False) -> str:
+    """The strict JSON text of report data, indented by 2, with every
+    non-finite float written as null."""
+    return json.dumps(_finite(data), indent=2, sort_keys=sort_keys, allow_nan=False)
+
+
+def _not_json(token: str):
+    raise ValueError(f"config holds {token}, which is not a JSON number")
+
+
+_TOP_LEVEL = "the top level"
 
 
 def _json_object(data, where: str) -> dict:
@@ -143,9 +167,13 @@ _JSON_KINDS = {int: "an integer", float: "a number", str: "a string", type(None)
 def _json_field(value, hint, key: str, where: str):
     """A JSON value for a field annotated int, float, str, or one of these
     or None.  An int field takes an integral number (2.0 becomes 2), a float
-    field any number; a bool is not a number.  Values of other fields
-    (sections, arrays) pass through unchecked."""
+    field any number; a bool is not a number.  A field annotated with a
+    dataclass, or a dataclass or None, is that section, built from its JSON
+    object.  Values of other fields (arrays) pass through unchecked."""
     kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    section = next((kind for kind in kinds if dataclasses.is_dataclass(kind)), None)
+    if section is not None and not (value is None and type(None) in kinds):
+        return _from_section(section, value, key if where == _TOP_LEVEL else f"{where}.{key}")
     if not set(kinds) <= set(_JSON_KINDS) or type(value) in kinds:
         return value
     if type(value) is int and float in kinds:
@@ -157,9 +185,10 @@ def _json_field(value, hint, key: str, where: str):
 
 
 def _from_section(cls, data: dict, where: str):
-    """cls(**data), with a ValueError naming the section when it is not a
-    JSON object, and naming the key of any field cls does not have or whose
-    value has the wrong JSON type."""
+    """cls(**data), its sections built the same way, with a ValueError
+    naming the section when it is not a JSON object, and naming the key of
+    any field cls does not have or whose value has the wrong JSON type.
+    Absent fields, sections too, keep their defaults."""
     _json_object(data, where)
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - known)
@@ -289,7 +318,7 @@ def run_hom(cfg: PipelineConfig, out_dir=None) -> dict:
     if out_dir is not None:
         out_dir = _ensure_dir(out_dir)
         scan.to_csv(out_dir / "hom_scan.csv")
-        (out_dir / "hom_visibility.json").write_text(json.dumps(result, indent=2))
+        (out_dir / "hom_visibility.json").write_text(json_text(result))
         result["scan_csv"] = str(out_dir / "hom_scan.csv")
     return result
 
@@ -372,7 +401,6 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
             "physical": ls.physical,
             "min_eigenvalue": ls.diagnostics["min_eigenvalue"],
             "S": chsh_from_rho(ls.rho_est) if ls.physical else None,
-            "state": json.loads(ls.rho_est.to_json()),
         },
         "mle": {
             "S": chsh_from_rho(mle.rho_est),
@@ -380,7 +408,6 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
             "log_likelihood": mle.diagnostics["log_likelihood"],
             "duality_gap": mle.diagnostics["duality_gap"],
             "kkt_residual": mle.diagnostics["kkt_residual"],
-            "state": json.loads(mle.rho_est.to_json()),
         },
         "bayes": {
             "S_mean": s_post.mean,
@@ -390,9 +417,11 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
             "S_of_mean_state": chsh_from_rho(bayes.rho_est),
             "acceptance_rate": samples.acceptance_rate,
             "R": samples.R,
-            "state": json.loads(bayes.rho_est.to_json()),
         },
     }
+    for name, estimate in (("ls", ls), ("mle", mle), ("bayes", bayes)):
+        m = estimate.rho_est.matrix
+        report["tomography"][name]["state"] = {"re": m.real.tolist(), "im": m.imag.tolist()}
     if bits is not None:
         report["min_entropy"] = {**dataclasses.asdict(min_entropy(bits)), "stage": bits.stage}
     report["verdict"] = {
@@ -401,7 +430,7 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
     }
     if out_dir is not None:
         out_dir = _ensure_dir(out_dir)
-        (out_dir / "certify.json").write_text(json.dumps(report, indent=2))
+        (out_dir / "certify.json").write_text(json_text(report))
     return report
 
 
@@ -437,16 +466,18 @@ def run_test(cfg: PipelineConfig, bits: BitStream, out_dir=None, reference: dict
     )
     if out_dir is not None:
         out_dir = _ensure_dir(out_dir)
-        suite_report.save_json(out_dir / "suite.json")
+        (out_dir / "suite.json").write_text(json_text(suite_report.to_json_dict()))
         suite_report.save_csv(out_dir / "suite.csv", (reference or {}).get("suite_p_values"))
     return suite_report
 
 
 def run_all(cfg: PipelineConfig, out_dir=None, n_bits: int | None = None) -> dict:
     """The full workflow; failures halt with the stage name, keeping partial
-    artifacts on disk."""
-    if n_bits is not None and n_bits < 1:
-        raise ValueError("n_bits must be at least 1")  # a bad argument, not a stage failure
+    artifacts on disk.  ``n_bits`` overrides the config's length, and the
+    report embeds the config that ran, so it replays the run.  Returns the
+    report as written to run_report.json, undefined values as None."""
+    if n_bits is not None:
+        cfg = replace(cfg, n_bits=n_bits)  # a bad n_bits is a bad argument, not a stage failure
     out_dir = _ensure_dir(out_dir if out_dir is not None else cfg.output_dir)
     reference = REFERENCE_EXPERIMENT.get(cfg.preset or "", None)
     report = {
@@ -460,7 +491,7 @@ def run_all(cfg: PipelineConfig, out_dir=None, n_bits: int | None = None) -> dic
     try:
         report["hom"] = run_hom(cfg, out_dir)
         stage = "generate"
-        raw, gen_info = run_generate(cfg, out_dir, n_bits=n_bits)
+        raw, gen_info = run_generate(cfg, out_dir)
         report["generate"] = gen_info
         stage = "certify"
         report["certify"] = run_certify(cfg, raw, out_dir)
@@ -477,28 +508,28 @@ def run_all(cfg: PipelineConfig, out_dir=None, n_bits: int | None = None) -> dic
         stage = "test"
         suite_report = run_test(cfg, extracted, out_dir, reference)
         report["suite"] = suite_report.to_json_dict()
+        report["verdict"] = {
+            "entangled": report["certify"]["verdict"]["entangled"],
+            "suite_all_passed": suite_report.all_passed,
+            "suite_failing": suite_report.failing(),
+        }
+        tomo = report["certify"]["tomography"]
+        report["summary"] = {
+            "hom_visibility": report["hom"]["visibility"],
+            "chsh_direct": report["certify"]["chsh_direct"]["S"],
+            "chsh_mle": tomo["mle"]["S"],
+            "chsh_bayes": {"mean": tomo["bayes"]["S_mean"], "std": tomo["bayes"]["S_std"]},
+            "min_entropy_raw": report["min_entropy"]["raw"]["h_inf"],
+            "min_entropy_extracted": report["min_entropy"]["extracted"]["h_inf"],
+        }
+        if reference is not None:
+            report["reference_experiment"] = reference
     except Exception as exc:
         report["failed_stage"] = stage
         report["error"] = str(exc)
-        report["finished"] = _utc_now()
-        (out_dir / "run_report.json").write_text(json.dumps(report, indent=2))
         raise RuntimeError(f"pipeline stage {stage!r} failed: {exc}") from exc
-    report["verdict"] = {
-        "entangled": report["certify"]["verdict"]["entangled"],
-        "suite_all_passed": suite_report.all_passed,
-        "suite_failing": suite_report.failing(),
-    }
-    tomo = report["certify"]["tomography"]
-    report["summary"] = {
-        "hom_visibility": report["hom"]["visibility"],
-        "chsh_direct": report["certify"]["chsh_direct"]["S"],
-        "chsh_mle": tomo["mle"]["S"],
-        "chsh_bayes": {"mean": tomo["bayes"]["S_mean"], "std": tomo["bayes"]["S_std"]},
-        "min_entropy_raw": report["min_entropy"]["raw"]["h_inf"],
-        "min_entropy_extracted": report["min_entropy"]["extracted"]["h_inf"],
-    }
-    if reference is not None:
-        report["reference_experiment"] = reference
-    report["finished"] = _utc_now()
-    (out_dir / "run_report.json").write_text(json.dumps(report, indent=2))
-    return report
+    finally:
+        report["finished"] = _utc_now()
+        text = json_text(report)
+        (out_dir / "run_report.json").write_text(text)
+    return json.loads(text)

@@ -3,18 +3,15 @@
 Everything here is hard-coded to the 4x4 (two-qubit) case.  The basis order is
 fixed globally as |HH>, |HV>, |VH>, |VV>, with the first slot belonging to the
 heralding arm.  Density matrices are carried by :class:`TwoQubitState`; Pauli
-coefficient matrices (4x4) and correlation matrices (3x3) are plain real numpy
-arrays.  All operations are pure functions on effectively immutable values.
+coefficient matrices (4x4) are plain real numpy arrays.  All operations are
+pure functions on effectively immutable values.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
-
-BASIS_LABELS = ("HH", "HV", "VH", "VV")
 
 #: sigma_0 .. sigma_3 (identity, x, y, z)
 PAULI = np.array(
@@ -90,14 +87,6 @@ class TwoQubitState:
         return cls(np.eye(4) / 4.0)
 
     @classmethod
-    def basis_state(cls, label: str) -> "TwoQubitState":
-        if label not in BASIS_LABELS:
-            raise ValueError(f"unknown basis label {label!r}")
-        v = np.zeros(4)
-        v[BASIS_LABELS.index(label)] = 1.0
-        return cls.from_vector(v)
-
-    @classmethod
     def werner(cls, p: float) -> "TwoQubitState":
         """p * singlet + (1-p) * I/4."""
         if not 0.0 <= p <= 1.0:
@@ -109,21 +98,6 @@ class TwoQubitState:
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    # -- serialization ------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"re": self.matrix.real.tolist(), "im": self.matrix.imag.tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TwoQubitState":
-        data = json.loads(text)
-        return cls(np.array(data["re"]) + 1j * np.array(data["im"]))
-
 
 def polarizer(angle_deg) -> np.ndarray:
     """Projector onto the linear polarization cos(a)|H> + sin(a)|V>, for a
@@ -131,12 +105,6 @@ def polarizer(angle_deg) -> np.ndarray:
     a = np.radians(np.asarray(angle_deg, dtype=float))
     ket = np.stack([np.cos(a), np.sin(a)], axis=-1).astype(complex)
     return ket[..., :, np.newaxis] * ket[..., np.newaxis, :].conj()
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +154,8 @@ def require_physical(m: np.ndarray, what: str, herm_tol: float = DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# Pauli decomposition / composition and correlation matrix
+# Pauli composition and the Born map
 # ---------------------------------------------------------------------------
-
-def pauli_decompose(rho: TwoQubitState) -> np.ndarray:
-    """Coefficients u[i,j] = Tr(rho (sigma_i x sigma_j)), a real 4x4 array."""
-    if rho.hermiticity_defect() > HERMITICITY_TOL:
-        raise ValueError("pauli_decompose requires a Hermitian matrix")
-    if abs(rho.trace() - 1.0) > DEFAULT_TOL:
-        raise ValueError("pauli_decompose requires unit trace")
-    return np.einsum("ijab,ba->ij", PAULI2, rho.matrix).real
-
 
 def pauli_compose(u) -> TwoQubitState:
     """Assemble rho = (1/4) sum u[i,j] sigma_i x sigma_j.
@@ -210,12 +169,6 @@ def pauli_compose(u) -> TwoQubitState:
     if abs(u[0, 0] - 1.0) > DEFAULT_TOL:
         raise ValueError("u[0,0] must equal 1 for a unit-trace state")
     return TwoQubitState(np.einsum("ij,ijab->ab", u, PAULI2) / 4.0)
-
-
-def correlation_matrix(rho: TwoQubitState) -> np.ndarray:
-    """3x3 block c[i,j] = Tr(rho (sigma_i x sigma_j)), i,j in {x,y,z}."""
-    require_physical(rho.matrix, "correlation_matrix")
-    return pauli_decompose(rho)[1:, 1:].copy()
 
 
 def born_probabilities(rho: TwoQubitState, stack) -> np.ndarray:
@@ -240,13 +193,3 @@ def born_probabilities(rho: TwoQubitState, stack) -> np.ndarray:
     if np.any((p < -DEFAULT_TOL) | (p > 1.0 + DEFAULT_TOL)):
         raise ValueError(f"Born probabilities {p} outside [0, 1]")
     return np.clip(p, 0.0, 1.0)
-
-
-def fidelity(a: TwoQubitState, b: TwoQubitState) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2."""
-    require_physical(np.stack([a.matrix, b.matrix]), "fidelity")
-    sqrt_a = _psd_sqrt(0.5 * (a.matrix + a.matrix.conj().T))
-    inner = sqrt_a @ (0.5 * (b.matrix + b.matrix.conj().T)) @ sqrt_a
-    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    f = float(np.sum(np.sqrt(np.clip(w, 0.0, None)))) ** 2
-    return min(max(f, 0.0), 1.0)

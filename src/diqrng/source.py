@@ -12,7 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -74,12 +74,9 @@ class SourceConfig:
         x = self.delay_tau_nm / self.dip_sigma_nm
         return self.visibility_v0 * math.exp(-0.5 * x * x)
 
-    def asdict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def digest(self) -> str:
         return hashlib.sha256(
-            json.dumps(self.asdict(), sort_keys=True).encode()
+            json.dumps(dataclasses.asdict(self), sort_keys=True).encode()
         ).hexdigest()
 
 
@@ -123,7 +120,6 @@ class EventStream:
     n_herald_only: int
     n_double_dark: int
     n_ties: int
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.bits.n_bits > self.n_coincidences:
@@ -326,7 +322,7 @@ def generate_events(cfg: SourceConfig, n_bits: int) -> EventStream:
         provenance={
             "stage": "raw",
             "source_config_sha256": cfg.digest(),
-            "source_config": cfg.asdict(),
+            "source_config": dataclasses.asdict(cfg),
             "rng_seed": cfg.rng_seed,
         },
     )
@@ -336,7 +332,6 @@ def generate_events(cfg: SourceConfig, n_bits: int) -> EventStream:
         n_herald_only=int(totals[1]),
         n_double_dark=int(totals[2]),
         n_ties=int(totals[3]),
-        metadata=cfg.asdict(),
     )
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -63,16 +62,6 @@ def run_named_test(name: str, bits, threshold: float = 0.01, **params) -> TestRe
     return _TEST_FUNCTIONS[name](bits, threshold=threshold, **params)
 
 
-def ks_uniformity(p_values) -> float:
-    """Kolmogorov-Smirnov uniformity p-value over a set of p-values."""
-    values = [float(p) for p in p_values]
-    if len(values) < 5:
-        raise ValueError("ks_uniformity needs at least 5 p-values")
-    if any(not 0.0 <= p <= 1.0 for p in values):
-        raise ValueError("p-values must lie in [0, 1]")
-    return _ks_p(values)
-
-
 @dataclass(frozen=True)
 class SuiteReport:
     results: dict
@@ -91,8 +80,8 @@ class SuiteReport:
         tests = {}
         for name, r in self.results.items():
             tests[name] = {
-                "p_values": [None if math.isnan(p) else p for p in r.p_values],
-                "p_value": None if math.isnan(r.p_value) else r.p_value,
+                "p_values": list(r.p_values),
+                "p_value": r.p_value,
                 "passed": r.passed,
                 "applicable": r.applicable,
                 "note": r.note,
@@ -105,11 +94,6 @@ class SuiteReport:
             "all_passed": self.all_passed,
             "stream_metadata": self.stream_metadata,
         }
-
-    def save_json(self, path) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.to_json_dict(), indent=2))
-        return path
 
     def save_csv(self, path, reference: dict | None = None) -> Path:
         """One row per test; ``reference`` maps test names to published

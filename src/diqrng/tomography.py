@@ -40,7 +40,6 @@ whose operator sum is far from proportional to the identity).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -98,7 +97,6 @@ def kwiat_projectors() -> ProjectorSet:
 class TomoCounts:
     counts: np.ndarray
     acquisition_total: float
-    labels: tuple = KWIAT_LABELS
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
@@ -113,24 +111,6 @@ class TomoCounts:
 
     def frequencies(self) -> np.ndarray:
         return self.counts / self.acquisition_total
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "labels": list(self.labels),
-                "counts": self.counts.tolist(),
-                "acquisition_total": self.acquisition_total,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TomoCounts":
-        data = json.loads(text)
-        return cls(
-            counts=np.array(data["counts"]),
-            acquisition_total=data["acquisition_total"],
-            labels=tuple(data["labels"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -416,10 +396,10 @@ def bayesian_estimate(
     ``functionals`` maps names to callables on the (R, 4, 4) sample stack;
     their :class:`FunctionalSummary` (posterior mean, standard deviation,
     split-R-hat and ESS, see :func:`posterior_functional`) lands in
-    ``TomoResult.std_of_functionals``, with a warning when R-hat > 1.01 or
-    ESS < 400.  All-zero counts are treated as an empty record (flat
-    likelihood), so the posterior is the prior and the sample mean
-    approaches I/4.
+    ``TomoResult.std_of_functionals``, with a warning unless R-hat <= 1.01
+    and ESS >= 400, so also when draws with no spread leave them NaN.
+    All-zero counts are treated as an empty record (flat likelihood), so
+    the posterior is the prior and the sample mean approaches I/4.
 
     The chain is random-walk Metropolis with the step adapted towards 30 %
     acceptance every 50 steps during burn-in.  Its proposals are prefetched
@@ -517,7 +497,7 @@ def bayesian_estimate(
     std_map = {}
     for name, phi in (functionals or {}).items():
         summary = std_map[name] = posterior_functional(samples, phi)
-        if summary.split_rhat > 1.01 or summary.ess < 400:
+        if not (summary.split_rhat <= 1.01 and summary.ess >= 400):
             warnings.warn(
                 f"posterior {name} draws have split R-hat {summary.split_rhat:.3f} and "
                 f"ESS {summary.ess:.0f} (want <= 1.01 and >= 400); its mean and "

@@ -1,6 +1,7 @@
 """Test-side references for the quantum model: the analytic CHSH prediction
 with two-outcome analyzers A = P(angle) - P(angle + 90), the per-quad joint
-polarizer projectors built one np.kron at a time, random states and
+polarizer projectors built one np.kron at a time, the Pauli decomposition,
+correlation matrix and Uhlmann fidelity of a state, random states and
 unitaries, a reader for the HOM scan CSV, and the Bayes chain run one
 proposal at a time.
 
@@ -18,7 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from diqrng.certify import ChshSettings
-from diqrng.qmath import TwoQubitState, is_physical
+from diqrng.qmath import (
+    DEFAULT_TOL,
+    HERMITICITY_TOL,
+    PAULI2,
+    TwoQubitState,
+    is_physical,
+    require_physical,
+)
 from diqrng.source import HomScan
 from diqrng.tomography import _log_likelihood, _rho_from_vector
 
@@ -58,6 +66,38 @@ def chsh_predicted(rho: TwoQubitState, settings: ChshSettings) -> float:
     """Noise-free S for given analyzer settings."""
     e = [predicted_E(rho, a, b) for a, b in settings.pairs()]
     return e[0] - e[1] + e[2] + e[3]
+
+
+def pauli_decompose(rho: TwoQubitState) -> np.ndarray:
+    """Coefficients u[i,j] = Tr(rho (sigma_i x sigma_j)), a real 4x4 array;
+    the inverse of ``qmath.pauli_compose``."""
+    if np.max(np.abs(rho.matrix - rho.matrix.conj().T)) > HERMITICITY_TOL:
+        raise ValueError("pauli_decompose requires a Hermitian matrix")
+    if abs(rho.trace() - 1.0) > DEFAULT_TOL:
+        raise ValueError("pauli_decompose requires unit trace")
+    return np.einsum("ijab,ba->ij", PAULI2, rho.matrix).real
+
+
+def correlation_matrix(rho: TwoQubitState) -> np.ndarray:
+    """3x3 block c[i,j] = Tr(rho (sigma_i x sigma_j)), i,j in {x,y,z}."""
+    require_physical(rho.matrix, "correlation_matrix")
+    return pauli_decompose(rho)[1:, 1:].copy()
+
+
+def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(mat)
+    w = np.clip(w, 0.0, None)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def fidelity(a: TwoQubitState, b: TwoQubitState) -> float:
+    """Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2."""
+    require_physical(np.stack([a.matrix, b.matrix]), "fidelity")
+    sqrt_a = _psd_sqrt(0.5 * (a.matrix + a.matrix.conj().T))
+    inner = sqrt_a @ (0.5 * (b.matrix + b.matrix.conj().T)) @ sqrt_a
+    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+    f = float(np.sum(np.sqrt(np.clip(w, 0.0, None)))) ** 2
+    return min(max(f, 0.0), 1.0)
 
 
 def random_physical_state(rng: np.random.Generator, rank: int | None = None) -> TwoQubitState:

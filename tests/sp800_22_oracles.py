@@ -1,14 +1,26 @@
 """Slow reference implementations that the SP 800-22 tests check against.
 
 These are plain, loop-by-loop versions of what `diqrng.statsuite` computes
-in vectorized or closed form.  They live with the tests because nothing in
-the package needs them.
+in vectorized or closed form, plus the KS uniformity check that the
+multi-seed tests apply to pooled p-values.  They live with the tests because
+nothing in the package needs them.
 """
 
 import numpy as np
 from scipy.special import gammaincc
 
 from diqrng.statsuite import aperiodic_templates
+from diqrng.statsuite.sp800_22 import _ks_p
+
+
+def ks_uniformity(p_values) -> float:
+    """Kolmogorov-Smirnov uniformity p-value over a set of p-values."""
+    values = [float(p) for p in p_values]
+    if len(values) < 5:
+        raise ValueError("ks_uniformity needs at least 5 p-values")
+    if any(not 0.0 <= p <= 1.0 for p in values):
+        raise ValueError("p-values must lie in [0, 1]")
+    return _ks_p(values)
 
 
 def berlekamp_massey(bits) -> int:

@@ -33,7 +33,7 @@ from diqrng.pipeline import (
     run_certify,
     run_hom,
 )
-from diqrng.qmath import TwoQubitState, born_probabilities, fidelity
+from diqrng.qmath import TwoQubitState, born_probabilities
 from diqrng.source import (
     generate_events,
     simulate_chsh_counts,
@@ -43,7 +43,6 @@ from diqrng.source import (
 from diqrng.statsuite import (
     TEST_NAMES,
     frequency_test,
-    ks_uniformity,
     linear_complexity_batch,
     run_suite,
     runs_test,
@@ -58,7 +57,8 @@ from diqrng.tomography import (
     ls_invert,
     mle_estimate,
 )
-from model_oracles import random_physical_state
+from model_oracles import fidelity, random_physical_state
+from sp800_22_oracles import ks_uniformity
 
 MODULE_START = time.perf_counter()
 SQRT2 = math.sqrt(2.0)

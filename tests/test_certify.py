@@ -14,11 +14,12 @@ from diqrng.certify import (
     optimal_settings_for_visibility,
 )
 from diqrng.extract import BitStream
-from diqrng.qmath import TwoQubitState, correlation_matrix, pauli_compose
+from diqrng.qmath import TwoQubitState, pauli_compose
 from diqrng.source import eraser_postselected_state, simulate_chsh_counts
 from model_oracles import (
     chsh_predicted,
     chsh_quad_projectors,
+    correlation_matrix,
     predicted_E,
     random_physical_state,
     random_unitary,
@@ -174,7 +175,7 @@ class TestChshFromRho:
         assert np.max(np.abs(values - per_state)) <= 1e-12
 
         def reference(rho):
-            # The one-state formula through qmath.correlation_matrix.
+            # The one-state formula through the correlation matrix.
             s1, s2, _ = np.linalg.svd(correlation_matrix(rho), compute_uv=False)
             return min(2.0 * math.sqrt(s1 * s1 + s2 * s2), 2.0 * SQRT2 + 1e-9)
 

@@ -115,6 +115,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             PipelineConfig.from_json_dict(data)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_rejected(self, token):
+        with pytest.raises(ValueError, match=f"config holds {token}, which is not a JSON number"):
+            PipelineConfig.from_json(f'{{"suite_threshold": {token}}}')
+
     def test_json_numbers_fill_int_and_float_fields(self):
         cfg = PipelineConfig.from_json_dict(
             {"n_bits": 1e5, "suite_threshold": 1, "extractor": {"m": None}}
@@ -155,7 +160,7 @@ class TestConfig:
         report = run_all(cfg, tmp_path / "first", n_bits=REDUCED_BITS)
         replayed_cfg = PipelineConfig.from_json_dict(report["config"])
         assert replayed_cfg.digest() == report["config_sha256"]
-        replay = run_all(replayed_cfg, tmp_path / "second", n_bits=REDUCED_BITS)
+        replay = run_all(replayed_cfg, tmp_path / "second")
         assert replay["generate"]["sha256"] == report["generate"]["sha256"]
         assert replay["summary"] == report["summary"]
 
@@ -243,7 +248,8 @@ class TestStageFailureHandling:
         partial = json.loads((tmp_path / "run_report.json").read_text())
         assert partial["failed_stage"] == "simulate-hom"
         assert "error" in partial
-        assert partial["config_sha256"] == cfg.digest()
+        # The report embeds the config that ran, n_bits override included.
+        assert partial["config_sha256"] == dataclasses.replace(cfg, n_bits=1000).digest()
 
 
 class TestCli:

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from diqrng.statsuite import (
     frequency_test,
     full_rank_probability,
     gf2_rank_batch,
-    ks_uniformity,
     linear_complexity_batch,
     linear_complexity_test,
     non_overlapping_template_test,
@@ -27,7 +27,7 @@ from diqrng.statsuite import (
     runs_test,
     serial_test,
 )
-from diqrng.pipeline import REFERENCE_EXPERIMENT
+from diqrng.pipeline import REFERENCE_EXPERIMENT, json_text
 from diqrng.statsuite import suite
 from diqrng.statsuite.sp800_22 import (
     _longest_run_bin_probs,
@@ -40,6 +40,7 @@ from diqrng.statsuite.sp800_22 import (
 from sp800_22_oracles import (
     berlekamp_massey,
     gf2_rank_reference,
+    ks_uniformity,
     no_run_probability_weighted_sum,
     non_overlapping_template_p_values,
 )
@@ -493,11 +494,8 @@ class TestSuite:
     def test_json_and_csv_serialization(self, tmp_path):
         bits = np.random.default_rng(16).integers(0, 2, 1_200_000, dtype=np.uint8)
         report = run_suite(bits)
-        json_path = report.save_json(tmp_path / "suite.json")
         csv_path = report.save_csv(tmp_path / "suite.csv")
-        import json as json_module
-
-        data = json_module.loads(json_path.read_text())
+        data = report.to_json_dict()
         assert set(data["tests"].keys()) == set(TEST_NAMES)
         assert data["threshold"] == 0.01
         lines = csv_path.read_text().strip().splitlines()
@@ -516,6 +514,8 @@ class TestSuite:
         assert by_name["Rank"][4] == report.results["Rank"].note
         assert ", got 20000" in by_name["Rank"][4]
         assert by_name["Rank"][1] == ""
+        # The report files carry the same not-applicable p-value as null.
+        assert json.loads(json_text(report.to_json_dict()))["tests"]["Rank"]["p_value"] is None
         for name, row in by_name.items():
             assert float(row[5]) == reference[name]
 

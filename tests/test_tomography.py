@@ -1,11 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from diqrng.certify import chsh_from_rho
-from diqrng.pipeline import derive_seed, preset_config
-from diqrng.qmath import TwoQubitState, born_probabilities, fidelity, is_physical
+from diqrng.pipeline import derive_seed, json_text, preset_config
+from diqrng.qmath import TwoQubitState, born_probabilities, is_physical
 from diqrng.source import eraser_postselected_state, simulate_setting_counts, state_at_delay
 from diqrng.tomography import (
     BayesConfig,
@@ -27,7 +28,7 @@ from diqrng.tomography import (
     posterior_functional,
     split_rhat,
 )
-from model_oracles import random_physical_state, random_walk_chain_reference
+from model_oracles import fidelity, random_physical_state, random_walk_chain_reference
 
 PSET = kwiat_projectors()
 
@@ -77,12 +78,6 @@ class TestProjectorSet:
 
     def test_born_map_has_full_rank(self):
         assert np.linalg.matrix_rank(_pauli_map(PSET.stack), tol=1e-10) == 16
-
-    def test_counts_json_roundtrip(self):
-        counts = exact_counts(TwoQubitState.singlet())
-        back = TomoCounts.from_json(counts.to_json())
-        assert np.array_equal(back.counts, counts.counts)
-        assert back.acquisition_total == counts.acquisition_total
 
 
 class TestLeastSquares:
@@ -435,6 +430,25 @@ class TestPosteriorFunctional:
     def test_constant_draws_have_no_convergence_figures(self):
         assert math.isnan(split_rhat(np.ones(100)))
         assert math.isnan(effective_sample_size(np.ones(100)))
+
+    def test_draws_without_spread_warn_and_encode_as_null(self):
+        # NaN fails every comparison, so only "warn unless R-hat <= 1.01
+        # and ESS >= 400" catches a functional whose draws never move.
+        cfg = BayesConfig(R=200, burn_in=100, thin=1, rng_seed=5)
+        with pytest.warns(UserWarning, match="one draws have split R-hat nan and ESS nan"):
+            result, _ = bayesian_estimate(
+                exact_counts(TwoQubitState.singlet()),
+                PSET,
+                cfg,
+                functionals={"one": lambda r: np.ones(len(r))},
+            )
+        summary = result.std_of_functionals["one"]
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        data = json.loads(json_text({"one": summary._asdict()}), parse_constant=reject)
+        assert data["one"] == {"mean": 1.0, "std": 0.0, "split_rhat": None, "ess": None}
 
 
 class TestOracleEquivalence:
