@@ -103,15 +103,19 @@ class PipelineConfig:
     def __post_init__(self):
         if self.n_bits < 1:
             raise ValueError("n_bits must be at least 1")
+        if not 0.0 <= self.suite_threshold <= 1.0:
+            raise ValueError(
+                f"suite_threshold must be a number in [0, 1], got {self.suite_threshold!r}"
+            )
 
     def seeds(self) -> dict:
         return {label: derive_seed(self.global_seed, label) for label in SEED_LABELS}
 
     def to_json_dict(self) -> dict:
         data = dataclasses.asdict(self)
-        # The Toeplitz seed is derived per stage from global_seed, and explicit
-        # seed bits are an array, not JSON.
-        del data["extractor"]["rng_seed"], data["extractor"]["seed_bits"]
+        for section, keys in _NOT_CONFIG_KEYS.items():
+            for key in keys:
+                del data[section][key]
         return data
 
     def to_json(self) -> str:
@@ -154,6 +158,11 @@ def _not_json(token: str):
 
 _TOP_LEVEL = "the top level"
 
+#: Section fields that a config neither records nor reads: the Toeplitz seed
+#: is derived per stage from global_seed, and explicit seed bits are an
+#: array, not JSON.
+_NOT_CONFIG_KEYS = {"extractor": ("rng_seed", "seed_bits")}
+
 
 def _json_object(data, where: str) -> dict:
     if not isinstance(data, dict):
@@ -169,12 +178,12 @@ def _json_field(value, hint, key: str, where: str):
     or None.  An int field takes an integral number (2.0 becomes 2), a float
     field any number; a bool is not a number.  A field annotated with a
     dataclass, or a dataclass or None, is that section, built from its JSON
-    object.  Values of other fields (arrays) pass through unchecked."""
+    object."""
     kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
     section = next((kind for kind in kinds if dataclasses.is_dataclass(kind)), None)
     if section is not None and not (value is None and type(None) in kinds):
         return _from_section(section, value, key if where == _TOP_LEVEL else f"{where}.{key}")
-    if not set(kinds) <= set(_JSON_KINDS) or type(value) in kinds:
+    if type(value) in kinds:
         return value
     if type(value) is int and float in kinds:
         return value
@@ -190,7 +199,7 @@ def _from_section(cls, data: dict, where: str):
     any field cls does not have or whose value has the wrong JSON type.
     Absent fields, sections too, keep their defaults."""
     _json_object(data, where)
-    known = {f.name for f in dataclasses.fields(cls)}
+    known = {f.name for f in dataclasses.fields(cls)} - set(_NOT_CONFIG_KEYS.get(where, ()))
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r} in {where}")

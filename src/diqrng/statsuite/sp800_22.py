@@ -1,12 +1,13 @@
-"""The fifteen SP 800-22 statistical tests.
+"""The fifteen SP 800-22 statistical tests, as statistics only.
 
-Each test takes a BitStream (or a plain 0/1 array) and returns a
-:class:`TestResult`.  Multi-p-value tests (Cumulative Sums, Serial,
+Each test takes a 0/1 ``uint8`` array and its own block parameters and
+returns ``(p_values, params)``: the tuple of its p-values and a dict of the
+statistics behind them.  Multi-p-value tests (Cumulative Sums, Serial,
 Non Overlapping Template Matching, Random Excursions and its Variant)
-report every p-value; the scalar ``p_value`` used for pass/fail is the
-familywise-combined minimum 1 - (1 - min p)^k, which keeps the per-test
-false-fail rate at the threshold, and a KS aggregate over the set is
-attached to ``params`` for reference.
+return every p-value.  A test that does not apply to the stream raises
+:class:`NotApplicable`.  No test judges its p-values: the suite
+(:mod:`diqrng.statsuite.suite`) holds the threshold and makes every
+verdict.
 
 Class probabilities that the reference document tabulates in rounded form
 (longest-run bins, overlapping-template bins, rank distribution) are
@@ -17,88 +18,33 @@ validate them against brute-force enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc, kolmogorov, ndtr
+from scipy.special import gammaincc, ndtr
 
 from diqrng.extract import bitslice
 
 
-@dataclass(frozen=True)
-class TestResult:
-    name: str
-    p_values: tuple
-    p_value: float
-    passed: bool
-    params: dict = field(default_factory=dict)
-    note: str = ""
-    applicable: bool = True
+class NotApplicable(ValueError):
+    """The test does not apply to this stream.
+
+    ``params`` holds the statistics that decided it.  ``fails`` marks a
+    failed pre-test (Runs), which fails the stream instead of passing it.
+    """
+
+    def __init__(self, note: str, params: dict | None = None, fails: bool = False):
+        super().__init__(note)
+        self.params = {} if params is None else params
+        self.fails = fails
 
 
-def _bits_of(bits) -> np.ndarray:
-    if hasattr(bits, "to_bits"):
-        return bits.to_bits()
-    arr = np.asarray(bits, dtype=np.uint8).ravel()
-    if arr.size and arr.max() > 1:
-        raise ValueError("bit values must be 0 or 1")
-    return arr
-
-
-class InsufficientLengthError(ValueError):
+class InsufficientLengthError(NotApplicable):
     """The stream is shorter than a test's minimum length."""
 
 
 def _require_length(n: int, minimum: int, name: str):
     if n < minimum:
         raise InsufficientLengthError(f"{name} requires at least {minimum} bits, got {n}")
-
-
-def _ks_p(p_values) -> float:
-    """One-sample KS against Uniform[0,1], asymptotic distribution."""
-    x = np.sort(np.asarray(p_values, dtype=float))
-    n = x.size
-    if n == 0:
-        return 1.0
-    grid = np.arange(1, n + 1) / n
-    d = max(float(np.max(grid - x)), float(np.max(x - (grid - 1.0 / n))))
-    return float(kolmogorov(math.sqrt(n) * d))
-
-
-def _finish(name, p_values, threshold, params, note="", applicable=True):
-    p_values = tuple(float(p) for p in p_values)
-    if len(p_values) == 1:
-        scalar = p_values[0]
-    else:
-        p_min = min(p_values)
-        # Familywise p of the minimum under independence; conservative
-        # under the positive dependence these sub-statistics exhibit.
-        scalar = -math.expm1(len(p_values) * math.log1p(-min(p_min, 1.0 - 1e-16)))
-        params = dict(params)
-        params["ks_p"] = _ks_p(p_values)
-        params["min_p"] = p_min
-    scalar = min(max(scalar, 0.0), 1.0)
-    return TestResult(
-        name=name,
-        p_values=p_values,
-        p_value=scalar,
-        passed=bool(scalar >= threshold),
-        params=params,
-        note=note,
-        applicable=applicable,
-    )
-
-
-def _not_applicable(name, params, note, fails=False):
-    return TestResult(
-        name=name,
-        p_values=(0.0,) if fails else (),
-        p_value=0.0 if fails else float("nan"),
-        passed=not fails,
-        params=params,
-        note=note,
-        applicable=False,
-    )
 
 
 def _rolling_values(bits: np.ndarray, m: int, cyclic: bool = False) -> np.ndarray:
@@ -116,53 +62,43 @@ def _rolling_values(bits: np.ndarray, m: int, cyclic: bool = False) -> np.ndarra
 # 1. Frequency (monobit)
 # ---------------------------------------------------------------------------
 
-def frequency_test(bits, threshold: float = 0.01, min_n: int = 100) -> TestResult:
-    b = _bits_of(bits)
+def frequency_test(b: np.ndarray, min_n: int = 100) -> tuple:
     n = b.size
     _require_length(n, min_n, "Frequency")
     s_obs = abs(2.0 * int(b.sum()) - n) / math.sqrt(n)
     p = math.erfc(s_obs / math.sqrt(2.0))
-    return _finish("Frequency", [p], threshold, {"n": n, "s_obs": s_obs})
+    return (p,), {"n": n, "s_obs": s_obs}
 
 
 # ---------------------------------------------------------------------------
 # 2. Block Frequency
 # ---------------------------------------------------------------------------
 
-def block_frequency_test(bits, block_m: int = 128, threshold: float = 0.01) -> TestResult:
-    b = _bits_of(bits)
+def block_frequency_test(b: np.ndarray, block_m: int = 128) -> tuple:
     n = b.size
     _require_length(n, max(100, block_m), "Block Frequency")
     n_blocks = n // block_m
     pi = b[: n_blocks * block_m].reshape(n_blocks, block_m).mean(axis=1)
     chi2 = 4.0 * block_m * float(np.sum((pi - 0.5) ** 2))
     p = gammaincc(n_blocks / 2.0, chi2 / 2.0)
-    return _finish(
-        "Block Frequency", [p], threshold, {"M": block_m, "N": n_blocks, "chi2": chi2}
-    )
+    return (p,), {"M": block_m, "N": n_blocks, "chi2": chi2}
 
 
 # ---------------------------------------------------------------------------
 # 3. Runs
 # ---------------------------------------------------------------------------
 
-def runs_test(bits, threshold: float = 0.01, min_n: int = 100) -> TestResult:
-    b = _bits_of(bits)
+def runs_test(b: np.ndarray, min_n: int = 100) -> tuple:
     n = b.size
     _require_length(n, min_n, "Runs")
     pi = float(b.mean())
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
-        return _not_applicable(
-            "Runs",
-            {"pi": pi, "n": n},
-            "not applicable: frequency pre-test failed",
-            fails=True,
-        )
+        raise NotApplicable("frequency pre-test failed", {"pi": pi, "n": n}, fails=True)
     v_obs = 1 + int(np.count_nonzero(np.diff(b)))
     num = abs(v_obs - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
     p = math.erfc(num / den)
-    return _finish("Runs", [p], threshold, {"pi": pi, "V_obs": v_obs, "n": n})
+    return (p,), {"pi": pi, "V_obs": v_obs, "n": n}
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +138,7 @@ def _longest_run_bin_probs(block_m: int, lo: int, hi: int) -> np.ndarray:
     return np.array(probs)
 
 
-def longest_runs_test(bits, threshold: float = 0.01) -> TestResult:
-    b = _bits_of(bits)
+def longest_runs_test(b: np.ndarray) -> tuple:
     n = b.size
     _require_length(n, 128, "Longest Runs")
     if n >= 750_000:
@@ -229,12 +164,7 @@ def longest_runs_test(bits, threshold: float = 0.01) -> TestResult:
     chi2 = float(np.sum((nu - expected) ** 2 / expected))
     k = hi - lo  # degrees of freedom
     p = gammaincc(k / 2.0, chi2 / 2.0)
-    return _finish(
-        "Longest Runs",
-        [p],
-        threshold,
-        {"M": block_m, "N": n_blocks, "chi2": chi2, "classes": f"{lo}..{hi}"},
-    )
+    return (p,), {"M": block_m, "N": n_blocks, "chi2": chi2, "classes": f"{lo}..{hi}"}
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +211,7 @@ def full_rank_probability(m: int, q: int, r: int) -> float:
     return math.exp(log_p)
 
 
-def rank_test(bits, threshold: float = 0.01) -> TestResult:
-    b = _bits_of(bits)
+def rank_test(b: np.ndarray) -> tuple:
     n = b.size
     _require_length(n, 38 * 1024, "Rank")
     n_mat = n // 1024
@@ -303,15 +232,14 @@ def rank_test(bits, threshold: float = 0.01) -> TestResult:
     expected = n_mat * pi
     chi2 = float(np.sum((nu - expected) ** 2 / expected))
     p = gammaincc(1.0, chi2 / 2.0)
-    return _finish("Rank", [p], threshold, {"N": n_mat, "chi2": chi2})
+    return (p,), {"N": n_mat, "chi2": chi2}
 
 
 # ---------------------------------------------------------------------------
 # 6. Discrete Fourier Transform (spectral)
 # ---------------------------------------------------------------------------
 
-def fft_test(bits, threshold: float = 0.01) -> TestResult:
-    b = _bits_of(bits)
+def fft_test(b: np.ndarray) -> tuple:
     n = b.size
     _require_length(n, 1000, "FFT")
     x = 2.0 * b.astype(np.float64) - 1.0
@@ -321,9 +249,7 @@ def fft_test(bits, threshold: float = 0.01) -> TestResult:
     n1 = int(np.count_nonzero(moduli < t_threshold))
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     p = math.erfc(abs(d) / math.sqrt(2.0))
-    return _finish(
-        "FFT", [p], threshold, {"N0": n0, "N1": n1, "T": t_threshold, "d": d}
-    )
+    return (p,), {"N0": n0, "N1": n1, "T": t_threshold, "d": d}
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +266,7 @@ def aperiodic_templates(m: int) -> list:
     return out
 
 
-def non_overlapping_template_test(
-    bits, m: int = 9, n_blocks: int = 8, threshold: float = 0.01
-) -> TestResult:
+def non_overlapping_template_test(b: np.ndarray, m: int = 9, n_blocks: int = 8) -> tuple:
     """One p-value per aperiodic template of length m.
 
     W_j counts the occurrences of a template in block j, where the scan
@@ -354,7 +278,6 @@ def non_overlapping_template_test(
     (block index << m) | window value therefore gives W for every template
     and block at once.
     """
-    b = _bits_of(bits)
     n = b.size
     _require_length(n, n_blocks * (2**m + m - 1), "Non Overlapping Template Matching")
     block_m = n // n_blocks
@@ -375,12 +298,7 @@ def non_overlapping_template_test(
         for w in w_blocks:
             chi2 += (w - mu) ** 2 / sigma2
         p_values.append(gammaincc(n_blocks / 2.0, chi2 / 2.0))
-    return _finish(
-        "Non Overlapping Template Matching",
-        p_values,
-        threshold,
-        {"m": m, "N": n_blocks, "M": block_m, "mu": mu, "sigma2": sigma2},
-    )
+    return tuple(p_values), {"m": m, "N": n_blocks, "M": block_m, "mu": mu, "sigma2": sigma2}
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +324,7 @@ def overlapping_count_probs(block_m: int, m: int, k_max: int) -> np.ndarray:
     return state.sum(axis=0)
 
 
-def overlapping_template_test(
-    bits, m: int = 9, block_m: int = 1032, threshold: float = 0.01
-) -> TestResult:
-    b = _bits_of(bits)
+def overlapping_template_test(b: np.ndarray, m: int = 9, block_m: int = 1032) -> tuple:
     n = b.size
     _require_length(n, block_m, "Overlapping Template Matching")
     k_max = 5
@@ -424,12 +339,7 @@ def overlapping_template_test(
     expected = n_blocks * pi
     chi2 = float(np.sum((nu - expected) ** 2 / expected))
     p = gammaincc(k_max / 2.0, chi2 / 2.0)
-    return _finish(
-        "Overlapping Template Matching",
-        [p],
-        threshold,
-        {"m": m, "M": block_m, "N": n_blocks, "chi2": chi2},
-    )
+    return (p,), {"m": m, "M": block_m, "N": n_blocks, "chi2": chi2}
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +375,7 @@ _UNIVERSAL_THRESHOLDS = [
 ]
 
 
-def universal_test(bits, threshold: float = 0.01) -> TestResult:
-    b = _bits_of(bits)
+def universal_test(b: np.ndarray) -> tuple:
     n = b.size
     _require_length(n, 387_840, "Universal")
     length = next(l for bound, l in _UNIVERSAL_THRESHOLDS if n >= bound)
@@ -493,9 +402,7 @@ def universal_test(bits, threshold: float = 0.01) -> TestResult:
     c = 0.7 - 0.8 / length + (4.0 + 32.0 / length) * k ** (-3.0 / length) / 15.0
     sigma = c * math.sqrt(variance / k)
     p = math.erfc(abs(fn - expected) / (math.sqrt(2.0) * sigma))
-    return _finish(
-        "Universal", [p], threshold, {"L": length, "Q": q, "K": k, "fn": fn}
-    )
+    return (p,), {"L": length, "Q": q, "K": k, "fn": fn}
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +466,7 @@ _LINEAR_COMPLEXITY_PI = np.array(
 )
 
 
-def linear_complexity_test(bits, block_m: int = 500, threshold: float = 0.01) -> TestResult:
-    b = _bits_of(bits)
+def linear_complexity_test(b: np.ndarray, block_m: int = 500) -> tuple:
     n = b.size
     _require_length(n, block_m, "Linear Complexity")
     n_blocks = n // block_m
@@ -577,12 +483,8 @@ def linear_complexity_test(bits, block_m: int = 500, threshold: float = 0.01) ->
     expected = n_blocks * _LINEAR_COMPLEXITY_PI
     chi2 = float(np.sum((nu - expected) ** 2 / expected))
     p = gammaincc(3.0, chi2 / 2.0)
-    return _finish(
-        "Linear Complexity",
-        [p],
-        threshold,
-        {"M": block_m, "N": n_blocks, "chi2": chi2, "mean_L": float(complexities.mean())},
-    )
+    mean_l = float(complexities.mean())
+    return (p,), {"M": block_m, "N": n_blocks, "chi2": chi2, "mean_L": mean_l}
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +512,7 @@ def _psi_squared(counts: np.ndarray, m: int, n: int) -> float:
     return float(2.0**m / n * np.sum(counts.astype(np.float64) ** 2) - n)
 
 
-def serial_test(bits, m: int = 16, threshold: float = 0.01) -> TestResult:
-    b = _bits_of(bits)
+def serial_test(b: np.ndarray, m: int = 16) -> tuple:
     n = b.size
     if m < 2:
         raise ValueError("Serial needs m >= 2")
@@ -625,9 +526,7 @@ def serial_test(bits, m: int = 16, threshold: float = 0.01) -> TestResult:
     delta2 = psi_m - 2.0 * psi_m1 + psi_m2
     p1 = gammaincc(2.0 ** (m - 2), delta1 / 2.0)
     p2 = gammaincc(2.0 ** (m - 3), delta2 / 2.0)
-    return _finish(
-        "Serial", [p1, p2], threshold, {"m": m, "del1": delta1, "del2": delta2}
-    )
+    return (p1, p2), {"m": m, "del1": delta1, "del2": delta2}
 
 
 # ---------------------------------------------------------------------------
@@ -641,17 +540,14 @@ def _phi(counts: np.ndarray, m: int, n: int) -> float:
     return float(np.sum(nz / n * np.log(nz / n)))
 
 
-def approximate_entropy_test(bits, m: int = 10, threshold: float = 0.01) -> TestResult:
-    b = _bits_of(bits)
+def approximate_entropy_test(b: np.ndarray, m: int = 10) -> tuple:
     n = b.size
     _require_length(n, 2**m, "Approximate Entropy")
     counts_m1 = _window_counts(b, m + 1)
     ap_en = _phi(_prefix_counts(counts_m1), m, n) - _phi(counts_m1, m + 1, n)
     chi2 = 2.0 * n * (math.log(2.0) - ap_en)
     p = gammaincc(2.0 ** (m - 1), chi2 / 2.0)
-    return _finish(
-        "Approximate Entropy", [p], threshold, {"m": m, "ApEn": ap_en, "chi2": chi2}
-    )
+    return (p,), {"m": m, "ApEn": ap_en, "chi2": chi2}
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +574,7 @@ def _cusum_p(n: int, z: float) -> float:
     return min(max(total, 0.0), 1.0)
 
 
-def cumulative_sums_test(bits, threshold: float = 0.01) -> TestResult:
-    b = _bits_of(bits)
+def cumulative_sums_test(b: np.ndarray) -> tuple:
     n = b.size
     _require_length(n, 100, "Cumulative Sums")
     x = 2.0 * b.astype(np.int64) - 1
@@ -688,7 +583,7 @@ def cumulative_sums_test(bits, threshold: float = 0.01) -> TestResult:
         series = x if direction == "forward" else x[::-1]
         z = float(np.max(np.abs(np.cumsum(series))))
         p_values.append(_cusum_p(n, z))
-    return _finish("Cumulative Sums", p_values, threshold, {"n": n})
+    return tuple(p_values), {"n": n}
 
 
 # ---------------------------------------------------------------------------
@@ -715,16 +610,11 @@ def _excursion_state_pi(x: int) -> np.ndarray:
     return np.array(pi)
 
 
-def random_excursions_test(bits, threshold: float = 0.01) -> TestResult:
-    b = _bits_of(bits)
+def random_excursions_test(b: np.ndarray) -> tuple:
     _require_length(b.size, 100, "Random Excursions")
     walk, zero_pos, j_cycles = _random_walk(b)
     if j_cycles < 500:
-        return _not_applicable(
-            "Random Excursions",
-            {"J": j_cycles},
-            f"not applicable: only {j_cycles} cycles (< 500)",
-        )
+        raise NotApplicable(f"only {j_cycles} cycles (< 500)", {"J": j_cycles})
     p_values = []
     states = [-4, -3, -2, -1, 1, 2, 3, 4]
     for x in states:
@@ -735,21 +625,14 @@ def random_excursions_test(bits, threshold: float = 0.01) -> TestResult:
         expected = j_cycles * _excursion_state_pi(x)
         chi2 = float(np.sum((nu - expected) ** 2 / expected))
         p_values.append(gammaincc(2.5, chi2 / 2.0))
-    return _finish(
-        "Random Excursions", p_values, threshold, {"J": j_cycles, "states": states}
-    )
+    return tuple(p_values), {"J": j_cycles, "states": states}
 
 
-def random_excursions_variant_test(bits, threshold: float = 0.01) -> TestResult:
-    b = _bits_of(bits)
+def random_excursions_variant_test(b: np.ndarray) -> tuple:
     _require_length(b.size, 100, "Random Excursions Variant")
     walk, _, j_cycles = _random_walk(b)
     if j_cycles < 500:
-        return _not_applicable(
-            "Random Excursions Variant",
-            {"J": j_cycles},
-            f"not applicable: only {j_cycles} cycles (< 500)",
-        )
+        raise NotApplicable(f"only {j_cycles} cycles (< 500)", {"J": j_cycles})
     states = [x for x in range(-9, 10) if x != 0]
     p_values = []
     for x in states:
@@ -757,9 +640,4 @@ def random_excursions_variant_test(bits, threshold: float = 0.01) -> TestResult:
         p_values.append(
             math.erfc(abs(xi - j_cycles) / math.sqrt(2.0 * j_cycles * (4.0 * abs(x) - 2.0)))
         )
-    return _finish(
-        "Random Excursions Variant",
-        p_values,
-        threshold,
-        {"J": j_cycles, "states": states},
-    )
+    return tuple(p_values), {"J": j_cycles, "states": states}

@@ -1,4 +1,11 @@
-"""Suite-level orchestration: run all fifteen tests, aggregate, report."""
+"""Suite-level orchestration: run the fifteen tests, judge them, report.
+
+The tests in :mod:`diqrng.statsuite.sp800_22` compute p-values only.  This
+module converts the bits once, runs the tests by their report names and
+turns each outcome into a :class:`TestResult` in one function,
+:func:`_verdict`: the familywise p of a multi-p-value test, the pass/fail
+threshold, and the not-applicable state all live there.
+"""
 
 from __future__ import annotations
 
@@ -8,12 +15,11 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+from scipy.special import kolmogorov
+
 from .sp800_22 import (
-    InsufficientLengthError,
-    TestResult,
-    _bits_of,
-    _ks_p,
-    _not_applicable,
+    NotApplicable,
     approximate_entropy_test,
     block_frequency_test,
     cumulative_sums_test,
@@ -55,11 +61,78 @@ TEST_NAMES = tuple(_TEST_FUNCTIONS)
 RECOMMENDED_SUITE_LENGTH = 1_000_000
 
 
-def run_named_test(name: str, bits, threshold: float = 0.01, **params) -> TestResult:
-    """Run one of the fifteen tests by its report name."""
+@dataclass(frozen=True)
+class TestResult:
+    p_values: tuple
+    p_value: float
+    passed: bool
+    params: dict = field(default_factory=dict)
+    note: str = ""
+    applicable: bool = True
+
+
+def _bits_of(bits) -> np.ndarray:
+    if hasattr(bits, "to_bits"):
+        return bits.to_bits()
+    arr = np.asarray(bits, dtype=np.uint8).ravel()
+    if arr.size and arr.max() > 1:
+        raise ValueError("bit values must be 0 or 1")
+    return arr
+
+
+def _ks_p(p_values) -> float:
+    """One-sample KS against Uniform[0,1], asymptotic distribution."""
+    x = np.sort(np.asarray(p_values, dtype=float))
+    n = x.size
+    if n == 0:
+        return 1.0
+    grid = np.arange(1, n + 1) / n
+    d = max(float(np.max(grid - x)), float(np.max(x - (grid - 1.0 / n))))
+    return float(kolmogorov(math.sqrt(n) * d))
+
+
+def _verdict(name: str, b: np.ndarray, threshold: float, **block_params) -> TestResult:
+    """Run one test on 0/1 bits and judge it: the only maker of a TestResult.
+
+    The scalar ``p_value`` of a multi-p-value test is the familywise p of
+    the minimum, 1 - (1 - min p)^k, which keeps the per-test false-fail
+    rate at the threshold; the KS p of the set and the minimum go into
+    ``params`` for reference.  A test that does not apply passes with no
+    p-value, except a failed pre-test, which fails with p = 0.
+    """
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be a number in [0, 1], got {threshold!r}")
+    try:
+        p_values, params = _TEST_FUNCTIONS[name](b, **block_params)
+    except NotApplicable as exc:
+        return TestResult(
+            p_values=(0.0,) if exc.fails else (),
+            p_value=0.0 if exc.fails else math.nan,
+            passed=not exc.fails,
+            params=exc.params,
+            note=f"not applicable: {exc}",
+            applicable=False,
+        )
+    p_values = tuple(float(p) for p in p_values)
+    if len(p_values) == 1:
+        scalar = p_values[0]
+    else:
+        p_min = min(p_values)
+        # Familywise p of the minimum under independence; conservative
+        # under the positive dependence these sub-statistics exhibit.
+        scalar = -math.expm1(len(p_values) * math.log1p(-min(p_min, 1.0 - 1e-16)))
+        params = {**params, "ks_p": _ks_p(p_values), "min_p": p_min}
+    scalar = min(max(scalar, 0.0), 1.0)
+    return TestResult(
+        p_values=p_values, p_value=scalar, passed=bool(scalar >= threshold), params=params
+    )
+
+
+def run_named_test(name: str, bits, threshold: float = 0.01, **block_params) -> TestResult:
+    """Run and judge one of the fifteen tests by its report name."""
     if name not in _TEST_FUNCTIONS:
         raise ValueError(f"unknown test {name!r}; expected one of {TEST_NAMES}")
-    return _TEST_FUNCTIONS[name](bits, threshold=threshold, **params)
+    return _verdict(name, _bits_of(bits), threshold, **block_params)
 
 
 @dataclass(frozen=True)
@@ -114,13 +187,13 @@ class SuiteReport:
 
 
 def run_suite(bits, threshold: float = 0.01, stream_metadata: dict | None = None) -> SuiteReport:
-    """All fifteen tests at the given threshold.
+    """All fifteen tests, each judged at the given threshold.
 
-    Tests whose minimum length the stream does not meet
-    (:class:`InsufficientLengthError`) come back as structured
-    not-applicable results (passed, with the requirement in the note) rather
-    than silent skips; any other error propagates.  The stream itself is
-    never mutated and the tests are order-independent.
+    A test that does not apply to the stream, its minimum length unmet
+    included, comes back as a structured not-applicable result (see
+    :func:`_verdict`) rather than a silent skip; any other error
+    propagates.  The stream itself is never mutated and the tests are
+    order-independent.
     """
     b = _bits_of(bits)
     if b.size < RECOMMENDED_SUITE_LENGTH:
@@ -129,12 +202,7 @@ def run_suite(bits, threshold: float = 0.01, stream_metadata: dict | None = None
             f"{RECOMMENDED_SUITE_LENGTH} for the full suite",
             stacklevel=2,
         )
-    results = {}
-    for name in TEST_NAMES:
-        try:
-            results[name] = _TEST_FUNCTIONS[name](b, threshold=threshold)
-        except InsufficientLengthError as exc:
-            results[name] = _not_applicable(name, {}, f"not applicable: {exc}")
+    results = {name: _verdict(name, b, threshold) for name in TEST_NAMES}
     collected = [p for r in results.values() for p in r.p_values if not math.isnan(p)]
     ks = _ks_p(collected) if len(collected) >= 5 else None
     return SuiteReport(

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from diqrng.statsuite import aperiodic_templates
-from diqrng.statsuite.sp800_22 import _ks_p
+from diqrng.statsuite.suite import _ks_p
 
 
 def ks_uniformity(p_values) -> float:

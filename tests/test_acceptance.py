@@ -42,10 +42,9 @@ from diqrng.source import (
 )
 from diqrng.statsuite import (
     TEST_NAMES,
-    frequency_test,
     linear_complexity_batch,
+    run_named_test,
     run_suite,
-    runs_test,
 )
 from diqrng.tomography import (
     BayesConfig,
@@ -303,17 +302,15 @@ class TestCriterion6StatisticalSuite:
 
     def test_designated_failures(self):
         zeros = np.zeros(1_200_000, dtype=np.uint8)
-        from diqrng.statsuite import approximate_entropy_test
-
         for repeat in range(3):  # the stream is constant; repeats are identical
-            assert not frequency_test(zeros).passed
-            assert not runs_test(zeros).passed
-            assert not approximate_entropy_test(zeros).passed
+            assert not run_named_test("Frequency", zeros).passed
+            assert not run_named_test("Runs", zeros).passed
+            assert not run_named_test("Approximate Entropy", zeros).passed
         fails = 0
         for seed in range(N_SEEDS):
             rng = np.random.default_rng([seed, 52])
             biased = (rng.random(1_200_000) < 0.52).astype(np.uint8)
-            if not frequency_test(biased).passed:
+            if not run_named_test("Frequency", biased).passed:
                 fails += 1
         assert fails == N_SEEDS
         print(
@@ -322,11 +319,11 @@ class TestCriterion6StatisticalSuite:
         )
 
     def test_frequency_and_runs_unit_vectors(self):
-        freq = frequency_test(
-            np.array([1, 0, 1, 1, 0, 1, 0, 1, 0, 1], dtype=np.uint8), min_n=10
+        freq = run_named_test(
+            "Frequency", np.array([1, 0, 1, 1, 0, 1, 0, 1, 0, 1], dtype=np.uint8), min_n=10
         )
-        runs = runs_test(
-            np.array([1, 0, 0, 1, 1, 0, 1, 0, 1, 1], dtype=np.uint8), min_n=10
+        runs = run_named_test(
+            "Runs", np.array([1, 0, 0, 1, 1, 0, 1, 0, 1, 1], dtype=np.uint8), min_n=10
         )
         assert round(freq.p_value, 4) == 0.5271
         assert round(runs.p_value, 4) == 0.1472

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -119,6 +120,29 @@ class TestConfig:
     def test_non_finite_number_rejected(self, token):
         with pytest.raises(ValueError, match=f"config holds {token}, which is not a JSON number"):
             PipelineConfig.from_json(f'{{"suite_threshold": {token}}}')
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0, 2.0])
+    def test_suite_threshold_outside_unit_interval_rejected(self, threshold):
+        message = r"suite_threshold must be a number in \[0, 1\], got"
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(suite_threshold=threshold)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(preset_config("dataset_A"), suite_threshold=threshold)
+        if math.isfinite(threshold):
+            with pytest.raises(ValueError, match=message):
+                PipelineConfig.from_json_dict({"suite_threshold": threshold})
+        for edge in (0, 1):
+            assert PipelineConfig.from_json_dict({"suite_threshold": edge}).suite_threshold == edge
+
+    @pytest.mark.parametrize(
+        "key, value", [("seed_bits", [1, 0, 1, 1]), ("seed_bits", "abc"), ("rng_seed", 1)]
+    )
+    def test_keys_the_config_does_not_record_rejected(self, key, value):
+        # The writer drops these fields, so a config holding one could not be
+        # replayed from the report, and its digest would not tell it apart.
+        assert key not in PipelineConfig().to_json_dict()["extractor"]
+        with pytest.raises(ValueError, match=f"unknown config key '{key}' in extractor"):
+            PipelineConfig.from_json_dict({"extractor": {key: value}})
 
     def test_json_numbers_fill_int_and_float_fields(self):
         cfg = PipelineConfig.from_json_dict(
@@ -310,6 +334,10 @@ class TestCli:
         assert cli.main(["print-config", "--config", str(path)]) == 1
         assert repr(key) in capsys.readouterr().err
 
+    def test_non_finite_threshold_flag_exit_code(self, capsys):
+        assert cli.main(["print-config", "--threshold", "nan"]) == 1
+        assert "suite_threshold must be a number in [0, 1], got nan" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "text, where",
         [('{"source": 5}', "source"), ("[1, 2]", "the top level"), ('{"tomo": "x"}', "tomo")],
@@ -346,9 +374,12 @@ class TestCli:
             ({"extractor": {"m": 1.5}}, "key 'm' in extractor must be an integer or null"),
             ({"n_bits": 0}, "n_bits must be at least 1"),
             ({"n_bits": "x"}, "key 'n_bits' in the top level must be an integer, got \"x\""),
+            ({"suite_threshold": 2}, "suite_threshold must be a number in [0, 1], got 2"),
+            ({"extractor": {"seed_bits": [1]}}, "unknown config key 'seed_bits' in extractor"),
+            ({"extractor": {"rng_seed": 1}}, "unknown config key 'rng_seed' in extractor"),
         ],
         ids=["m above n", "m zero", "leftover_hash without h_inf", "fractional m", "no bits",
-             "string n_bits"],
+             "string n_bits", "threshold above one", "extractor seed_bits", "extractor rng_seed"],
     )
     def test_bad_extractor_or_length_config_exit_code(self, tmp_path, capsys, config, message):
         # Rejected at config load: run-all exits 1 before any stage runs.

@@ -7,6 +7,7 @@ import pytest
 
 from diqrng.statsuite import (
     InsufficientLengthError,
+    NotApplicable,
     TEST_NAMES,
     aperiodic_templates,
     approximate_entropy_test,
@@ -21,7 +22,6 @@ from diqrng.statsuite import (
     non_overlapping_template_test,
     overlapping_count_probs,
     overlapping_template_test,
-    rank_test,
     run_named_test,
     run_suite,
     runs_test,
@@ -65,39 +65,46 @@ class TestSpecialFunctions:
 class TestFrequency:
     def test_reference_vector(self):
         # s_obs = 2/sqrt(10); p = erfc(s_obs / sqrt 2) = 0.5271 to 4 decimals.
-        result = frequency_test(bits_from_string("1011010101"), min_n=10)
+        result = run_named_test("Frequency", bits_from_string("1011010101"), min_n=10)
         assert result.p_value == pytest.approx(0.5271, abs=5e-5)
         oracle = math.erfc((2.0 / math.sqrt(10)) / math.sqrt(2))
         assert result.p_value == pytest.approx(oracle, abs=1e-12)
 
     def test_alternating_is_perfectly_balanced(self):
         bits = np.tile([1, 0], 500_000)
-        assert frequency_test(bits).p_value == pytest.approx(1.0)
+        assert run_named_test("Frequency", bits).p_value == pytest.approx(1.0)
 
     def test_all_ones_fails(self):
-        result = frequency_test(np.ones(1_000_000, dtype=np.uint8))
+        result = run_named_test("Frequency", np.ones(1_000_000, dtype=np.uint8))
         assert result.p_value < 1e-10
         assert not result.passed
 
     def test_minimum_length_enforced(self):
         with pytest.raises(ValueError, match="100"):
             frequency_test(np.ones(50, dtype=np.uint8))
+        # Judged, a stream that is too short is not applicable and passes.
+        result = run_named_test("Frequency", np.ones(50, dtype=np.uint8))
+        assert not result.applicable and result.passed
+        assert result.note == "not applicable: Frequency requires at least 100 bits, got 50"
 
 
 class TestRuns:
     def test_reference_vector(self):
         # pi = 0.6, V_obs = 7 -> p = 0.1472 to 4 decimals.
-        result = runs_test(bits_from_string("1001101011"), min_n=10)
+        result = run_named_test("Runs", bits_from_string("1001101011"), min_n=10)
         assert result.p_value == pytest.approx(0.1472, abs=5e-5)
         oracle = math.erfc(abs(7 - 2 * 10 * 0.6 * 0.4) / (2 * math.sqrt(20) * 0.6 * 0.4))
         assert result.p_value == pytest.approx(oracle, abs=1e-12)
 
     def test_alternating_has_maximal_runs(self):
-        result = runs_test(np.tile([1, 0], 5000))
+        result = run_named_test("Runs", np.tile([1, 0], 5000))
         assert result.p_value < 1e-10
 
     def test_pretest_failure_marks_not_applicable(self):
-        result = runs_test(np.ones(1000, dtype=np.uint8))
+        with pytest.raises(NotApplicable, match="frequency pre-test failed") as raised:
+            runs_test(np.ones(1000, dtype=np.uint8))
+        assert raised.value.fails
+        result = run_named_test("Runs", np.ones(1000, dtype=np.uint8))
         assert not result.applicable
         assert result.p_value == 0.0
         assert not result.passed
@@ -106,7 +113,7 @@ class TestRuns:
         ok = 0
         for seed in range(50):
             bits = np.random.default_rng(seed).integers(0, 2, 100_000, dtype=np.uint8)
-            ok += runs_test(bits).passed
+            ok += run_named_test("Runs", bits).passed
         assert ok >= 48
 
 
@@ -180,25 +187,25 @@ class TestRank:
             if gf2_rank_reference(block) == 32:
                 break
         bits = np.tile(block.reshape(-1), 50)
-        result = rank_test(bits)
+        result = run_named_test("Rank", bits)
         assert result.p_value < 1e-6
         assert not result.passed
 
     def test_random_stream_passes(self):
         bits = np.random.default_rng(6).integers(0, 2, 100_000, dtype=np.uint8)
-        assert rank_test(bits).passed
+        assert run_named_test("Rank", bits).passed
 
 
 class TestFft:
     def test_threshold_count_formula(self):
         n = 64_000
-        result = fft_test(np.random.default_rng(7).integers(0, 2, n, dtype=np.uint8))
-        assert result.params["N0"] == pytest.approx(0.95 * n / 2.0)
-        assert result.params["T"] == pytest.approx(math.sqrt(math.log(1 / 0.05) * n))
+        _, params = fft_test(np.random.default_rng(7).integers(0, 2, n, dtype=np.uint8))
+        assert params["N0"] == pytest.approx(0.95 * n / 2.0)
+        assert params["T"] == pytest.approx(math.sqrt(math.log(1 / 0.05) * n))
 
     def test_pure_periodic_stream_fails(self):
         pattern = np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8)
-        result = fft_test(np.tile(pattern, 16_000))
+        result = run_named_test("FFT", np.tile(pattern, 16_000))
         assert result.p_value < 1e-10
         assert not result.passed
 
@@ -236,8 +243,8 @@ class TestTemplates:
                         for k in range(int(rng.integers(1, 4))):
                             bits[start + k * m : start + (k + 1) * m] = tpl
                         start += int(rng.integers(4 * m, 12 * m))
-                result = non_overlapping_template_test(bits, m=m)
-                assert result.p_values == non_overlapping_template_p_values(bits, m=m)
+                p_values, _ = non_overlapping_template_test(bits, m=m)
+                assert p_values == non_overlapping_template_p_values(bits, m=m)
 
     def test_planted_template_fails(self):
         rng = np.random.default_rng(9)
@@ -245,7 +252,7 @@ class TestTemplates:
         tpl = aperiodic_templates(9)[0]
         for start in range(0, 79_000, 200):
             bits[start : start + 9] = tpl
-        result = non_overlapping_template_test(bits)
+        result = run_named_test("Non Overlapping Template Matching", bits)
         assert result.p_value < 0.01
 
 
@@ -332,7 +339,7 @@ class TestLinearComplexity:
 
     def test_periodic_stream_fails(self):
         bits = np.tile(np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8), 65_000)
-        result = linear_complexity_test(bits)
+        result = run_named_test("Linear Complexity", bits)
         assert result.p_value < 1e-10
 
     def test_too_short_rejected(self):
@@ -370,15 +377,15 @@ class TestSerialAndApEn:
     def test_serial_reference_example(self):
         # Worked example: eps = 0011011101, m = 3 -> p1 = 0.8088, p2 = 0.6703.
         bits = bits_from_string("0011011101")
-        result = serial_test(bits, m=3)
-        assert result.p_values[0] == pytest.approx(0.8088, abs=5e-4)
-        assert result.p_values[1] == pytest.approx(0.6703, abs=5e-4)
+        p_values, _ = serial_test(bits, m=3)
+        assert p_values[0] == pytest.approx(0.8088, abs=5e-4)
+        assert p_values[1] == pytest.approx(0.6703, abs=5e-4)
 
     def test_apen_reference_example(self):
         # Worked example: eps = 0100110101, m = 3 -> p = 0.261961.
         bits = bits_from_string("0100110101")
-        result = approximate_entropy_test(bits, m=3)
-        assert result.p_values[0] == pytest.approx(0.261961, abs=1e-4)
+        p_values, _ = approximate_entropy_test(bits, m=3)
+        assert p_values[0] == pytest.approx(0.261961, abs=1e-4)
 
     @pytest.mark.parametrize("m", (2, 3, 11, 16))
     def test_prefix_counts_equal_direct_counts(self, m):
@@ -391,12 +398,12 @@ class TestSerialAndApEn:
             assert np.array_equal(_prefix_counts(counts), _window_counts(bits, m - 1))
 
     def test_apen_all_zeros_fails(self):
-        result = approximate_entropy_test(np.zeros(40_000, dtype=np.uint8), m=3)
+        result = run_named_test("Approximate Entropy", np.zeros(40_000, dtype=np.uint8), m=3)
         assert result.p_value < 1e-10
 
     def test_constant_pattern_fails_serial(self):
         bits = np.tile(np.array([1, 1, 0, 0], dtype=np.uint8), 100_000)
-        result = serial_test(bits, m=8)
+        result = run_named_test("Serial", bits, m=8)
         assert result.p_value < 1e-10
 
 
@@ -409,11 +416,11 @@ class TestCumulativeSums:
         assert _cusum_p(10, 4.0) == pytest.approx(0.4116588, abs=1e-6)
 
     def test_alternating_minimal_excursion(self):
-        result = cumulative_sums_test(np.tile([1, 0], 100_000))
-        assert min(result.p_values) > 0.99
+        p_values, _ = cumulative_sums_test(np.tile([1, 0], 100_000))
+        assert min(p_values) > 0.99
 
     def test_all_zeros_fails(self):
-        result = cumulative_sums_test(np.zeros(10_000, dtype=np.uint8))
+        result = run_named_test("Cumulative Sums", np.zeros(10_000, dtype=np.uint8))
         assert result.p_value < 1e-10
 
 
@@ -482,14 +489,22 @@ class TestSuite:
         assert report.results["Frequency"].params["s_obs"] == pytest.approx(44, abs=5)
 
     def test_deterministic_and_order_independent(self):
+        # The second run judges at another threshold: the statistics must
+        # not move, and only the verdicts may.
         bits = np.random.default_rng(15).integers(0, 2, 1_200_000, dtype=np.uint8)
         a = run_suite(bits)
-        b = run_suite(bits)
+        b = run_suite(bits, threshold=0.5)
         for name in TEST_NAMES:
             assert a.results[name].p_value == b.results[name].p_value or (
                 math.isnan(a.results[name].p_value)
                 and math.isnan(b.results[name].p_value)
             )
+            assert a.results[name].p_values == b.results[name].p_values
+            assert a.results[name].params == b.results[name].params
+        for report in (a, b):
+            for result in report.results.values():
+                if result.applicable:
+                    assert result.passed == (result.p_value >= report.threshold)
 
     def test_json_and_csv_serialization(self, tmp_path):
         bits = np.random.default_rng(16).integers(0, 2, 1_200_000, dtype=np.uint8)
@@ -527,7 +542,7 @@ class TestSuite:
         assert "not applicable" in universal.note
 
     def test_other_value_errors_propagate(self, monkeypatch):
-        def broken(bits, threshold):
+        def broken(bits):
             raise ValueError("bug in a test")
 
         monkeypatch.setitem(suite._TEST_FUNCTIONS, "FFT", broken)
@@ -544,6 +559,16 @@ class TestSuite:
         ]:
             with pytest.raises(InsufficientLengthError, match="requires at least"):
                 test(np.ones(n, dtype=np.uint8))
+
+    @pytest.mark.filterwarnings("ignore:stream has 1000 bits")
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.01, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        bits = np.random.default_rng(19).integers(0, 2, 1000, dtype=np.uint8)
+        message = r"threshold must be a number in \[0, 1\]"
+        with pytest.raises(ValueError, match=message):
+            run_suite(bits, threshold=threshold)
+        with pytest.raises(ValueError, match=message):
+            run_named_test("Frequency", bits, threshold=threshold)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
