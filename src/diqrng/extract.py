@@ -229,13 +229,16 @@ class ExtractorConfig:
     h_inf: float | None = None
     epsilon: float = 2.0 ** -100
     rng_seed: int = 0
-    seed_bits: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in ("paper_ratio", "leftover_hash"):
             raise ValueError(f"unknown extractor mode {self.mode!r}")
         if self.n < 2:
             raise ValueError("block input length must be at least 2")
+        if not 0.0 < self.epsilon <= 1.0:
+            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon!r}")
+        if self.h_inf is not None and not 0.0 < self.h_inf <= 1.0:
+            raise ValueError(f"h_inf must be in (0, 1], got {self.h_inf!r}")
         m = self.resolve_m()  # the condition ToeplitzSeed enforces, checked at config load
         if not 1 <= m < self.n:
             raise ValueError(f"extractor needs 1 <= m < n, got m={m} and n={self.n}")
@@ -250,10 +253,7 @@ class ExtractorConfig:
         return choose_output_length(self.n, self.h_inf, self.epsilon)
 
     def build_seed(self) -> ToeplitzSeed:
-        m = self.resolve_m()
-        if self.seed_bits is not None:
-            return ToeplitzSeed(np.asarray(self.seed_bits, dtype=np.uint8), self.n, m)
-        return ToeplitzSeed.from_rng(self.n, m, self.rng_seed)
+        return ToeplitzSeed.from_rng(self.n, self.resolve_m(), self.rng_seed)
 
 
 def choose_output_length(n: int, h_inf: float, epsilon: float) -> int:

@@ -158,10 +158,9 @@ def _not_json(token: str):
 
 _TOP_LEVEL = "the top level"
 
-#: Section fields that a config neither records nor reads: the Toeplitz seed
-#: is derived per stage from global_seed, and explicit seed bits are an
-#: array, not JSON.
-_NOT_CONFIG_KEYS = {"extractor": ("rng_seed", "seed_bits")}
+#: Section fields that a config neither records nor reads: every stage
+#: derives its seed from global_seed.
+_NOT_CONFIG_KEYS = {"source": ("rng_seed",), "extractor": ("rng_seed",)}
 
 
 def _json_object(data, where: str) -> dict:
@@ -381,11 +380,10 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
         "pairs_per_setting": cfg.chsh.pairs_per_setting,
     }
 
-    pset = tomography.kwiat_projectors()
     tomo_counts = TomoCounts(
         source.simulate_setting_counts(
             rho,
-            pset.stack,
+            tomography.KWIAT,
             cfg.tomo.acquisition_total,
             derive_seed(cfg.global_seed, "tomo"),
         ),
@@ -393,18 +391,16 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
     )
     bayes_cfg = cfg.tomo.bayes_config(derive_seed(cfg.global_seed, "bayes"))
     try:
-        ls = tomography.ls_invert(tomo_counts, pset)
+        ls = tomography.ls_invert(tomo_counts)
         mle = tomography.mle_estimate(
-            tomo_counts, pset, max_iters=cfg.tomo.mle_max_iters, tol=cfg.tomo.mle_tol
+            tomo_counts, max_iters=cfg.tomo.mle_max_iters, tol=cfg.tomo.mle_tol
         )
-        bayes, samples = tomography.bayesian_estimate(
-            tomo_counts, pset, bayes_cfg, functionals={"S": chsh_from_rho}
-        )
+        bayes, samples = tomography.bayesian_estimate(tomo_counts, bayes_cfg)
+        s_post = tomography.posterior_functional(samples, chsh_from_rho)
     except ValueError as exc:
         # The counts are simulated here, so an estimator that rejects them
         # is a failure of this stage, not a config error.
         raise RuntimeError(f"tomography estimate failed: {exc}") from exc
-    s_post = bayes.std_of_functionals["S"]
     report["tomography"] = {
         "ls": {
             "physical": ls.physical,

@@ -42,7 +42,9 @@ class SourceConfig:
     dark_rate         dark counts/s per detector
     det_efficiency    per-arm detection efficiency
     coincidence_window  coincidence gate, seconds
-    rng_seed          master seed for everything this config generates
+    rng_seed          seed of the HOM scan and the event stream; not part
+                      of a pipeline config, whose stages derive it from
+                      the global seed
     state_model       "dephasing" (default) or "werner" off-dip noise model
     """
 
@@ -122,8 +124,8 @@ class EventStream:
     n_ties: int
 
     def __post_init__(self):
-        if self.bits.n_bits > self.n_coincidences:
-            raise ValueError("bit count cannot exceed heralded coincidences")
+        if self.bits.n_bits != self.n_coincidences - self.n_ties:
+            raise ValueError("every coincidence that is not a tie must be a bit")
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +259,8 @@ def _chunk_bits(cfg: SourceConfig, p_v: float, chunk_index: int, n_bits: int):
     """Simulate one chunk of heralded windows; returns (bits, diagnostics).
 
     Deterministic in (cfg.rng_seed, chunk_index) only, so chunks can be
-    produced in any order or in parallel.
+    produced in any order or in parallel.  Each batch draws spare windows;
+    the diagnostics count only the windows up to the last kept bit.
     """
     rng = np.random.default_rng([cfg.rng_seed, _EVENT_STREAM, chunk_index])
     eta = cfg.det_efficiency
@@ -284,15 +287,15 @@ def _chunk_bits(cfg: SourceConfig, p_v: float, chunk_index: int, n_bits: int):
             dark_v = np.zeros(batch, dtype=bool)
         click_h = (~photon_v & detected) | dark_h
         click_v = (photon_v & detected) | dark_v
-        valid = click_h ^ click_v
-        coincidences += int(np.count_nonzero(click_h | click_v))
-        herald_only += int(np.count_nonzero(~click_h & ~click_v))
-        double_dark += int(np.count_nonzero(dark_h & dark_v))
-        ties += int(np.count_nonzero(click_h & click_v))
-        new_bits = click_v[valid].astype(np.uint8)
-        take = min(new_bits.size, need)
-        bits[filled : filled + take] = new_bits[:take]
-        filled += take
+        kept = np.flatnonzero(click_h ^ click_v)[:need]
+        used = int(kept[-1]) + 1 if kept.size == need else batch
+        clicks = int(np.count_nonzero(click_h[:used] | click_v[:used]))
+        coincidences += clicks
+        herald_only += used - clicks
+        double_dark += int(np.count_nonzero(dark_h[:used] & dark_v[:used]))
+        ties += clicks - kept.size
+        bits[filled : filled + kept.size] = click_v[kept]
+        filled += kept.size
     return bits, (coincidences, herald_only, double_dark, ties)
 
 

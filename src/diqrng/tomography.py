@@ -1,12 +1,17 @@
-"""Density-matrix estimation from the 16-projector counts.
+"""Density-matrix estimation from the counts of one fixed tomography design.
+
+The design is :data:`KWIAT`, the 16 two-qubit polarization projectors of
+James, Kwiat, Munro and White (PRA 64, 052312, 2001); its Pauli design
+matrix and the chain's quadratic forms are built once, at import.  Every
+estimator takes the 16 counts in :data:`KWIAT_LABELS` order.
 
 Three estimators: least-squares inversion (fast, possibly nonphysical),
 maximum likelihood by accelerated projected gradient ascent on the density
 matrix (always physical, stopped by a duality-gap certificate), and a
 pseudo-Bayesian posterior mean sampled with random-walk Metropolis-Hastings
-over a K-component pure-state mixture (always physical, with credible
-spreads, split-R-hat and effective sample size for any functional of the
-state).
+over a K-component pure-state mixture (always physical).  The posterior of
+any state functional, with split-R-hat and effective sample size, comes
+from :func:`posterior_functional` on the sampler's draws.
 
 The Metropolis chain rejects most proposals, so it prefetches them: while
 it keeps rejecting, the next proposals are the current state plus noise
@@ -64,33 +69,27 @@ _KET = {
 }
 
 
-@dataclass(frozen=True)
-class ProjectorSet:
-    """Ordered, informationally complete set of 16 two-qubit projectors: a
-    read-only (16, 4, 4) ``stack`` and one label per projector."""
-
-    stack: np.ndarray
-    labels: tuple
-
-    def __post_init__(self):
-        stack = np.array(self.stack, dtype=complex)
-        if stack.shape != (16, 4, 4) or len(self.labels) != 16:
-            raise ValueError("a tomography projector set has exactly 16 entries")
-        stack.flags.writeable = False
-        object.__setattr__(self, "stack", stack)
-
-
 def _pauli_map(stack: np.ndarray) -> np.ndarray:
     """M[k, 4i+j] = Tr(P_k sigma_i x sigma_j) for a (16, 4, 4) projector stack."""
     return np.einsum("kij,abji->kab", stack, PAULI2).real.reshape(len(stack), 16)
 
 
-def kwiat_projectors() -> ProjectorSet:
-    """The standard 16-setting polarization list (first letter = heralding
-    arm analyzer, second = measured arm)."""
-    kets = np.array([[_KET[label[0]], _KET[label[1]]] for label in KWIAT_LABELS])
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _product_projectors(labels) -> np.ndarray:
+    """The (len(labels), 4, 4) stack of |ab><ab| for two-letter labels ab
+    (first letter = heralding arm analyzer, second = measured arm)."""
+    kets = np.array([[_KET[label[0]], _KET[label[1]]] for label in labels])
     arm = kets[..., :, np.newaxis] * kets[..., np.newaxis, :].conj()
-    return ProjectorSet(kron2(arm[:, 0], arm[:, 1]), KWIAT_LABELS)
+    return kron2(arm[:, 0], arm[:, 1])
+
+
+#: The 16-setting polarization design, a read-only (16, 4, 4) projector
+#: stack in KWIAT_LABELS order.
+KWIAT = _read_only(_product_projectors(KWIAT_LABELS))
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,6 @@ class TomoResult:
     method: str
     physical: bool
     diagnostics: dict = field(default_factory=dict)
-    std_of_functionals: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -140,32 +138,27 @@ class PosteriorSamples:
 # Least-squares inversion
 # ---------------------------------------------------------------------------
 
-def _design_matrix(pset: ProjectorSet):
-    """p = c0 + B u_free over the 15 free Pauli coefficients."""
-    full = _pauli_map(pset.stack) / 4.0
-    return full[:, 0], full[:, 1:]  # (16,), (16, 15)
+#: The KWIAT Born map as p = _OFFSET + _DESIGN u_free over the 15 free
+#: Pauli coefficients, shapes (16,) and (16, 15).
+_BORN_MAP = _read_only(_pauli_map(KWIAT) / 4.0)
+_OFFSET, _DESIGN = _BORN_MAP[:, 0], _BORN_MAP[:, 1:]
 
 
-def ls_invert(counts: TomoCounts, pset: ProjectorSet | None = None) -> TomoResult:
+def ls_invert(counts: TomoCounts) -> TomoResult:
     """Least-squares inversion of measured frequencies.
 
     The result is Hermitian with unit trace by construction but has no
     positivity guarantee; the ``physical`` flag says whether it happens to
     be a state.
     """
-    pset = pset or kwiat_projectors()
-    c0, design = _design_matrix(pset)
-    rank = int(np.linalg.matrix_rank(design, tol=1e-10))
-    if rank < 15:
-        raise ValueError(f"design matrix rank {rank} < 15; projector set incomplete")
-    f = counts.frequencies()
-    u_free, residuals, *_ = np.linalg.lstsq(design, f - c0, rcond=None)
+    shifted = counts.frequencies() - _OFFSET
+    u_free, *_ = np.linalg.lstsq(_DESIGN, shifted, rcond=None)
     u = np.empty((4, 4))
     u[0, 0] = 1.0
     u.flat[1:] = u_free
     rho = pauli_compose(u)
     report = is_physical(rho)
-    residual = float(np.linalg.norm(design @ u_free - (f - c0)))
+    residual = float(np.linalg.norm(_DESIGN @ u_free - shifted))
     return TomoResult(
         rho_est=rho,
         method="LS",
@@ -227,12 +220,7 @@ def _project_to_states(h: np.ndarray) -> np.ndarray:
     return (v * np.clip(w - theta, 0.0, None)) @ v.conj().T
 
 
-def mle_estimate(
-    counts: TomoCounts,
-    pset: ProjectorSet | None = None,
-    max_iters: int = 20_000,
-    tol: float = 1e-3,
-) -> TomoResult:
+def mle_estimate(counts: TomoCounts, max_iters: int = 20_000, tol: float = 1e-3) -> TomoResult:
     """Maximum-likelihood state by accelerated projected gradient ascent on
     rho (FISTA; Shang, Zhang and Ng, PRA 95, 062336, 2017).
 
@@ -243,13 +231,12 @@ def mle_estimate(
     Tr(G rho) is at most ``tol``, G being the gradient operator (dl = Tr(G
     drho)); l is concave, so the gap bounds l(MLE) - l(rho), in nats.
     """
-    pset = pset or kwiat_projectors()
     if int(counts.counts.sum()) == 0:
         raise ValueError("maximum likelihood needs at least one positive count")
     n = counts.counts.astype(float)
     totals = np.full(16, float(counts.acquisition_total))
-    model = (n, totals, pset.stack)
-    rho = _project_to_states(ls_invert(counts, pset).rho_est.matrix)
+    model = (n, totals, KWIAT)
+    rho = _project_to_states(ls_invert(counts).rho_est.matrix)
     value, y_probs, grad = _log_likelihood_with_gradient(rho, *model)
     y, y_grad, theta = rho, grad, 1.0
     step = 1.0 / (np.linalg.norm(grad) + 1.0)
@@ -354,15 +341,20 @@ def _quadratic_forms(stack: np.ndarray) -> np.ndarray:
     return forms.reshape(len(stack), 64).T.copy()
 
 
+#: The chain's quadratic forms of the KWIAT projectors.
+_KWIAT_FORMS = _read_only(_quadratic_forms(KWIAT))
+
+
 def _log_target(x: np.ndarray, k_components: int, model):
     """Unnormalized log posterior of each (..., 9K) parameter vector.
 
     The prior is standard normal; ``model`` is (counts, totals, Q) with Q
-    from :func:`_quadratic_forms`, or None for an empty record (flat
-    likelihood).  The Born probabilities are computed from the kets in real
-    arithmetic, without forming rho: with v_k = [Re psi_k, Im psi_k] and
-    c_k = w_k / |v_k|^2, p = R Q for R = sum_k c_k v_k v_k^T.  x.x is a
-    matmul so that a batch gives the same bits as one vector at a time.
+    from :func:`_quadratic_forms` (``_KWIAT_FORMS`` in the chain), or None
+    for an empty record (flat likelihood).  The Born probabilities are
+    computed from the kets in real arithmetic, without forming rho: with
+    v_k = [Re psi_k, Im psi_k] and c_k = w_k / |v_k|^2, p = R Q for
+    R = sum_k c_k v_k v_k^T.  x.x is a matmul so that a batch gives the
+    same bits as one vector at a time.
     """
     log_p = -0.5 * (x[..., np.newaxis, :] @ x[..., :, np.newaxis])[..., 0, 0]
     if model is None:
@@ -385,21 +377,13 @@ _WINDOW = 50
 _PREFETCH = 8
 
 
-def bayesian_estimate(
-    counts: TomoCounts,
-    pset: ProjectorSet | None = None,
-    cfg: BayesConfig | None = None,
-    functionals: dict | None = None,
-):
+def bayesian_estimate(counts: TomoCounts, cfg: BayesConfig | None = None):
     """Posterior mean state and samples; returns (TomoResult, PosteriorSamples).
 
-    ``functionals`` maps names to callables on the (R, 4, 4) sample stack;
-    their :class:`FunctionalSummary` (posterior mean, standard deviation,
-    split-R-hat and ESS, see :func:`posterior_functional`) lands in
-    ``TomoResult.std_of_functionals``, with a warning unless R-hat <= 1.01
-    and ESS >= 400, so also when draws with no spread leave them NaN.
-    All-zero counts are treated as an empty record (flat likelihood), so
-    the posterior is the prior and the sample mean approaches I/4.
+    A functional of the state is summarized from the samples by
+    :func:`posterior_functional`.  All-zero counts are treated as an empty
+    record (flat likelihood), so the posterior is the prior and the sample
+    mean approaches I/4.
 
     The chain is random-walk Metropolis with the step adapted towards 30 %
     acceptance every 50 steps during burn-in.  Its proposals are prefetched
@@ -423,12 +407,11 @@ def bayesian_estimate(
     ``diagnostics["evaluations"]`` counts the log-targets computed,
     thrown-away ones included.
     """
-    pset = pset or kwiat_projectors()
     cfg = cfg or BayesConfig()
     model = None
     if int(counts.counts.sum()) > 0:
         totals = np.full(16, float(counts.acquisition_total))
-        model = (counts.counts.astype(float), totals, _quadratic_forms(pset.stack))
+        model = (counts.counts.astype(float), totals, _KWIAT_FORMS)
     dim = 9 * cfg.K
     rng = np.random.default_rng([int(cfg.rng_seed), 0xBA7E5])
 
@@ -494,22 +477,11 @@ def bayesian_estimate(
         n_components=cfg.K,
     )
     rho_mean = TwoQubitState(kept_rho.mean(axis=0))
-    std_map = {}
-    for name, phi in (functionals or {}).items():
-        summary = std_map[name] = posterior_functional(samples, phi)
-        if not (summary.split_rhat <= 1.01 and summary.ess >= 400):
-            warnings.warn(
-                f"posterior {name} draws have split R-hat {summary.split_rhat:.3f} and "
-                f"ESS {summary.ess:.0f} (want <= 1.01 and >= 400); its mean and "
-                "standard deviation rest on few effective draws",
-                stacklevel=2,
-            )
     result = TomoResult(
         rho_est=rho_mean,
         method="Bayesian",
         physical=bool(is_physical(rho_mean)),
         diagnostics=diagnostics,
-        std_of_functionals=std_map,
     )
     return result, samples
 
@@ -563,16 +535,25 @@ def posterior_functional(samples: PosteriorSamples, phi) -> FunctionalSummary:
     a state functional.
 
     ``phi`` is called once, on the (R, 4, 4) stack of sampled density
-    matrices, and must return R values.
+    matrices, and must return R values.  Warns unless R-hat <= 1.01 and
+    ESS >= 400, so also when draws with no spread leave them NaN.
     """
     if samples.R < 2:
         raise ValueError("posterior_functional needs at least 2 samples")
     values = np.asarray(phi(samples.rho_samples), dtype=float)
     if values.shape != (samples.R,):
         raise ValueError(f"functional gave shape {values.shape}, expected ({samples.R},)")
-    return FunctionalSummary(
+    summary = FunctionalSummary(
         float(values.mean()),
         float(values.std(ddof=1)),
         split_rhat(values),
         effective_sample_size(values),
     )
+    if not (summary.split_rhat <= 1.01 and summary.ess >= 400):
+        warnings.warn(
+            f"posterior functional draws have split R-hat {summary.split_rhat:.3f} and "
+            f"ESS {summary.ess:.0f} (want <= 1.01 and >= 400); their mean and "
+            "standard deviation rest on few effective draws",
+            stacklevel=2,
+        )
+    return summary

@@ -28,7 +28,7 @@ from diqrng.qmath import (
     require_physical,
 )
 from diqrng.source import HomScan
-from diqrng.tomography import _log_likelihood, _rho_from_vector
+from diqrng.tomography import KWIAT, _log_likelihood, _rho_from_vector
 
 
 def linear_polarizer(angle_deg: float) -> np.ndarray:
@@ -138,14 +138,13 @@ def hom_scan_from_csv(path) -> HomScan:
     )
 
 
-def random_walk_chain_reference(counts, pset, cfg):
+def random_walk_chain_reference(counts, cfg):
     """The Bayes chain one proposal at a time: the sequential random-walk
     Metropolis loop that ``tomography.bayesian_estimate`` prefetches.
     It calls the package's ``_rho_from_vector`` and ``_log_likelihood`` on
     one state at a time, the rho form the MLE also uses, so it checks the
     chain's real-arithmetic log-target as well as its prefetching.
     Returns (samples, rho_samples, acceptance_rate, step_final)."""
-    stack = pset.stack
     n = counts.counts.astype(float)
     totals = np.full(16, float(counts.acquisition_total))
     empty_record = int(counts.counts.sum()) == 0
@@ -156,7 +155,7 @@ def random_walk_chain_reference(counts, pset, cfg):
         rho = _rho_from_vector(x, cfg.K)
         if empty_record:
             return -0.5 * float(x @ x), rho
-        ll, _ = _log_likelihood(rho, n, totals, stack)
+        ll, _ = _log_likelihood(rho, n, totals, KWIAT)
         return ll - 0.5 * float(x @ x), rho
 
     x = rng.standard_normal(dim)

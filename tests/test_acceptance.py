@@ -47,12 +47,12 @@ from diqrng.statsuite import (
     run_suite,
 )
 from diqrng.tomography import (
+    KWIAT,
     BayesConfig,
     TomoCounts,
     _log_likelihood,
     _log_likelihood_with_gradient,
     bayesian_estimate,
-    kwiat_projectors,
     ls_invert,
     mle_estimate,
 )
@@ -159,18 +159,17 @@ class TestCriterion2DirectChshReproduction:
 
 class TestCriterion3TomographyOracleEquivalence:
     def test_exact_frequency_fidelities(self):
-        pset = kwiat_projectors()
         rng = np.random.default_rng(314159)
         worst = {"LS": 1.0, "MLE": 1.0, "Bayes": 1.0}
         for index in range(20):
             rho = random_physical_state(rng)
             total = 10_000
             counts = TomoCounts(
-                np.round(born_probabilities(rho, pset.stack) * total).astype(np.int64), total
+                np.round(born_probabilities(rho, KWIAT) * total).astype(np.int64), total
             )
-            f_ls = fidelity(ls_invert(counts, pset).rho_est, rho)
-            f_mle = fidelity(mle_estimate(counts, pset).rho_est, rho)
-            bayes, _ = bayesian_estimate(counts, pset, BayesConfig(rng_seed=index))
+            f_ls = fidelity(ls_invert(counts).rho_est, rho)
+            f_mle = fidelity(mle_estimate(counts).rho_est, rho)
+            bayes, _ = bayesian_estimate(counts, BayesConfig(rng_seed=index))
             f_bayes = fidelity(bayes.rho_est, rho)
             worst["LS"] = min(worst["LS"], f_ls)
             worst["MLE"] = min(worst["MLE"], f_mle)
@@ -184,12 +183,11 @@ class TestCriterion3TomographyOracleEquivalence:
         )
 
     def test_mle_gradient_against_finite_differences(self):
-        pset = kwiat_projectors()
         rng = np.random.default_rng(2718)
-        stack = pset.stack
+        stack = KWIAT
         totals = np.full(16, 5000.0)
         rho = random_physical_state(rng)
-        counts = simulate_setting_counts(rho, pset.stack, 5000, 99).astype(float)
+        counts = simulate_setting_counts(rho, KWIAT, 5000, 99).astype(float)
         worst_rel = 0.0
         for _ in range(10):
             # dl = Tr(G drho) along traceless Hermitian directions H.
@@ -232,16 +230,15 @@ class TestCriterion4EstimatorChshBand:
         # counts; repeated here as the acceptance-level demonstration.
         from diqrng.source import eraser_postselected_state
 
-        pset = kwiat_projectors()
         rho, _ = eraser_postselected_state(45.0, 0.98)
         seen = 0
         for seed in range(100):
             counts = TomoCounts(
-                simulate_setting_counts(rho, pset.stack, 100, seed), 100
+                simulate_setting_counts(rho, KWIAT, 100, seed), 100
             )
             if counts.counts.sum() == 0:
                 continue
-            if not ls_invert(counts, pset).physical:
+            if not ls_invert(counts).physical:
                 seen += 1
         assert seen >= 1
         print(f"\nCRITERION 4 PASS (LS): nonphysical LS in {seen}/100 low-count trials")

@@ -213,13 +213,22 @@ class TestExtractStream:
         out = extract_stream(raw, cfg)
         assert out.n_bits == 2 * 4298
 
-    def test_external_seed_bits(self):
-        rng = np.random.default_rng(10)
-        seed_bits = rng.integers(0, 2, 4500 + 1200 - 1, dtype=np.uint8)
-        raw = BitStream.from_bits(rng.integers(0, 2, 4500, dtype=np.uint8))
-        out = extract_stream(raw, ExtractorConfig(seed_bits=seed_bits))
-        seed = ToeplitzSeed(seed_bits, 4500, 1200)
-        assert np.array_equal(out.to_bits(), toeplitz_hash(raw.to_bits(), seed))
+    @pytest.mark.parametrize("mode", ["paper_ratio", "leftover_hash"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epsilon", 5.0),
+            ("epsilon", 0.0),
+            ("epsilon", float("nan")),
+            ("h_inf", 7.0),
+            ("h_inf", 0.0),
+        ],
+    )
+    def test_out_of_range_entropy_fields_rejected_in_every_mode(self, mode, field, value):
+        # paper_ratio never reads epsilon or h_inf, but a config holding an
+        # impossible one is still wrong.
+        with pytest.raises(ValueError, match=f"{field} must be in"):
+            ExtractorConfig(mode=mode, **{"h_inf": 0.9, field: value})
 
 
 class TestBitslicedEdges:

@@ -61,10 +61,12 @@ class TestConfig:
 
     def test_preset_digests_are_pinned(self):
         # Any change to the JSON schema changes run_report config_sha256.
+        # These are the sha256 of each preset's sorted JSON without
+        # source.rng_seed, which the config does not record.
         expected = {
-            "dataset_A": "4b3d9ac05d060b8e9ec2ef671cbe69f067d1c873e58a6d21cd36b2895a2af51d",
-            "dataset_B": "8270acf48f7316c0345f364b26a3fc10c5c6c50ff935fdcc30418791cb3cba53",
-            "classical_source": "1691ba1223ec22f50874ef59d8b96a308f405658d1cb542194dad1e91196a14a",
+            "dataset_A": "34ea2ac5e2c63182d19440db8505df104abfd1db777452ed25da858d76a6e1a9",
+            "dataset_B": "a1987f9bb2c0a22bf984eaabde002819b3b81885156321b23a6247a4269c1258",
+            "classical_source": "5a21ed6f926864a68df243b2fb3c6bbf76a076edc0120ada36b71218085ab6bb",
         }
         for name, digest in expected.items():
             assert preset_config(name, 7).digest() == digest
@@ -140,9 +142,10 @@ class TestConfig:
     def test_keys_the_config_does_not_record_rejected(self, key, value):
         # The writer drops these fields, so a config holding one could not be
         # replayed from the report, and its digest would not tell it apart.
-        assert key not in PipelineConfig().to_json_dict()["extractor"]
-        with pytest.raises(ValueError, match=f"unknown config key '{key}' in extractor"):
-            PipelineConfig.from_json_dict({"extractor": {key: value}})
+        for section in ("source", "extractor"):
+            assert key not in PipelineConfig().to_json_dict()[section]
+            with pytest.raises(ValueError, match=f"unknown config key '{key}' in {section}"):
+                PipelineConfig.from_json_dict({section: {key: value}})
 
     def test_json_numbers_fill_int_and_float_fields(self):
         cfg = PipelineConfig.from_json_dict(
@@ -377,9 +380,13 @@ class TestCli:
             ({"suite_threshold": 2}, "suite_threshold must be a number in [0, 1], got 2"),
             ({"extractor": {"seed_bits": [1]}}, "unknown config key 'seed_bits' in extractor"),
             ({"extractor": {"rng_seed": 1}}, "unknown config key 'rng_seed' in extractor"),
+            ({"source": {"rng_seed": 1}}, "unknown config key 'rng_seed' in source"),
+            ({"extractor": {"epsilon": 5}}, "epsilon must be in (0, 1], got 5"),
+            ({"extractor": {"h_inf": 7}}, "h_inf must be in (0, 1], got 7"),
         ],
         ids=["m above n", "m zero", "leftover_hash without h_inf", "fractional m", "no bits",
-             "string n_bits", "threshold above one", "extractor seed_bits", "extractor rng_seed"],
+             "string n_bits", "threshold above one", "extractor seed_bits", "extractor rng_seed",
+             "source rng_seed", "epsilon above one", "h_inf above one"],
     )
     def test_bad_extractor_or_length_config_exit_code(self, tmp_path, capsys, config, message):
         # Rejected at config load: run-all exits 1 before any stage runs.

@@ -7,6 +7,7 @@ import pytest
 from diqrng.certify import chsh_from_rho
 from diqrng.qmath import TwoQubitState, is_physical, kron2, polarizer
 from diqrng.source import (
+    EventStream,
     HomScan,
     SourceConfig,
     default_scan_positions,
@@ -239,7 +240,29 @@ class TestGenerateEvents:
     def test_exact_bit_count_and_invariant(self):
         stream = generate_events(SourceConfig(rng_seed=3), 12_345)
         assert stream.bits.n_bits == 12_345
-        assert stream.bits.n_bits <= stream.n_coincidences
+        assert stream.bits.n_bits == stream.n_coincidences - stream.n_ties
+
+    def test_noisy_counts_stop_at_the_last_kept_bit(self):
+        # Each batch draws spare windows; only those up to the last kept
+        # bit are counted, so every counted coincidence is a bit or a tie.
+        from diqrng.source import _CHUNK_BITS
+
+        cfg = SourceConfig(dark_rate=5e7, rng_seed=12)
+        for n_bits in (1, 12_345, _CHUNK_BITS + 1000):
+            stream = generate_events(cfg, n_bits)
+            assert stream.n_coincidences - stream.n_ties == n_bits
+        assert stream.n_ties > 0
+
+    def test_perfect_detectors_count_one_window_per_bit(self):
+        cfg = SourceConfig(dark_rate=0.0, det_efficiency=1.0, rng_seed=13)
+        stream = generate_events(cfg, 20_000)
+        assert (stream.n_coincidences, stream.n_herald_only, stream.n_ties) == (20_000, 0, 0)
+
+    def test_event_stream_rejects_counts_that_do_not_match_the_bits(self):
+        bits = generate_events(SourceConfig(rng_seed=14), 100).bits
+        EventStream(bits, n_coincidences=103, n_herald_only=50, n_double_dark=0, n_ties=3)
+        with pytest.raises(ValueError, match="coincidence"):
+            EventStream(bits, n_coincidences=103, n_herald_only=50, n_double_dark=0, n_ties=0)
 
     def test_balanced_within_binomial_bound(self):
         n = 1_000_000

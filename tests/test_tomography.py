@@ -9,9 +9,10 @@ from diqrng.pipeline import derive_seed, json_text, preset_config
 from diqrng.qmath import TwoQubitState, born_probabilities, is_physical
 from diqrng.source import eraser_postselected_state, simulate_setting_counts, state_at_delay
 from diqrng.tomography import (
+    KWIAT,
+    KWIAT_LABELS,
     BayesConfig,
     PosteriorSamples,
-    ProjectorSet,
     TomoCounts,
     _log_likelihood,
     _log_likelihood_with_gradient,
@@ -22,7 +23,6 @@ from diqrng.tomography import (
     _rho_from_vector,
     bayesian_estimate,
     effective_sample_size,
-    kwiat_projectors,
     ls_invert,
     mle_estimate,
     posterior_functional,
@@ -30,12 +30,10 @@ from diqrng.tomography import (
 )
 from model_oracles import fidelity, random_physical_state, random_walk_chain_reference
 
-PSET = kwiat_projectors()
-
 
 def exact_counts(rho, total=10_000):
     return TomoCounts(
-        np.round(born_probabilities(rho, PSET.stack) * total).astype(np.int64), total
+        np.round(born_probabilities(rho, KWIAT) * total).astype(np.int64), total
     )
 
 
@@ -50,34 +48,32 @@ def pipeline_tomo_counts(preset, seed):
     cfg = preset_config(preset, seed)
     total = cfg.tomo.acquisition_total
     counts = simulate_setting_counts(
-        state_at_delay(cfg.source), PSET.stack, total, derive_seed(seed, "tomo")
+        state_at_delay(cfg.source), KWIAT, total, derive_seed(seed, "tomo")
     )
     return TomoCounts(counts, total), cfg.source.overlap_at_delay()
 
 
 class TestProjectorSet:
     def test_labels_and_shapes(self):
-        assert len(PSET.stack) == 16
-        for proj in PSET.stack:
+        assert len(KWIAT) == len(KWIAT_LABELS) == 16
+        for proj in KWIAT:
             assert proj.shape == (4, 4)
             assert np.max(np.abs(proj @ proj - proj)) < 1e-12
 
     def test_stack_is_read_only_and_sized(self):
-        assert PSET.stack.shape == (16, 4, 4)
+        assert KWIAT.shape == (16, 4, 4)
         with pytest.raises(ValueError):
-            PSET.stack[0, 0, 0] = 0.0
-        with pytest.raises(ValueError):
-            ProjectorSet(PSET.stack[:15], PSET.labels[:15])
+            KWIAT[0, 0, 0] = 0.0
 
     def test_singlet_probabilities(self):
-        probs = dict(zip(PSET.labels, born_probabilities(TwoQubitState.singlet(), PSET.stack)))
+        probs = dict(zip(KWIAT_LABELS, born_probabilities(TwoQubitState.singlet(), KWIAT)))
         assert probs["HH"] == pytest.approx(0.0, abs=1e-12)
         assert probs["VV"] == pytest.approx(0.0, abs=1e-12)
         assert probs["HV"] == pytest.approx(0.5, abs=1e-12)
         assert probs["VH"] == pytest.approx(0.5, abs=1e-12)
 
     def test_born_map_has_full_rank(self):
-        assert np.linalg.matrix_rank(_pauli_map(PSET.stack), tol=1e-10) == 16
+        assert np.linalg.matrix_rank(_pauli_map(KWIAT), tol=1e-10) == 16
 
 
 class TestLeastSquares:
@@ -107,7 +103,7 @@ class TestLeastSquares:
         nonphysical_seen = 0
         for seed in range(100):
             counts = TomoCounts(
-                simulate_setting_counts(rho, PSET.stack, 100, seed), 100
+                simulate_setting_counts(rho, KWIAT, 100, seed), 100
             )
             if counts.counts.sum() == 0:
                 continue
@@ -143,14 +139,14 @@ class TestMle:
         # it is at most tol below the start (the projected LS state).
         rho = random_physical_state(np.random.default_rng(1))
         counts = TomoCounts(
-            simulate_setting_counts(rho, PSET.stack, 5000, 3), 5000
+            simulate_setting_counts(rho, KWIAT, 5000, 3), 5000
         )
         result = mle_estimate(counts, tol=1e-3)
         assert result.diagnostics["log_likelihood"] > -np.inf
         assert result.physical
         start = _project_to_states(ls_invert(counts).rho_est.matrix)
         start_value, _ = _log_likelihood(
-            start, counts.counts.astype(float), np.full(16, 5000.0), PSET.stack
+            start, counts.counts.astype(float), np.full(16, 5000.0), KWIAT
         )
         assert result.diagnostics["log_likelihood"] >= start_value - 1e-3
 
@@ -158,10 +154,10 @@ class TestMle:
         # dl = Tr(G drho): check Tr(G H) against central differences of
         # l(rho + eps H) along random traceless Hermitian directions H.
         rng = np.random.default_rng(2)
-        stack = PSET.stack
+        stack = KWIAT
         totals = np.full(16, 5000.0)
         truth = random_physical_state(rng)
-        counts = simulate_setting_counts(truth, PSET.stack, 5000, 4).astype(float)
+        counts = simulate_setting_counts(truth, KWIAT, 5000, 4).astype(float)
         for _ in range(10):
             rho = random_physical_state(rng).matrix
             _, _, grad = _log_likelihood_with_gradient(rho, counts, totals, stack)
@@ -178,7 +174,7 @@ class TestMle:
     def test_nonconvergence_raises_with_diagnostics(self):
         rho, _ = eraser_postselected_state(45.0, 0.9655)
         counts = TomoCounts(
-            simulate_setting_counts(rho, PSET.stack, 10_000, 0), 10_000
+            simulate_setting_counts(rho, KWIAT, 10_000, 0), 10_000
         )
         with pytest.raises(RuntimeError, match="gradient norm"):
             mle_estimate(counts, max_iters=5)
@@ -200,7 +196,7 @@ class TestMle:
         total = float(counts.acquisition_total)
 
         def born(rho):
-            p = [np.trace(proj @ rho).real for proj in PSET.stack]
+            p = [np.trace(proj @ rho).real for proj in KWIAT]
             return np.clip(p, 1e-12, 1.0 - 1e-12)
 
         def loglik(rho):
@@ -209,7 +205,7 @@ class TestMle:
 
         p_hat = born(rho_hat)
         weights = n / p_hat - (total - n) / (1.0 - p_hat)
-        g_op = sum(w * proj for w, proj in zip(weights, PSET.stack))
+        g_op = sum(w * proj for w, proj in zip(weights, KWIAT))
         gap = np.linalg.eigvalsh(g_op)[-1] - np.trace(g_op @ rho_hat).real
         assert gap <= tol
         assert gap == pytest.approx(result.diagnostics["duality_gap"], rel=1e-6, abs=1e-8)
@@ -256,30 +252,24 @@ class TestBayesian:
         stds = []
         for total in (1000, 10_000, 100_000):
             counts = TomoCounts(
-                simulate_setting_counts(rho, PSET.stack, total, 8), total
+                simulate_setting_counts(rho, KWIAT, total, 8), total
             )
-            result, samples = bayesian_estimate(
-                counts,
-                cfg=BayesConfig(R=3000, burn_in=1500, thin=3, rng_seed=9),
-                functionals={"S": chsh_from_rho},
+            _, samples = bayesian_estimate(
+                counts, cfg=BayesConfig(R=3000, burn_in=1500, thin=3, rng_seed=9)
             )
-            stds.append(result.std_of_functionals["S"][1])
+            stds.append(posterior_functional(samples, chsh_from_rho)[1])
         assert stds[0] > stds[1] > stds[2]
 
     def test_two_chains_agree_within_three_sigma(self):
         rho, _ = eraser_postselected_state(45.0, 0.9655)
         counts = TomoCounts(
-            simulate_setting_counts(rho, PSET.stack, 10_000, 10), 10_000
+            simulate_setting_counts(rho, KWIAT, 10_000, 10), 10_000
         )
         means = []
         stds = []
         for seed in (11, 12):
-            result, samples = bayesian_estimate(
-                counts,
-                cfg=BayesConfig(rng_seed=seed),
-                functionals={"S": chsh_from_rho},
-            )
-            summary = result.std_of_functionals["S"]
+            _, samples = bayesian_estimate(counts, cfg=BayesConfig(rng_seed=seed))
+            summary = posterior_functional(samples, chsh_from_rho)
             means.append(summary.mean)
             stds.append(summary.std)
         combined = math.hypot(stds[0], stds[1])
@@ -318,8 +308,8 @@ class TestBayesian:
         totals = np.full(16, float(counts.acquisition_total))
         x = np.random.default_rng(40 + k_components).standard_normal((200, 9 * k_components))
         prior = -0.5 * np.sum(x * x, axis=-1)
-        want = _log_likelihood(_rho_from_vector(x, k_components), n, totals, PSET.stack)[0] + prior
-        got = _log_target(x, k_components, (n, totals, _quadratic_forms(PSET.stack)))
+        want = _log_likelihood(_rho_from_vector(x, k_components), n, totals, KWIAT)[0] + prior
+        got = _log_target(x, k_components, (n, totals, _quadratic_forms(KWIAT)))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         # An empty record has a flat likelihood: the log-target is the prior.
         np.testing.assert_allclose(_log_target(x, k_components, None), prior, rtol=1e-12, atol=0.0)
@@ -357,8 +347,8 @@ class TestBayesian:
         else:
             counts = TomoCounts(np.zeros(16, dtype=np.int64), 100)
             cfg = BayesConfig(R=600, burn_in=100, thin=2, rng_seed=33)
-        result, samples = bayesian_estimate(counts, PSET, cfg)
-        ref_x, ref_rho, ref_acceptance, ref_step = random_walk_chain_reference(counts, PSET, cfg)
+        result, samples = bayesian_estimate(counts, cfg)
+        ref_x, ref_rho, ref_acceptance, ref_step = random_walk_chain_reference(counts, cfg)
         assert np.array_equal(samples.samples, ref_x)
         assert np.array_equal(samples.rho_samples, ref_rho)
         assert np.array_equal(samples.acceptance_rate, ref_acceptance)
@@ -405,9 +395,9 @@ class TestPosteriorFunctional:
     def test_pipeline_chain_convergence_is_reported(self, preset, seed, rhat, ess):
         counts, _ = pipeline_tomo_counts(preset, seed)
         cfg = preset_config(preset, seed).tomo.bayes_config(derive_seed(seed, "bayes"))
+        _, samples = bayesian_estimate(counts, cfg)
         with pytest.warns(UserWarning, match="split R-hat"):
-            result, _ = bayesian_estimate(counts, PSET, cfg, functionals={"S": chsh_from_rho})
-        summary = result.std_of_functionals["S"]
+            summary = posterior_functional(samples, chsh_from_rho)
         assert round(summary.split_rhat, 3) == rhat
         assert round(summary.ess) == ess
 
@@ -435,14 +425,9 @@ class TestPosteriorFunctional:
         # NaN fails every comparison, so only "warn unless R-hat <= 1.01
         # and ESS >= 400" catches a functional whose draws never move.
         cfg = BayesConfig(R=200, burn_in=100, thin=1, rng_seed=5)
-        with pytest.warns(UserWarning, match="one draws have split R-hat nan and ESS nan"):
-            result, _ = bayesian_estimate(
-                exact_counts(TwoQubitState.singlet()),
-                PSET,
-                cfg,
-                functionals={"one": lambda r: np.ones(len(r))},
-            )
-        summary = result.std_of_functionals["one"]
+        _, samples = bayesian_estimate(exact_counts(TwoQubitState.singlet()), cfg)
+        with pytest.warns(UserWarning, match="functional draws have split R-hat nan and ESS nan"):
+            summary = posterior_functional(samples, lambda r: np.ones(len(r)))
 
         def reject(token):
             raise ValueError(f"{token} is not JSON")
