@@ -6,8 +6,9 @@ Modules:
     source     -- HOM + quantum-eraser photon-pair source simulator
     tomography -- LS / MLE / Bayesian density-matrix estimators
     certify    -- CHSH (direct and Horodecki bound) and min-entropy
-    extract    -- bitsliced Toeplitz randomness extraction (four-Russians tables)
-    statsuite  -- the 15 SP 800-22 statistical tests plus KS aggregation
+    extract    -- the byte-packed BitStream, the one 0/1 input check, and
+                  bitsliced Toeplitz extraction (four-Russians tables)
+    statsuite  -- the 15 SP 800-22 statistical tests, one verdict per test
     pipeline   -- config-driven end-to-end runs (dataset_A / dataset_B presets);
                   the only module that writes JSON, all of it strict
     cli        -- command-line entry points

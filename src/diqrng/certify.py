@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .extract import BitStream
 from .qmath import HERMITICITY_TOL, PAULI2, TwoQubitState, kron2, polarizer, require_physical
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -177,16 +178,13 @@ def chsh_from_rho(rho):
 def min_entropy(bits) -> MinEntropyResult:
     """Single-bit i.i.d. min-entropy: H_inf = -log2(max(p0, p1)).
 
-    Accepts a BitStream or any 0/1 array.
+    Accepts a BitStream, read as it is, or a 0/1 array (see
+    :func:`~diqrng.extract.as_bits`).
     """
-    if hasattr(bits, "n_bits"):
-        n = bits.n_bits
-        ones = bits.ones()
-    else:
-        arr = np.asarray(bits).ravel()
-        n = int(arr.size)
-        ones = int(np.count_nonzero(arr))
+    stream = bits if isinstance(bits, BitStream) else BitStream.from_bits(bits)
+    n = stream.n_bits
     if n < 1:
         raise ValueError("min_entropy needs at least one bit")
+    ones = stream.ones()
     p_max = max(ones, n - ones) / n
     return MinEntropyResult(h_inf=-math.log2(p_max), p_max=p_max, n_bits=n)

@@ -1,9 +1,11 @@
 """Toeplitz-hash randomness extraction over GF(2), block-wise and bitsliced.
 
-Bit convention: streams are packed little-endian into 64-bit words, i.e. bit
-``i`` of the stream lives in word ``i // 64`` at bit position ``i % 64``
-(LSB first).  File payloads are the same bytes in little-endian word order,
-so a stream of ``n`` bits occupies ``ceil(n / 8)`` bytes.
+Bit convention: a :class:`BitStream` of ``n`` bits is its file payload, a
+read-only array of ``ceil(n / 8)`` uint8 bytes.  Bit ``i`` of the stream is
+bit ``i % 8`` (LSB first) of byte ``i // 8``, and the pad bits past ``n``
+are zero.  Those bytes are what ``sha256`` hashes and ``save`` writes.
+Bit input enters the package through :func:`as_bits`, which admits only
+the values 0 and 1.
 
 Toeplitz indexing: with a seed of length n + m - 1, the hash matrix is
 ``T[i, j] = seed[i - j + n - 1]`` for i in [0, m) and j in [0, n).  Worked
@@ -41,19 +43,19 @@ PAPER_RATIO_N = 4500
 _WORD_BITS = 64
 
 
-def _bits_to_words(bits: np.ndarray) -> np.ndarray:
-    """Pack a 0/1 array into little-endian uint64 words (padded with zeros)."""
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    packed = np.packbits(bits, bitorder="little")
-    n_words = (packed.size + 7) // 8
-    buf = np.zeros(n_words * 8, dtype=np.uint8)
-    buf[: packed.size] = packed
-    return buf.view("<u8").copy()
-
-
-def _words_to_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
-    data = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return np.unpackbits(data, bitorder="little", count=n_bits)
+def as_bits(bits) -> np.ndarray:
+    """The bits of a BitStream, or of an array holding only 0 and 1, as a
+    flat uint8 array; any other value raises ValueError."""
+    if isinstance(bits, BitStream):
+        return bits.to_bits()
+    arr = np.asarray(bits).ravel()
+    if arr.dtype == np.uint8:
+        bad = arr.size and arr.max() > 1
+    else:
+        bad = not np.all((arr == 0) | (arr == 1))
+    if bad:
+        raise ValueError("bit values must be 0 or 1")
+    return arr.astype(np.uint8, copy=False)
 
 
 def bitslice(blocks: np.ndarray) -> np.ndarray:
@@ -82,29 +84,25 @@ def _unbitslice(rows: np.ndarray, n_blocks: int) -> np.ndarray:
 class BitStream:
     """Packed bit stream with provenance metadata.
 
-    ``provenance`` carries at least a ``stage`` key ("raw" or "extracted");
-    the pipeline adds config hashes and seeds.
+    ``data`` is the file payload: ``ceil(n_bits / 8)`` uint8 bytes, LSB
+    first, pad bits zero.  ``provenance`` carries at least a ``stage`` key
+    ("raw" or "extracted"); the pipeline adds config hashes and seeds.
     """
 
-    words: np.ndarray
+    data: np.ndarray
     n_bits: int
     provenance: dict = field(default_factory=lambda: {"stage": "raw"})
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.words, dtype="<u8")
-        expected_words = (self.n_bits + _WORD_BITS - 1) // _WORD_BITS
-        if self.n_bits < 0 or w.size != expected_words:
-            raise ValueError(
-                f"{w.size} words inconsistent with n_bits={self.n_bits}"
-            )
-        if self.n_bits % _WORD_BITS and w.size:
-            pad = np.uint64(
-                (1 << _WORD_BITS) - (1 << (self.n_bits % _WORD_BITS))
-            )
-            if w[-1] & pad:
-                raise ValueError("trailing pad bits must be zero")
-        w.flags.writeable = False
-        object.__setattr__(self, "words", w)
+        data = np.ascontiguousarray(self.data)
+        if data.dtype != np.uint8 or data.ndim != 1:
+            raise ValueError(f"data must be a 1-D uint8 array, got {data.dtype} {data.shape}")
+        if self.n_bits < 0 or data.size != (self.n_bits + 7) // 8:
+            raise ValueError(f"{data.size} bytes inconsistent with n_bits={self.n_bits}")
+        if self.n_bits % 8 and data[-1] >> (self.n_bits % 8):
+            raise ValueError("trailing pad bits must be zero")
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     @property
     def stage(self) -> str:
@@ -112,34 +110,24 @@ class BitStream:
 
     @classmethod
     def from_bits(cls, bits, provenance=None) -> "BitStream":
-        bits = np.asarray(bits, dtype=np.uint8).ravel()
-        if bits.size and bits.max() > 1:
-            raise ValueError("bit values must be 0 or 1")
+        bits = as_bits(bits)
         return cls(
-            _bits_to_words(bits),
+            np.packbits(bits, bitorder="little"),
             int(bits.size),
             dict(provenance or {"stage": "raw"}),
         )
 
-    @classmethod
-    def from_bytes(cls, data: bytes, n_bits: int, provenance=None) -> "BitStream":
-        if len(data) != (n_bits + 7) // 8:
-            raise ValueError("byte payload inconsistent with n_bits")
-        buf = np.zeros(((n_bits + _WORD_BITS - 1) // _WORD_BITS) * 8, dtype=np.uint8)
-        buf[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-        return cls(buf.view("<u8").copy(), n_bits, dict(provenance or {"stage": "raw"}))
-
     def to_bits(self) -> np.ndarray:
-        return _words_to_bits(self.words, self.n_bits)
+        return np.unpackbits(self.data, bitorder="little", count=self.n_bits)
 
     def to_bytes(self) -> bytes:
-        return self.words.view(np.uint8)[: (self.n_bits + 7) // 8].tobytes()
+        return self.data.tobytes()
 
     def ones(self) -> int:
-        return int(np.bitwise_count(self.words).sum())
+        return int(np.bitwise_count(self.data).sum())
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.to_bytes()).hexdigest()
+        return hashlib.sha256(self.data).hexdigest()
 
     # -- file I/O: raw payload plus a JSON sidecar ---------------------
 
@@ -161,9 +149,8 @@ class BitStream:
     def load(cls, path) -> "BitStream":
         path = Path(path)
         sidecar = json.loads(Path(str(path) + ".json").read_text())
-        data = path.read_bytes()
-        stream = cls.from_bytes(
-            data,
+        stream = cls(
+            np.frombuffer(path.read_bytes(), dtype=np.uint8),
             int(sidecar["n_bits"]),
             {k: v for k, v in sidecar.items() if k not in ("n_bits", "sha256")},
         )
@@ -181,15 +168,13 @@ class ToeplitzSeed:
     m: int
 
     def __post_init__(self):
-        b = np.asarray(self.bits, dtype=np.uint8).ravel()
+        b = as_bits(self.bits)
         if self.m < 1 or self.n < 1 or self.m >= self.n:
             raise ValueError("Toeplitz seed needs 1 <= m < n")
         if b.size != self.n + self.m - 1:
             raise ValueError(
                 f"seed length {b.size} != n + m - 1 = {self.n + self.m - 1}"
             )
-        if b.size and b.max() > 1:
-            raise ValueError("seed bits must be 0 or 1")
         b.flags.writeable = False
         object.__setattr__(self, "bits", b)
 
@@ -316,7 +301,7 @@ def _hash_bitsliced(x_rows: np.ndarray, t_bytes: np.ndarray) -> np.ndarray:
 
 def toeplitz_hash(x, seed: ToeplitzSeed) -> np.ndarray:
     """Hash one n-bit block to m bits: y_i = XOR_j T[i,j] x_j over GF(2)."""
-    bits = np.asarray(x, dtype=np.uint8).ravel()
+    bits = as_bits(x)
     if bits.size != seed.n:
         raise ValueError(f"block length {bits.size} != seed n = {seed.n}")
     y = _hash_bitsliced(bitslice(bits[np.newaxis, :]), seed.row_bytes())

@@ -362,7 +362,6 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
             optimal_settings_for_visibility(overlap) if overlap > 0 else ChshSettings()
         )
     report: dict = {
-        "state_model": cfg.source.state_model,
         "overlap": overlap,
         "chsh_model": chsh_from_rho(rho),
         "horodecki_convention": "horodecki-singular-value",

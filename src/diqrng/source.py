@@ -45,7 +45,6 @@ class SourceConfig:
     rng_seed          seed of the HOM scan and the event stream; not part
                       of a pipeline config, whose stages derive it from
                       the global seed
-    state_model       "dephasing" (default) or "werner" off-dip noise model
     """
 
     visibility_v0: float = 0.97
@@ -56,7 +55,6 @@ class SourceConfig:
     det_efficiency: float = 0.6
     coincidence_window: float = 1e-9
     rng_seed: int = 12345
-    state_model: str = "dephasing"
 
     def __post_init__(self):
         if not 0.0 <= self.visibility_v0 <= 1.0:
@@ -68,8 +66,6 @@ class SourceConfig:
                 raise ValueError(f"{name} must be non-negative")
         if not 0.0 <= self.det_efficiency <= 1.0:
             raise ValueError("det_efficiency must be in [0, 1]")
-        if self.state_model not in ("dephasing", "werner"):
-            raise ValueError(f"unknown state_model {self.state_model!r}")
 
     def overlap_at_delay(self) -> float:
         """Indistinguishability overlap v = v0 exp(-tau^2 / (2 sigma^2))."""
@@ -242,12 +238,9 @@ def eraser_postselected_state(hwp_angle_deg: float, overlap: float) -> tuple:
 
 
 def state_at_delay(cfg: SourceConfig) -> TwoQubitState:
-    """Post-selected state at the configured delay; the overlap follows the
-    HOM envelope.  "werner" swaps pure dephasing for white noise."""
-    v = cfg.overlap_at_delay()
-    if cfg.state_model == "werner":
-        return TwoQubitState.werner(v)
-    rho, _ = eraser_postselected_state(45.0, v)
+    """Post-selected (dephased) state at the configured delay; the overlap
+    follows the HOM envelope."""
+    rho, _ = eraser_postselected_state(45.0, cfg.overlap_at_delay())
     return rho
 
 

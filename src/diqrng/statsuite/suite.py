@@ -1,10 +1,12 @@
 """Suite-level orchestration: run the fifteen tests, judge them, report.
 
 The tests in :mod:`diqrng.statsuite.sp800_22` compute p-values only.  This
-module converts the bits once, runs the tests by their report names and
-turns each outcome into a :class:`TestResult` in one function,
-:func:`_verdict`: the familywise p of a multi-p-value test, the pass/fail
-threshold, and the not-applicable state all live there.
+module converts the bits once (:func:`~diqrng.extract.as_bits`), runs the
+tests by their report names and turns each outcome into a
+:class:`TestResult` in one function, :func:`_verdict`: the familywise p of
+a multi-p-value test, the pass/fail threshold, and the not-applicable state
+all live there.  A single sequence gets one verdict per test (SP 800-22
+Rev 1a, section 4.2); the suite adds no aggregate of its own.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import kolmogorov
+
+from diqrng.extract import as_bits
 
 from .sp800_22 import (
     NotApplicable,
@@ -71,33 +74,12 @@ class TestResult:
     applicable: bool = True
 
 
-def _bits_of(bits) -> np.ndarray:
-    if hasattr(bits, "to_bits"):
-        return bits.to_bits()
-    arr = np.asarray(bits, dtype=np.uint8).ravel()
-    if arr.size and arr.max() > 1:
-        raise ValueError("bit values must be 0 or 1")
-    return arr
-
-
-def _ks_p(p_values) -> float:
-    """One-sample KS against Uniform[0,1], asymptotic distribution."""
-    x = np.sort(np.asarray(p_values, dtype=float))
-    n = x.size
-    if n == 0:
-        return 1.0
-    grid = np.arange(1, n + 1) / n
-    d = max(float(np.max(grid - x)), float(np.max(x - (grid - 1.0 / n))))
-    return float(kolmogorov(math.sqrt(n) * d))
-
-
 def _verdict(name: str, b: np.ndarray, threshold: float, **block_params) -> TestResult:
     """Run one test on 0/1 bits and judge it: the only maker of a TestResult.
 
     The scalar ``p_value`` of a multi-p-value test is the familywise p of
     the minimum, 1 - (1 - min p)^k, which keeps the per-test false-fail
-    rate at the threshold; the KS p of the set and the minimum go into
-    ``params`` for reference.  A test that does not apply passes with no
+    rate at the threshold.  A test that does not apply passes with no
     p-value, except a failed pre-test, which fails with p = 0.
     """
     if not 0.0 <= threshold <= 1.0:
@@ -117,11 +99,10 @@ def _verdict(name: str, b: np.ndarray, threshold: float, **block_params) -> Test
     if len(p_values) == 1:
         scalar = p_values[0]
     else:
-        p_min = min(p_values)
         # Familywise p of the minimum under independence; conservative
         # under the positive dependence these sub-statistics exhibit.
-        scalar = -math.expm1(len(p_values) * math.log1p(-min(p_min, 1.0 - 1e-16)))
-        params = {**params, "ks_p": _ks_p(p_values), "min_p": p_min}
+        p_min = min(min(p_values), 1.0 - 1e-16)
+        scalar = -math.expm1(len(p_values) * math.log1p(-p_min))
     scalar = min(max(scalar, 0.0), 1.0)
     return TestResult(
         p_values=p_values, p_value=scalar, passed=bool(scalar >= threshold), params=params
@@ -132,14 +113,13 @@ def run_named_test(name: str, bits, threshold: float = 0.01, **block_params) -> 
     """Run and judge one of the fifteen tests by its report name."""
     if name not in _TEST_FUNCTIONS:
         raise ValueError(f"unknown test {name!r}; expected one of {TEST_NAMES}")
-    return _verdict(name, _bits_of(bits), threshold, **block_params)
+    return _verdict(name, as_bits(bits), threshold, **block_params)
 
 
 @dataclass(frozen=True)
 class SuiteReport:
     results: dict
     threshold: float
-    ks_aggregate: float | None
     stream_metadata: dict = field(default_factory=dict)
 
     @property
@@ -163,7 +143,6 @@ class SuiteReport:
         return {
             "tests": tests,
             "threshold": self.threshold,
-            "ks_aggregate": self.ks_aggregate,
             "all_passed": self.all_passed,
             "stream_metadata": self.stream_metadata,
         }
@@ -195,19 +174,15 @@ def run_suite(bits, threshold: float = 0.01, stream_metadata: dict | None = None
     propagates.  The stream itself is never mutated and the tests are
     order-independent.
     """
-    b = _bits_of(bits)
+    b = as_bits(bits)
     if b.size < RECOMMENDED_SUITE_LENGTH:
         warnings.warn(
             f"stream has {b.size} bits; below the recommended "
             f"{RECOMMENDED_SUITE_LENGTH} for the full suite",
             stacklevel=2,
         )
-    results = {name: _verdict(name, b, threshold) for name in TEST_NAMES}
-    collected = [p for r in results.values() for p in r.p_values if not math.isnan(p)]
-    ks = _ks_p(collected) if len(collected) >= 5 else None
     return SuiteReport(
-        results=results,
+        results={name: _verdict(name, b, threshold) for name in TEST_NAMES},
         threshold=threshold,
-        ks_aggregate=ks,
         stream_metadata=dict(stream_metadata or {}),
     )

@@ -115,7 +115,6 @@ class TomoCounts:
 @dataclass(frozen=True)
 class TomoResult:
     rho_est: TwoQubitState
-    method: str
     physical: bool
     diagnostics: dict = field(default_factory=dict)
 
@@ -127,7 +126,6 @@ class PosteriorSamples:
     samples: np.ndarray  # (R, 9K) parameter vectors
     rho_samples: np.ndarray  # (R, 4, 4) realized density matrices
     acceptance_rate: float
-    n_components: int
 
     @property
     def R(self) -> int:
@@ -158,15 +156,10 @@ def ls_invert(counts: TomoCounts) -> TomoResult:
     u.flat[1:] = u_free
     rho = pauli_compose(u)
     report = is_physical(rho)
-    residual = float(np.linalg.norm(_DESIGN @ u_free - shifted))
     return TomoResult(
         rho_est=rho,
-        method="LS",
         physical=bool(report),
-        diagnostics={
-            "residual_norm": residual,
-            "min_eigenvalue": report.min_eigenvalue,
-        },
+        diagnostics={"min_eigenvalue": report.min_eigenvalue},
     )
 
 
@@ -274,7 +267,6 @@ def mle_estimate(counts: TomoCounts, max_iters: int = 20_000, tol: float = 1e-3)
     rho_state = TwoQubitState(rho)
     return TomoResult(
         rho_est=rho_state,
-        method="MLE",
         physical=bool(is_physical(rho_state)),
         diagnostics={
             "iterations": iterations,
@@ -456,13 +448,11 @@ def bayesian_estimate(counts: TomoCounts, cfg: BayesConfig | None = None):
     acceptance = accepted_post / (cfg.R * cfg.thin)
     kept_rho = _rho_from_vector(kept_x, cfg.K)
     diagnostics = {
-        "acceptance_rate": acceptance,
         "step_final": step,
         "evaluations": evaluations,
         "R": cfg.R,
         "burn_in": cfg.burn_in,
         "thin": cfg.thin,
-        "K": cfg.K,
     }
     if acceptance < 0.01 or acceptance > 0.95:
         warnings.warn(
@@ -474,12 +464,10 @@ def bayesian_estimate(counts: TomoCounts, cfg: BayesConfig | None = None):
         samples=kept_x,
         rho_samples=kept_rho,
         acceptance_rate=acceptance,
-        n_components=cfg.K,
     )
     rho_mean = TwoQubitState(kept_rho.mean(axis=0))
     result = TomoResult(
         rho_est=rho_mean,
-        method="Bayesian",
         physical=bool(is_physical(rho_mean)),
         diagnostics=diagnostics,
     )

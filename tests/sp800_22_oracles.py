@@ -8,9 +8,9 @@ nothing in the package needs them.
 
 import numpy as np
 from scipy.special import gammaincc
+from scipy.stats import kstest
 
 from diqrng.statsuite import aperiodic_templates
-from diqrng.statsuite.suite import _ks_p
 
 
 def ks_uniformity(p_values) -> float:
@@ -20,7 +20,7 @@ def ks_uniformity(p_values) -> float:
         raise ValueError("ks_uniformity needs at least 5 p-values")
     if any(not 0.0 <= p <= 1.0 for p in values):
         raise ValueError("p-values must lie in [0, 1]")
-    return _ks_p(values)
+    return float(kstest(values, "uniform", method="asymp").pvalue)
 
 
 def berlekamp_massey(bits) -> int:

@@ -3,15 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diqrng.certify import min_entropy
 from diqrng.extract import (
     BitStream,
     ExtractorConfig,
     ToeplitzSeed,
+    as_bits,
     bitslice,
     choose_output_length,
     extract_stream,
     toeplitz_hash,
 )
+from diqrng.statsuite import run_named_test
 
 #: Block counts around the 64-lane word boundaries.
 BLOCK_COUNTS = (1, 63, 64, 65, 130)
@@ -48,16 +51,26 @@ class TestBitStream:
         stream = BitStream.from_bits([1, 0, 0, 0, 0, 0, 0, 0, 1])
         payload = stream.to_bytes()
         assert payload == b"\x01\x01"
-        back = BitStream.from_bytes(payload, 9)
+        assert stream.data.dtype == np.uint8 and not stream.data.flags.writeable
+        back = BitStream(np.frombuffer(payload, dtype=np.uint8), 9)
         assert np.array_equal(back.to_bits(), stream.to_bits())
 
     def test_pad_bits_must_be_zero(self):
-        with pytest.raises(ValueError):
-            BitStream(np.array([0xFFFF], dtype=np.uint64), 8)
+        BitStream(np.array([0x01, 0x7F], dtype=np.uint8), 15)
+        with pytest.raises(ValueError, match="pad bits"):
+            BitStream(np.array([0x01, 0x80], dtype=np.uint8), 15)
 
     def test_word_count_must_match(self):
-        with pytest.raises(ValueError):
-            BitStream(np.zeros(2, dtype=np.uint64), 64)
+        with pytest.raises(ValueError, match="bytes inconsistent"):
+            BitStream(np.zeros(2, dtype=np.uint8), 17)
+        with pytest.raises(ValueError, match="bytes inconsistent"):
+            BitStream(np.zeros(3, dtype=np.uint8), 16)
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int8, np.uint16, bool, float])
+    def test_data_of_another_dtype_rejected(self, dtype):
+        # A uint64 word holding one byte's worth of bits is not cast down.
+        with pytest.raises(ValueError, match="uint8"):
+            BitStream(np.ones(1, dtype=dtype), 8)
 
     def test_save_load_with_sidecar(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -80,6 +93,41 @@ class TestBitStream:
         path.write_bytes(bytes(payload))
         with pytest.raises(ValueError):
             BitStream.load(path)
+
+
+#: Every public entry point that takes a bit array.
+BIT_ENTRY_POINTS = {
+    "from_bits": BitStream.from_bits,
+    "run_named_test": lambda bits: run_named_test("Frequency", bits),
+    "min_entropy": min_entropy,
+}
+
+
+class TestBitInput:
+    @pytest.mark.parametrize("entry", list(BIT_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "bits",
+        [np.array([0.0, 1.0, 0.5] * 100), np.array([0, 1, 2] * 100)],
+        ids=["float-half", "int-two"],
+    )
+    def test_values_other_than_0_and_1_rejected(self, entry, bits):
+        with pytest.raises(ValueError, match="0 or 1"):
+            BIT_ENTRY_POINTS[entry](bits)
+
+    @pytest.mark.parametrize(
+        "bits", [[-1, 0], [0, 256], [0.0, np.nan], [1.0, np.inf]], ids=str
+    )
+    def test_casts_do_not_hide_bad_values(self, bits):
+        with pytest.raises(ValueError, match="0 or 1"):
+            as_bits(bits)
+
+    def test_every_dtype_of_0_and_1_accepted(self):
+        expected = np.array([0, 1, 1, 0], dtype=np.uint8)
+        for bits in (expected, expected.astype(bool), expected.astype(float), [0, 1, 1, 0]):
+            got = as_bits(bits)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, expected)
+        assert np.array_equal(as_bits(BitStream.from_bits(expected)), expected)
 
 
 class TestToeplitzHash:
@@ -258,9 +306,6 @@ class TestBiasedInputWhitening:
         # Input bias p1 = 0.6 gives h_inf = -log2(0.6) = 0.737 per bit; the
         # leftover-hash sizing keeps 3116 of every 4500 bits and the output
         # parity bias collapses to 0.2^2250, so the monobit test must pass.
-        from diqrng.certify import min_entropy
-        from diqrng.statsuite import run_named_test
-
         h_inf = -np.log2(0.6)
         cfg = ExtractorConfig(mode="leftover_hash", h_inf=float(h_inf), rng_seed=77)
         assert cfg.resolve_m() == 3116

@@ -62,11 +62,12 @@ class TestConfig:
     def test_preset_digests_are_pinned(self):
         # Any change to the JSON schema changes run_report config_sha256.
         # These are the sha256 of each preset's sorted JSON without
-        # source.rng_seed, which the config does not record.
+        # source.rng_seed, which the config does not record, and without
+        # source.state_model, a field the source no longer has.
         expected = {
-            "dataset_A": "34ea2ac5e2c63182d19440db8505df104abfd1db777452ed25da858d76a6e1a9",
-            "dataset_B": "a1987f9bb2c0a22bf984eaabde002819b3b81885156321b23a6247a4269c1258",
-            "classical_source": "5a21ed6f926864a68df243b2fb3c6bbf76a076edc0120ada36b71218085ab6bb",
+            "dataset_A": "6867f8c93c22743d65730a5b5ed0b72c4c178def53b67c57d136776ce715a2d2",
+            "dataset_B": "b2500e3edc6a2496c4166a706dbc17e4f282f4d5d8ff5800b91faa0761d2dbf5",
+            "classical_source": "23e68e018530121e3bc8f5061df6614a8043e5990a53155163ce38c05a4c5892",
         }
         for name, digest in expected.items():
             assert preset_config(name, 7).digest() == digest

@@ -218,11 +218,6 @@ class TestStateAtDelay:
             previous = s
         assert cfg0.overlap_at_delay() == pytest.approx(0.97)
 
-    def test_werner_model_switch(self):
-        cfg = SourceConfig(visibility_v0=0.8, state_model="werner")
-        rho = state_at_delay(cfg)
-        assert np.max(np.abs(rho.matrix - TwoQubitState.werner(0.8).matrix)) < 1e-12
-
 
 class TestGenerateEvents:
     def test_same_seed_identical_streams(self):

@@ -511,6 +511,8 @@ class TestSuite:
         report = run_suite(bits)
         csv_path = report.save_csv(tmp_path / "suite.csv")
         data = report.to_json_dict()
+        # One verdict per test and no suite-wide aggregate.
+        assert list(data) == ["tests", "threshold", "all_passed", "stream_metadata"]
         assert set(data["tests"].keys()) == set(TEST_NAMES)
         assert data["threshold"] == 0.01
         lines = csv_path.read_text().strip().splitlines()

@@ -79,7 +79,6 @@ class TestProjectorSet:
 class TestLeastSquares:
     def test_exact_singlet_recovery(self):
         result = ls_invert(exact_counts(TwoQubitState.singlet(), 10**9))
-        assert result.method == "LS"
         assert (
             np.max(np.abs(result.rho_est.matrix - TwoQubitState.singlet().matrix))
             < 1e-8
@@ -277,11 +276,10 @@ class TestBayesian:
 
     def test_acceptance_rate_in_window(self):
         rho = random_physical_state(np.random.default_rng(13))
-        result, samples = bayesian_estimate(
+        _, samples = bayesian_estimate(
             exact_counts(rho, 10_000), cfg=BayesConfig(rng_seed=14)
         )
         assert 0.05 <= samples.acceptance_rate <= 0.6
-        assert result.diagnostics["acceptance_rate"] == samples.acceptance_rate
 
     def test_every_sample_is_physical(self):
         rho = random_physical_state(np.random.default_rng(15))
@@ -383,7 +381,6 @@ class TestPosteriorFunctional:
             samples=np.zeros((1, 36)),
             rho_samples=np.eye(4, dtype=complex)[np.newaxis] / 4.0,
             acceptance_rate=0.3,
-            n_components=4,
         )
         with pytest.raises(ValueError):
             posterior_functional(samples, lambda m: 1.0)
