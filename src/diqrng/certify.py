@@ -1,10 +1,11 @@
 """Quantumness certification: CHSH estimates and min-entropy.
 
 Two routes to the Bell parameter are provided.  ``chsh_direct`` works from
-coincidence counts the way a polarization experiment does; ``chsh_from_rho``
-computes the maximum attainable value for a density matrix from the two
-largest singular values of its correlation matrix (the horodecki-singular-
-value convention, noted in every report).
+coincidence counts the way a polarization experiment does, and
+``chsh_at_settings`` is its noise-free value for a state at the same
+settings; ``chsh_from_rho`` computes the maximum attainable value for a
+density matrix from the two largest singular values of its correlation
+matrix (the horodecki-singular-value convention, noted in every report).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .extract import BitStream
-from .qmath import HERMITICITY_TOL, PAULI2, TwoQubitState, kron2, polarizer, require_physical
+from .qmath import HERMITICITY_TOL, PAULI2, born_probabilities, kron2, polarizer, require_physical
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 CLASSICAL_BOUND = 2.0
@@ -150,10 +151,16 @@ def _e_variance(quad) -> float:
     return float(np.sum(q * ((signs - e) / total) ** 2))
 
 
+def _chsh_of_quads(quads) -> tuple:
+    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') and the four E values of
+    a (4, 4) array of quads (PAIR_ORDER rows, QUAD_ORDER columns)."""
+    e = [correlation_E(quad) for quad in quads]
+    return e[0] - e[1] + e[2] + e[3], e
+
+
 def chsh_direct(counts: ChshCounts) -> ChshResult:
     """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') from measured quads."""
-    e = [correlation_E(counts.quads[i]) for i in range(4)]
-    s = e[0] - e[1] + e[2] + e[3]
+    s, e = _chsh_of_quads(counts.quads)
     var = sum(_e_variance(counts.quads[i]) for i in range(4))
     return ChshResult(
         S=float(s),
@@ -163,13 +170,21 @@ def chsh_direct(counts: ChshCounts) -> ChshResult:
     )
 
 
+def chsh_at_settings(rho, settings: ChshSettings) -> float:
+    """Noise-free S of the (4, 4) state rho at the given settings: the
+    combination of :func:`chsh_direct` with the Born probabilities of
+    ``settings.projectors()`` in place of the quads."""
+    probs = born_probabilities(rho, settings.projectors().reshape(16, 4, 4))
+    return float(_chsh_of_quads(probs.reshape(4, 4))[0])
+
+
 def chsh_from_rho(rho):
     """Maximum CHSH value 2 sqrt(s1^2 + s2^2), s1 >= s2 the two largest
-    singular values of the correlation matrix, of a TwoQubitState (a float)
-    or of each state in an (..., 4, 4) stack (an array of shape (...))."""
-    m = rho.matrix if isinstance(rho, TwoQubitState) else np.asarray(rho, dtype=complex)
-    require_physical(m, "chsh_from_rho", herm_tol=HERMITICITY_TOL)
-    c = np.einsum("ijab,...ba->...ij", PAULI2[1:, 1:], m).real
+    singular values of the correlation matrix, of one (4, 4) state (a
+    float) or of each state in an (..., 4, 4) stack (an array of shape
+    (...))."""
+    require_physical(rho, "chsh_from_rho", herm_tol=HERMITICITY_TOL)
+    c = np.einsum("ijab,...ba->...ij", PAULI2[1:, 1:], rho).real
     s = np.linalg.svd(c, compute_uv=False)
     values = np.minimum(2.0 * np.sqrt(s[..., 0] ** 2 + s[..., 1] ** 2), TSIRELSON_BOUND + 1e-9)
     return float(values) if values.ndim == 0 else values

@@ -149,9 +149,12 @@ class BitStream:
     def load(cls, path) -> "BitStream":
         path = Path(path)
         sidecar = json.loads(Path(str(path) + ".json").read_text())
+        n_bits = sidecar["n_bits"]
+        if type(n_bits) is not int:  # not bool, float or str
+            raise ValueError(f"sidecar n_bits must be a JSON integer, got {n_bits!r}")
         stream = cls(
             np.frombuffer(path.read_bytes(), dtype=np.uint8),
-            int(sidecar["n_bits"]),
+            n_bits,
             {k: v for k, v in sidecar.items() if k not in ("n_bits", "sha256")},
         )
         if stream.sha256() != sidecar["sha256"]:
@@ -182,9 +185,6 @@ class ToeplitzSeed:
     def from_rng(cls, n: int, m: int, rng_seed: int) -> "ToeplitzSeed":
         rng = np.random.default_rng([int(rng_seed), 0x70E7])
         return cls(rng.integers(0, 2, size=n + m - 1, dtype=np.uint8), n, m)
-
-    def hex(self) -> str:
-        return np.packbits(self.bits, bitorder="little").tobytes().hex()
 
     def row_bytes(self) -> np.ndarray:
         """(m, ceil(n/8)) uint8 matrix; byte g of row i holds T[i, 8g .. 8g+7]
@@ -320,6 +320,7 @@ def extract_stream(raw: BitStream, cfg: ExtractorConfig) -> BitStream:
             f"input has {raw.n_bits} bits, shorter than one {cfg.n}-bit block"
         )
     seed = cfg.build_seed()
+    seed_bytes = np.packbits(seed.bits, bitorder="little").tobytes()
     n_blocks = raw.n_bits // cfg.n
     blocks = raw.to_bits()[: n_blocks * cfg.n].reshape(n_blocks, cfg.n)
     out = _unbitslice(_hash_bitsliced(bitslice(blocks), seed.row_bytes()), n_blocks)
@@ -329,8 +330,8 @@ def extract_stream(raw: BitStream, cfg: ExtractorConfig) -> BitStream:
         "block_n": cfg.n,
         "block_m": seed.m,
         "n_blocks": n_blocks,
-        "seed_sha256": hashlib.sha256(seed.bits.tobytes()).hexdigest(),
-        "seed_hex": seed.hex(),
+        "seed_sha256": hashlib.sha256(seed_bytes).hexdigest(),
+        "seed_hex": seed_bytes.hex(),
         "parent_sha256": raw.sha256(),
     }
     return BitStream.from_bits(out.reshape(-1), provenance)

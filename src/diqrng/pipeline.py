@@ -373,6 +373,7 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
     direct = certify.chsh_direct(counts)
     report["chsh_direct"] = {
         "S": direct.S,
+        "S_model": certify.chsh_at_settings(rho, settings),
         "stderr": direct.stderr,
         "e_values": list(direct.e_values),
         "settings": settings.as_dict(),
@@ -424,7 +425,7 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
         },
     }
     for name, estimate in (("ls", ls), ("mle", mle), ("bayes", bayes)):
-        m = estimate.rho_est.matrix
+        m = estimate.rho_est
         report["tomography"][name]["state"] = {"re": m.real.tolist(), "im": m.imag.tolist()}
     if bits is not None:
         report["min_entropy"] = {**dataclasses.asdict(min_entropy(bits)), "stage": bits.stage}

@@ -2,14 +2,14 @@
 
 Everything here is hard-coded to the 4x4 (two-qubit) case.  The basis order is
 fixed globally as |HH>, |HV>, |VH>, |VV>, with the first slot belonging to the
-heralding arm.  Density matrices are carried by :class:`TwoQubitState`; Pauli
-coefficient matrices (4x4) are plain real numpy arrays.  All operations are
-pure functions on effectively immutable values.
+heralding arm.  A density matrix is a read-only complex (4, 4) array, and a
+stack of them is an (..., 4, 4) array; :func:`physicality` is the one test of
+trace one, hermiticity and positive semi-definiteness.  Pauli coefficient
+matrices (4x4) are plain real numpy arrays.  All operations are pure
+functions.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,62 +41,10 @@ DEFAULT_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
 
 
-def _coerce_matrix(matrix, size: int) -> np.ndarray:
-    m = np.array(matrix, dtype=complex)
-    if m.shape != (size, size):
-        raise ValueError(f"expected a {size}x{size} matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("matrix contains non-finite entries")
-    return m
-
-
-@dataclass(frozen=True)
-class TwoQubitState:
-    """A 4x4 complex matrix in the fixed |HH>,|HV>,|VH>,|VV> basis.
-
-    Construction is permissive on purpose: least-squares tomography can
-    legitimately produce non-positive matrices, and they still need a home.
-    Use :func:`is_physical` to check trace / hermiticity / positivity.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _coerce_matrix(self.matrix, 4)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_vector(cls, psi) -> "TwoQubitState":
-        """Pure state |psi><psi| from a 4-component ket (normalized here)."""
-        v = np.asarray(psi, dtype=complex).reshape(4)
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            raise ValueError("cannot build a state from the zero vector")
-        v = v / norm
-        return cls(np.outer(v, v.conj()))
-
-    @classmethod
-    def singlet(cls) -> "TwoQubitState":
-        return cls.from_vector([0.0, 1.0, -1.0, 0.0])
-
-    @classmethod
-    def maximally_mixed(cls) -> "TwoQubitState":
-        return cls(np.eye(4) / 4.0)
-
-    @classmethod
-    def werner(cls, p: float) -> "TwoQubitState":
-        """p * singlet + (1-p) * I/4."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("werner weight must be in [0, 1]")
-        return cls(p * cls.singlet().matrix + (1.0 - p) * np.eye(4) / 4.0)
-
-    # -- inspection ---------------------------------------------------
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
+def read_only(array: np.ndarray) -> np.ndarray:
+    """Mark array read-only in place and return it."""
+    array.flags.writeable = False
+    return array
 
 
 def polarizer(angle_deg) -> np.ndarray:
@@ -111,17 +59,6 @@ def polarizer(angle_deg) -> np.ndarray:
 # Physicality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhysicalityReport:
-    physical: bool
-    trace_deviation: float
-    hermiticity_defect: float
-    min_eigenvalue: float
-
-    def __bool__(self) -> bool:
-        return self.physical
-
-
 def physicality_defects(m: np.ndarray):
     """Trace deviation, hermiticity defect and minimum eigenvalue of every
     matrix in an (..., 4, 4) stack, as three arrays of shape (...)."""
@@ -132,22 +69,30 @@ def physicality_defects(m: np.ndarray):
     return tr_dev, herm, min_eig
 
 
-def is_physical(rho: TwoQubitState, tol: float = DEFAULT_TOL) -> PhysicalityReport:
-    """Check trace one, hermiticity, and positive semi-definiteness within tol."""
-    tr_dev, herm, min_eig = (float(x) for x in physicality_defects(rho.matrix))
-    ok = tr_dev <= tol and herm <= tol and min_eig >= -tol
-    return PhysicalityReport(ok, tr_dev, herm, min_eig)
+def physicality(m, what: str, herm_tol: float = DEFAULT_TOL):
+    """Whether each matrix of the (..., 4, 4) stack m is a state: trace
+    deviation and negative eigenvalues within DEFAULT_TOL, hermiticity
+    defect within herm_tol.  Returns a bool array of shape (...) and the
+    three arrays of :func:`physicality_defects`.  A non-finite entry raises
+    ValueError, naming ``what``, before any eigenvalue is computed."""
+    m = np.asarray(m)
+    finite = np.isfinite(m)
+    if not finite.all():
+        entry = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise ValueError(f"{what} requires finite states; entry {entry} is {m[entry]}")
+    defects = tr_dev, herm, min_eig = physicality_defects(m)
+    return (tr_dev <= DEFAULT_TOL) & (herm <= herm_tol) & (min_eig >= -DEFAULT_TOL), defects
 
 
-def require_physical(m: np.ndarray, what: str, herm_tol: float = DEFAULT_TOL):
+def require_physical(m, what: str, herm_tol: float = DEFAULT_TOL):
     """Raise ValueError unless every matrix of the (..., 4, 4) stack m is a
-    state within DEFAULT_TOL, with hermiticity defect within herm_tol."""
-    tr_dev, herm, min_eig = physicality_defects(m)
-    bad = np.flatnonzero((tr_dev > DEFAULT_TOL) | (herm > herm_tol) | (min_eig < -DEFAULT_TOL))
+    state (see :func:`physicality`)."""
+    ok, (tr_dev, herm, min_eig) = physicality(m, what, herm_tol)
+    bad = np.flatnonzero(~ok)
     if bad.size:
         i = bad[0]
         raise ValueError(
-            f"{what} requires physical states; {bad.size} of {np.size(tr_dev)} fail, "
+            f"{what} requires physical states; {bad.size} of {ok.size} fail, "
             f"the first (flat index {i}) with trace deviation {tr_dev.flat[i]:.2e}, "
             f"hermiticity defect {herm.flat[i]:.2e}, min eigenvalue {min_eig.flat[i]:.2e}"
         )
@@ -157,31 +102,31 @@ def require_physical(m: np.ndarray, what: str, herm_tol: float = DEFAULT_TOL):
 # Pauli composition and the Born map
 # ---------------------------------------------------------------------------
 
-def pauli_compose(u) -> TwoQubitState:
-    """Assemble rho = (1/4) sum u[i,j] sigma_i x sigma_j.
+def pauli_compose(u) -> np.ndarray:
+    """Assemble rho = (1/4) sum u[i,j] sigma_i x sigma_j, read-only.
 
     Hermitian and unit-trace by construction when u[0,0] == 1; positivity is
-    the caller's problem (check with :func:`is_physical`).
+    the caller's problem (check with :func:`physicality`).
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (4, 4):
         raise ValueError("pauli coefficients must be a 4x4 real array")
     if abs(u[0, 0] - 1.0) > DEFAULT_TOL:
         raise ValueError("u[0,0] must equal 1 for a unit-trace state")
-    return TwoQubitState(np.einsum("ij,ijab->ab", u, PAULI2) / 4.0)
+    return read_only(np.einsum("ij,ijab->ab", u, PAULI2) / 4.0)
 
 
-def born_probabilities(rho: TwoQubitState, stack) -> np.ndarray:
+def born_probabilities(rho, stack) -> np.ndarray:
     """p_k = Tr(P_k rho) for every projector of a (K, 4, 4) stack.
 
-    rho must be a state, and every P_k Hermitian and idempotent within
-    1e-10; each is checked once per call.  Probabilities outside
+    rho must be one (4, 4) state, and every P_k Hermitian and idempotent
+    within 1e-10; each is checked once per call.  Probabilities outside
     [-1e-9, 1 + 1e-9] raise; the rest are clipped to [0, 1].
     """
     stack = np.asarray(stack)
     if stack.ndim != 3 or stack.shape[1:] != (4, 4):
         raise ValueError(f"born_probabilities needs a (K, 4, 4) stack, got {stack.shape}")
-    require_physical(rho.matrix, "born_probabilities")
+    require_physical(rho, "born_probabilities")
     for defect, what in (
         (np.abs(stack @ stack - stack), "idempotent"),
         (np.abs(stack - stack.conj().swapaxes(-1, -2)), "Hermitian"),
@@ -189,7 +134,7 @@ def born_probabilities(rho: TwoQubitState, stack) -> np.ndarray:
         bad = np.flatnonzero(np.max(defect, axis=(-2, -1)) > 1e-10)
         if bad.size:
             raise ValueError(f"projector {bad[0]} of the stack is not {what}")
-    p = np.einsum("kij,ji->k", stack, rho.matrix).real
+    p = np.einsum("kij,ji->k", stack, rho).real
     if np.any((p < -DEFAULT_TOL) | (p > 1.0 + DEFAULT_TOL)):
         raise ValueError(f"Born probabilities {p} outside [0, 1]")
     return np.clip(p, 0.0, 1.0)

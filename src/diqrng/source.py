@@ -20,7 +20,7 @@ from scipy.optimize import curve_fit
 
 from .certify import ChshCounts, ChshSettings
 from .extract import BitStream
-from .qmath import TwoQubitState, born_probabilities, kron2, polarizer
+from .qmath import born_probabilities, kron2, polarizer, read_only
 
 # Sub-stream tags keeping the independent consumers of one seed apart.
 _HOM_STREAM = 1
@@ -217,7 +217,8 @@ def eraser_postselected_state(hwp_angle_deg: float, overlap: float) -> tuple:
     endpoints that HH term stays partially coherent with HV and VH through
     the shared wavepacket mode.
 
-    Returns (rho, p_postselect); rho is None when p_postselect == 0.
+    Returns (rho, p_postselect), rho a read-only (4, 4) array; rho is None
+    when p_postselect == 0.
     """
     if not 0.0 <= hwp_angle_deg <= 45.0:
         raise ValueError("eraser HWP angle must be in [0, 45] degrees")
@@ -234,10 +235,10 @@ def eraser_postselected_state(hwp_angle_deg: float, overlap: float) -> tuple:
     m[1, 2] = m[2, 1] = -overlap * s * s / 4.0
     m[0, 0] = c * c * (1.0 - overlap) / 2.0
     m[0, 1] = m[1, 0] = m[0, 2] = m[2, 0] = s * c * (1.0 - overlap) / 4.0
-    return TwoQubitState(m / p_post), p_post
+    return read_only(m / p_post), p_post
 
 
-def state_at_delay(cfg: SourceConfig) -> TwoQubitState:
+def state_at_delay(cfg: SourceConfig) -> np.ndarray:
     """Post-selected (dephased) state at the configured delay; the overlap
     follows the HOM envelope."""
     rho, _ = eraser_postselected_state(45.0, cfg.overlap_at_delay())
@@ -336,7 +337,7 @@ def generate_events(cfg: SourceConfig, n_bits: int) -> EventStream:
 # ---------------------------------------------------------------------------
 
 def simulate_setting_counts(
-    rho: TwoQubitState, stack, expected_total: float, rng_seed: int
+    rho: np.ndarray, stack, expected_total: float, rng_seed: int
 ) -> np.ndarray:
     """Poissonian counts, one per projector of a (K, 4, 4) stack, under one seed."""
     if expected_total < 0:
@@ -347,7 +348,7 @@ def simulate_setting_counts(
 
 
 def simulate_chsh_counts(
-    rho: TwoQubitState,
+    rho: np.ndarray,
     settings: ChshSettings,
     pairs_per_setting: int,
     rng_seed: int,

@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr
 
-from .qmath import PAULI2, TwoQubitState, is_physical, kron2, pauli_compose
+from .qmath import PAULI2, kron2, pauli_compose, physicality, read_only
 
 KWIAT_LABELS = (
     "HH", "HV", "VV", "VH", "RH", "RV", "DV", "DH",
@@ -74,11 +74,6 @@ def _pauli_map(stack: np.ndarray) -> np.ndarray:
     return np.einsum("kij,abji->kab", stack, PAULI2).real.reshape(len(stack), 16)
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 def _product_projectors(labels) -> np.ndarray:
     """The (len(labels), 4, 4) stack of |ab><ab| for two-letter labels ab
     (first letter = heralding arm analyzer, second = measured arm)."""
@@ -89,7 +84,7 @@ def _product_projectors(labels) -> np.ndarray:
 
 #: The 16-setting polarization design, a read-only (16, 4, 4) projector
 #: stack in KWIAT_LABELS order.
-KWIAT = _read_only(_product_projectors(KWIAT_LABELS))
+KWIAT = read_only(_product_projectors(KWIAT_LABELS))
 
 
 @dataclass(frozen=True)
@@ -114,9 +109,20 @@ class TomoCounts:
 
 @dataclass(frozen=True)
 class TomoResult:
-    rho_est: TwoQubitState
+    rho_est: np.ndarray  # read-only (4, 4)
     physical: bool
     diagnostics: dict = field(default_factory=dict)
+
+
+def _result(rho: np.ndarray, what: str, diagnostics: dict) -> TomoResult:
+    """The estimate rho, read-only, with its physicality and minimum
+    eigenvalue."""
+    physical, (_, _, min_eig) = physicality(rho, what)
+    return TomoResult(
+        rho_est=read_only(rho),
+        physical=bool(physical),
+        diagnostics={**diagnostics, "min_eigenvalue": float(min_eig)},
+    )
 
 
 @dataclass(frozen=True)
@@ -124,7 +130,7 @@ class PosteriorSamples:
     """Thinned post-burn-in parameter vectors with their realized states."""
 
     samples: np.ndarray  # (R, 9K) parameter vectors
-    rho_samples: np.ndarray  # (R, 4, 4) realized density matrices
+    rho_samples: np.ndarray  # (R, 4, 4) realized density matrices, read-only
     acceptance_rate: float
 
     @property
@@ -138,7 +144,7 @@ class PosteriorSamples:
 
 #: The KWIAT Born map as p = _OFFSET + _DESIGN u_free over the 15 free
 #: Pauli coefficients, shapes (16,) and (16, 15).
-_BORN_MAP = _read_only(_pauli_map(KWIAT) / 4.0)
+_BORN_MAP = read_only(_pauli_map(KWIAT) / 4.0)
 _OFFSET, _DESIGN = _BORN_MAP[:, 0], _BORN_MAP[:, 1:]
 
 
@@ -154,13 +160,7 @@ def ls_invert(counts: TomoCounts) -> TomoResult:
     u = np.empty((4, 4))
     u[0, 0] = 1.0
     u.flat[1:] = u_free
-    rho = pauli_compose(u)
-    report = is_physical(rho)
-    return TomoResult(
-        rho_est=rho,
-        physical=bool(report),
-        diagnostics={"min_eigenvalue": report.min_eigenvalue},
-    )
+    return _result(pauli_compose(u), "ls_invert", {})
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,7 @@ def mle_estimate(counts: TomoCounts, max_iters: int = 20_000, tol: float = 1e-3)
     n = counts.counts.astype(float)
     totals = np.full(16, float(counts.acquisition_total))
     model = (n, totals, KWIAT)
-    rho = _project_to_states(ls_invert(counts).rho_est.matrix)
+    rho = _project_to_states(ls_invert(counts).rho_est)
     value, y_probs, grad = _log_likelihood_with_gradient(rho, *model)
     y, y_grad, theta = rho, grad, 1.0
     step = 1.0 / (np.linalg.norm(grad) + 1.0)
@@ -264,11 +264,10 @@ def mle_estimate(counts: TomoCounts, max_iters: int = 20_000, tol: float = 1e-3)
         y = rho + ((theta - 1.0) / theta_next) * momentum
         _, y_probs, y_grad = _log_likelihood_with_gradient(y, *model)
         theta = theta_next
-    rho_state = TwoQubitState(rho)
-    return TomoResult(
-        rho_est=rho_state,
-        physical=bool(is_physical(rho_state)),
-        diagnostics={
+    return _result(
+        rho,
+        "mle_estimate",
+        {
             "iterations": iterations,
             "log_likelihood": value,
             "duality_gap": gap,
@@ -334,7 +333,7 @@ def _quadratic_forms(stack: np.ndarray) -> np.ndarray:
 
 
 #: The chain's quadratic forms of the KWIAT projectors.
-_KWIAT_FORMS = _read_only(_quadratic_forms(KWIAT))
+_KWIAT_FORMS = read_only(_quadratic_forms(KWIAT))
 
 
 def _log_target(x: np.ndarray, k_components: int, model):
@@ -462,16 +461,10 @@ def bayesian_estimate(counts: TomoCounts, cfg: BayesConfig | None = None):
         )
     samples = PosteriorSamples(
         samples=kept_x,
-        rho_samples=kept_rho,
+        rho_samples=read_only(kept_rho),
         acceptance_rate=acceptance,
     )
-    rho_mean = TwoQubitState(kept_rho.mean(axis=0))
-    result = TomoResult(
-        rho_est=rho_mean,
-        physical=bool(is_physical(rho_mean)),
-        diagnostics=diagnostics,
-    )
-    return result, samples
+    return _result(kept_rho.mean(axis=0), "bayesian_estimate", diagnostics), samples
 
 
 class FunctionalSummary(NamedTuple):

@@ -1,4 +1,5 @@
-"""Test-side references for the quantum model: the analytic CHSH prediction
+"""Test-side references for the quantum model: named states (pure, singlet,
+maximally mixed, Werner) as (4, 4) arrays, the analytic CHSH prediction
 with two-outcome analyzers A = P(angle) - P(angle + 90), the per-quad joint
 polarizer projectors built one np.kron at a time, the Pauli decomposition,
 correlation matrix and Uhlmann fidelity of a state, random states and
@@ -19,16 +20,34 @@ from pathlib import Path
 import numpy as np
 
 from diqrng.certify import ChshSettings
-from diqrng.qmath import (
-    DEFAULT_TOL,
-    HERMITICITY_TOL,
-    PAULI2,
-    TwoQubitState,
-    is_physical,
-    require_physical,
-)
+from diqrng.qmath import DEFAULT_TOL, HERMITICITY_TOL, PAULI2, require_physical
 from diqrng.source import HomScan
 from diqrng.tomography import KWIAT, _log_likelihood, _rho_from_vector
+
+
+def pure_state(psi) -> np.ndarray:
+    """|psi><psi| from a 4-component ket, normalized here."""
+    v = np.asarray(psi, dtype=complex).reshape(4)
+    norm = np.linalg.norm(v)
+    if norm == 0:
+        raise ValueError("cannot build a state from the zero vector")
+    v = v / norm
+    return np.outer(v, v.conj())
+
+
+def singlet() -> np.ndarray:
+    return pure_state([0.0, 1.0, -1.0, 0.0])
+
+
+def maximally_mixed() -> np.ndarray:
+    return np.eye(4, dtype=complex) / 4.0
+
+
+def werner(p: float) -> np.ndarray:
+    """p * singlet + (1-p) * I/4."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("werner weight must be in [0, 1]")
+    return p * singlet() + (1.0 - p) * maximally_mixed()
 
 
 def linear_polarizer(angle_deg: float) -> np.ndarray:
@@ -54,33 +73,32 @@ def chsh_quad_projectors(settings: ChshSettings) -> np.ndarray:
     return np.array(quads)
 
 
-def predicted_E(rho: TwoQubitState, alpha_deg: float, beta_deg: float) -> float:
+def predicted_E(rho: np.ndarray, alpha_deg: float, beta_deg: float) -> float:
     """Analytic E = Tr(rho A(alpha) x A(beta)) for two-outcome analyzers."""
-    if not is_physical(rho):
-        raise ValueError("predicted_E requires a physical state")
+    require_physical(rho, "predicted_E")
     op = np.kron(analyzer_operator(alpha_deg), analyzer_operator(beta_deg))
-    return float(np.trace(op @ rho.matrix).real)
+    return float(np.trace(op @ rho).real)
 
 
-def chsh_predicted(rho: TwoQubitState, settings: ChshSettings) -> float:
+def chsh_predicted(rho: np.ndarray, settings: ChshSettings) -> float:
     """Noise-free S for given analyzer settings."""
     e = [predicted_E(rho, a, b) for a, b in settings.pairs()]
     return e[0] - e[1] + e[2] + e[3]
 
 
-def pauli_decompose(rho: TwoQubitState) -> np.ndarray:
+def pauli_decompose(rho: np.ndarray) -> np.ndarray:
     """Coefficients u[i,j] = Tr(rho (sigma_i x sigma_j)), a real 4x4 array;
     the inverse of ``qmath.pauli_compose``."""
-    if np.max(np.abs(rho.matrix - rho.matrix.conj().T)) > HERMITICITY_TOL:
+    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise ValueError("pauli_decompose requires a Hermitian matrix")
-    if abs(rho.trace() - 1.0) > DEFAULT_TOL:
+    if abs(np.trace(rho) - 1.0) > DEFAULT_TOL:
         raise ValueError("pauli_decompose requires unit trace")
-    return np.einsum("ijab,ba->ij", PAULI2, rho.matrix).real
+    return np.einsum("ijab,ba->ij", PAULI2, rho).real
 
 
-def correlation_matrix(rho: TwoQubitState) -> np.ndarray:
+def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     """3x3 block c[i,j] = Tr(rho (sigma_i x sigma_j)), i,j in {x,y,z}."""
-    require_physical(rho.matrix, "correlation_matrix")
+    require_physical(rho, "correlation_matrix")
     return pauli_decompose(rho)[1:, 1:].copy()
 
 
@@ -90,29 +108,29 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def fidelity(a: TwoQubitState, b: TwoQubitState) -> float:
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2."""
-    require_physical(np.stack([a.matrix, b.matrix]), "fidelity")
-    sqrt_a = _psd_sqrt(0.5 * (a.matrix + a.matrix.conj().T))
-    inner = sqrt_a @ (0.5 * (b.matrix + b.matrix.conj().T)) @ sqrt_a
+    require_physical(np.stack([a, b]), "fidelity")
+    sqrt_a = _psd_sqrt(0.5 * (a + a.conj().T))
+    inner = sqrt_a @ (0.5 * (b + b.conj().T)) @ sqrt_a
     w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     f = float(np.sum(np.sqrt(np.clip(w, 0.0, None)))) ** 2
     return min(max(f, 0.0), 1.0)
 
 
-def random_physical_state(rng: np.random.Generator, rank: int | None = None) -> TwoQubitState:
+def random_physical_state(rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """Ginibre-ensemble density matrix; full rank unless rank is given."""
     k = 4 if rank is None else rank
     if not 1 <= k <= 4:
         raise ValueError("rank must be in 1..4")
     g = rng.standard_normal((4, k)) + 1j * rng.standard_normal((4, k))
     m = g @ g.conj().T
-    return TwoQubitState(m / np.trace(m).real)
+    return m / np.trace(m).real
 
 
-def random_pure_state(rng: np.random.Generator) -> TwoQubitState:
+def random_pure_state(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return TwoQubitState.from_vector(v)
+    return pure_state(v)
 
 
 def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:

@@ -33,7 +33,7 @@ from diqrng.pipeline import (
     run_certify,
     run_hom,
 )
-from diqrng.qmath import TwoQubitState, born_probabilities
+from diqrng.qmath import born_probabilities
 from diqrng.source import (
     generate_events,
     simulate_chsh_counts,
@@ -56,7 +56,7 @@ from diqrng.tomography import (
     ls_invert,
     mle_estimate,
 )
-from model_oracles import fidelity, random_physical_state
+from model_oracles import fidelity, maximally_mixed, random_physical_state, singlet, werner
 from sp800_22_oracles import ks_uniformity
 
 MODULE_START = time.perf_counter()
@@ -115,9 +115,9 @@ def suite_batch():
 class TestCriterion1HorodeckiExactness:
     def test_bound_values_and_runtime(self):
         start = time.perf_counter()
-        s_singlet = chsh_from_rho(TwoQubitState.singlet())
-        s_mixed = chsh_from_rho(TwoQubitState.maximally_mixed())
-        s_werner = chsh_from_rho(TwoQubitState.werner(0.8))
+        s_singlet = chsh_from_rho(singlet())
+        s_mixed = chsh_from_rho(maximally_mixed())
+        s_werner = chsh_from_rho(werner(0.8))
         elapsed = time.perf_counter() - start
         assert abs(s_singlet - 2.0 * SQRT2) <= 1e-9
         assert abs(s_mixed) <= 1e-9
@@ -191,7 +191,7 @@ class TestCriterion3TomographyOracleEquivalence:
         worst_rel = 0.0
         for _ in range(10):
             # dl = Tr(G drho) along traceless Hermitian directions H.
-            rho = random_physical_state(rng).matrix
+            rho = random_physical_state(rng)
             _, _, grad = _log_likelihood_with_gradient(rho, counts, totals, stack)
             eps = 1e-6
             for _ in range(16):

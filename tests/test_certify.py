@@ -14,15 +14,19 @@ from diqrng.certify import (
     optimal_settings_for_visibility,
 )
 from diqrng.extract import BitStream
-from diqrng.qmath import TwoQubitState, pauli_compose
-from diqrng.source import eraser_postselected_state, simulate_chsh_counts
+from diqrng.pipeline import preset_config
+from diqrng.qmath import born_probabilities, pauli_compose
+from diqrng.source import eraser_postselected_state, simulate_chsh_counts, state_at_delay
 from model_oracles import (
     chsh_predicted,
     chsh_quad_projectors,
     correlation_matrix,
+    maximally_mixed,
     predicted_E,
     random_physical_state,
     random_unitary,
+    singlet,
+    werner,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -51,13 +55,13 @@ class TestCorrelationE:
 class TestPredictedE:
     def test_singlet_closed_form(self):
         # E(alpha, beta) = -cos 2(alpha - beta) for the singlet.
-        rho = TwoQubitState.singlet()
+        rho = singlet()
         for alpha, beta in [(0, 0), (10, 55), (0, 22.5), (30, 75), (45, 0)]:
             expected = -math.cos(math.radians(2.0 * (alpha - beta)))
             assert predicted_E(rho, alpha, beta) == pytest.approx(expected, abs=1e-12)
 
     def test_singlet_cardinal_values(self):
-        rho = TwoQubitState.singlet()
+        rho = singlet()
         assert predicted_E(rho, 17.0, 17.0) == pytest.approx(-1.0)
         assert predicted_E(rho, 0.0, 45.0) == pytest.approx(0.0, abs=1e-12)
         assert predicted_E(rho, 22.5, 0.0) == pytest.approx(
@@ -69,7 +73,7 @@ class TestChshDirect:
     def test_analytic_singlet_counts_reach_tsirelson(self):
         # Oracle: exact Born quads N = total * p at the standard angles.
         settings = ChshSettings()
-        rho = TwoQubitState.singlet()
+        rho = singlet()
         total = 10_000
         quads = np.empty((4, 4), dtype=np.int64)
         for row, (alpha, beta) in enumerate(settings.pairs()):
@@ -105,19 +109,19 @@ class TestChshDirect:
 
 class TestChshFromRho:
     def test_singlet_reaches_tsirelson(self):
-        assert chsh_from_rho(TwoQubitState.singlet()) == pytest.approx(
+        assert chsh_from_rho(singlet()) == pytest.approx(
             2.0 * SQRT2, abs=1e-9
         )
 
     def test_maximally_mixed_is_zero(self):
-        assert chsh_from_rho(TwoQubitState.maximally_mixed()) == pytest.approx(
+        assert chsh_from_rho(maximally_mixed()) == pytest.approx(
             0.0, abs=1e-9
         )
 
     def test_werner_scaling(self):
         # Analytic oracle: C = -p I so S = 2 sqrt(2) p.
         for p in (0.8, 0.5, 0.9):
-            assert chsh_from_rho(TwoQubitState.werner(p)) == pytest.approx(
+            assert chsh_from_rho(werner(p)) == pytest.approx(
                 2.0 * SQRT2 * p, abs=1e-6
             )
 
@@ -144,7 +148,7 @@ class TestChshFromRho:
         for _ in range(25):
             rho = random_physical_state(rng)
             u = np.kron(random_unitary(rng), random_unitary(rng))
-            rotated = TwoQubitState(u @ rho.matrix @ u.conj().T)
+            rotated = u @ rho @ u.conj().T
             assert chsh_from_rho(rotated) == pytest.approx(
                 chsh_from_rho(rho), abs=1e-9
             )
@@ -154,7 +158,7 @@ class TestChshFromRho:
         for _ in range(100):
             a = random_pure_state_1q(rng)
             b = random_pure_state_1q(rng)
-            rho = TwoQubitState(np.kron(a, b))
+            rho = np.kron(a, b)
             assert chsh_from_rho(rho) <= 2.0 + 1e-9
 
     def test_rejects_nonphysical(self):
@@ -167,8 +171,8 @@ class TestChshFromRho:
     def test_stack_matches_per_state_calls(self):
         rng = np.random.default_rng(23)
         states = [random_physical_state(rng, rank=1 + k % 4) for k in range(12)]
-        states += [TwoQubitState.singlet(), TwoQubitState.maximally_mixed()]
-        stack = np.stack([rho.matrix for rho in states]).reshape(2, 7, 4, 4)
+        states += [singlet(), maximally_mixed()]
+        stack = np.stack(states).reshape(2, 7, 4, 4)
         values = chsh_from_rho(stack)
         assert values.shape == (2, 7)
         per_state = np.array([chsh_from_rho(rho) for rho in states]).reshape(2, 7)
@@ -184,12 +188,12 @@ class TestChshFromRho:
 
     def test_stack_rejects_one_nonphysical_member(self):
         rng = np.random.default_rng(24)
-        stack = np.stack([random_physical_state(rng).matrix for _ in range(5)])
+        stack = np.stack([random_physical_state(rng) for _ in range(5)])
         u = np.zeros((4, 4))
         u[0, 0] = 1.0
         u[1, 1] = -2.0
         bad_positivity = stack.copy()
-        bad_positivity[3] = pauli_compose(u).matrix
+        bad_positivity[3] = pauli_compose(u)
         # Hermiticity defect 1e-10: inside the 1e-9 trace and eigenvalue
         # tolerances, outside the 1e-12 Pauli-decomposition limit.
         bad_hermiticity = stack.copy()
@@ -198,7 +202,23 @@ class TestChshFromRho:
             with pytest.raises(ValueError, match="physical"):
                 chsh_from_rho(bad)
             with pytest.raises(ValueError):
-                chsh_from_rho(TwoQubitState(bad[member]))
+                chsh_from_rho(bad[member])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entry_is_named_before_any_eigensolve(self, value):
+        # eigvalsh on a NaN stack fails with "Eigenvalues did not converge".
+        rng = np.random.default_rng(25)
+        stack = np.stack([random_physical_state(rng) for _ in range(5)])
+        stack[2, 1, 3] = value
+        identity = np.eye(4)[np.newaxis]
+        for caller, call, entry in (
+            ("chsh_from_rho", lambda: chsh_from_rho(stack), (2, 1, 3)),
+            ("chsh_from_rho", lambda: chsh_from_rho(stack[2]), (1, 3)),
+            ("born_probabilities", lambda: born_probabilities(stack[2], identity), (1, 3)),
+        ):
+            with pytest.raises(ValueError) as error:
+                call()
+            assert str(error.value).startswith(f"{caller} requires finite states; entry {entry} is ")
 
 
 def random_pure_state_1q(rng):
@@ -210,7 +230,7 @@ def random_pure_state_1q(rng):
 class TestOptimalSettings:
     def test_unit_visibility_recovers_tsirelson(self):
         settings = optimal_settings_for_visibility(1.0)
-        s = chsh_predicted(TwoQubitState.singlet(), settings)
+        s = chsh_predicted(singlet(), settings)
         assert s == pytest.approx(2.0 * SQRT2, abs=1e-12)
 
     def test_dephased_state_reaches_horodecki_bound(self):
@@ -229,6 +249,25 @@ class TestOptimalSettings:
         assert s_std < chsh_from_rho(rho)
 
 
+class TestChshAtSettings:
+    def test_matches_the_analyzer_oracle_on_random_states_and_settings(self):
+        rng = np.random.default_rng(26)
+        for _ in range(50):
+            rho = random_physical_state(rng, rank=int(rng.integers(1, 5)))
+            settings = ChshSettings(*rng.uniform(0.0, 180.0, 4))
+            assert certify.chsh_at_settings(rho, settings) == pytest.approx(
+                chsh_predicted(rho, settings), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("preset", ["dataset_A", "dataset_B"])
+    def test_reaches_the_bound_at_each_presets_optimal_settings(self, preset):
+        cfg = preset_config(preset)
+        rho = state_at_delay(cfg.source)
+        assert certify.chsh_at_settings(rho, cfg.chsh.settings) == pytest.approx(
+            chsh_from_rho(rho), abs=1e-12
+        )
+
+
 class TestDirectVsPredictedConsistency:
     def test_simulated_counts_match_model_within_three_sigma(self):
         rng_seed = 99
@@ -243,7 +282,7 @@ class TestDirectVsPredictedConsistency:
             assert abs(result.S - predicted) <= 3.0 * result.stderr + 1e-12
 
     def test_empirical_e_tracks_cosine_law(self):
-        rho = TwoQubitState.singlet()
+        rho = singlet()
         for k, (alpha, beta) in enumerate([(0.0, 10.0), (15.0, 60.0), (30.0, 37.5)]):
             settings = ChshSettings(a=alpha, a_prime=45.0, b=beta, b_prime=67.5)
             counts = simulate_chsh_counts(rho, settings, 100_000, 7 + k)

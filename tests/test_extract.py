@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +95,17 @@ class TestBitStream:
         payload[0] ^= 1
         path.write_bytes(bytes(payload))
         with pytest.raises(ValueError):
+            BitStream.load(path)
+
+    @pytest.mark.parametrize("n_bits", [9.9, 9.0, "9", True])
+    def test_sidecar_n_bits_must_be_a_json_integer(self, tmp_path, n_bits):
+        # int() of each value is a length that matches the payload.
+        path = BitStream.from_bits(np.ones(int(n_bits), dtype=np.uint8)).save(tmp_path / "bits.bin")
+        sidecar_path = tmp_path / "bits.bin.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["n_bits"] = n_bits
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match="n_bits must be a JSON integer"):
             BitStream.load(path)
 
 
@@ -248,6 +262,18 @@ class TestExtractStream:
             [toeplitz_hash(raw_bits[k * 96 : (k + 1) * 96], seed) for k in range(7)]
         )
         assert np.array_equal(out.to_bits(), expected)
+
+    def test_seed_hash_and_hex_are_of_the_same_packed_seed(self):
+        rng = np.random.default_rng(10)
+        raw = BitStream.from_bits(rng.integers(0, 2, 4500, dtype=np.uint8))
+        cfg = ExtractorConfig(rng_seed=5)
+        provenance = extract_stream(raw, cfg).provenance
+        seed_bytes = bytes.fromhex(provenance["seed_hex"])
+        assert hashlib.sha256(seed_bytes).hexdigest() == provenance["seed_sha256"]
+        seed_bits = np.unpackbits(np.frombuffer(seed_bytes, dtype=np.uint8), bitorder="little")
+        assert len(seed_bytes) == 713
+        assert np.array_equal(seed_bits[:5699], cfg.build_seed().bits)
+        assert not seed_bits[5699:].any()
 
     def test_input_shorter_than_block_rejected(self):
         raw = BitStream.from_bits(np.ones(100, dtype=np.uint8))

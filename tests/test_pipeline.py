@@ -223,6 +223,7 @@ class TestStages:
         report = run_certify(cfg, raw, tmp_path)
         assert (tmp_path / "certify.json").exists()
         assert report["chsh_model"] == pytest.approx(2.78, abs=0.01)
+        assert report["chsh_direct"]["S_model"] == pytest.approx(report["chsh_model"], abs=1e-12)
         assert abs(report["chsh_direct"]["S"] - 2.78) < 0.1
         assert "S" in report["tomography"]["mle"]
         assert "S_mean" in report["tomography"]["bayes"]

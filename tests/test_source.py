@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from diqrng.certify import chsh_from_rho
-from diqrng.qmath import TwoQubitState, is_physical, kron2, polarizer
+from diqrng.qmath import kron2, physicality, polarizer
 from diqrng.source import (
     EventStream,
     HomScan,
@@ -19,7 +19,7 @@ from diqrng.source import (
     state_at_delay,
     visibility_from_scan,
 )
-from model_oracles import hom_scan_from_csv
+from model_oracles import hom_scan_from_csv, maximally_mixed, singlet
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,8 @@ class TestEraserState:
     def test_full_eraser_gives_singlet(self):
         rho, p = eraser_postselected_state(45.0, 1.0)
         assert p == pytest.approx(0.5, abs=1e-12)
-        assert np.max(np.abs(rho.matrix - TwoQubitState.singlet().matrix)) < 1e-12
+        assert np.max(np.abs(rho - singlet())) < 1e-12
+        assert not rho.flags.writeable
 
     def test_matches_fock_oracle_across_parameters(self):
         for angle in (45.0, 30.0, 10.0, 0.0):
@@ -84,7 +85,7 @@ class TestEraserState:
                 rho_oracle, p_oracle = fock_enumeration_oracle(angle, overlap)
                 assert p == pytest.approx(p_oracle, abs=1e-12)
                 if p > 0:
-                    assert np.max(np.abs(rho.matrix - rho_oracle)) < 1e-12
+                    assert np.max(np.abs(rho - rho_oracle)) < 1e-12
 
     def test_no_eraser_bunches_completely(self):
         rho, p = eraser_postselected_state(0.0, 1.0)
@@ -96,7 +97,7 @@ class TestEraserState:
         assert p == pytest.approx(0.5)
         expected = np.zeros((4, 4))
         expected[1, 1] = expected[2, 2] = 0.5
-        assert np.max(np.abs(rho.matrix - expected)) < 1e-12
+        assert np.max(np.abs(rho - expected)) < 1e-12
         assert chsh_from_rho(rho) == pytest.approx(2.0, abs=1e-9)
 
     def test_angle_validation(self):
@@ -193,7 +194,7 @@ class TestStateAtDelay:
     def test_on_dip_unit_visibility_is_singlet(self):
         cfg = SourceConfig(visibility_v0=1.0, delay_tau_nm=0.0)
         rho = state_at_delay(cfg)
-        assert np.max(np.abs(rho.matrix - TwoQubitState.singlet().matrix)) < 1e-12
+        assert np.max(np.abs(rho - singlet())) < 1e-12
 
     def test_dataset_anchor_chsh_values(self):
         # v solved from 2 sqrt(1 + v^2) = S gives the two operating points.
@@ -211,7 +212,7 @@ class TestStateAtDelay:
                 visibility_v0=0.97, dip_sigma_nm=400.0, delay_tau_nm=tau
             )
             rho = state_at_delay(cfg)
-            assert is_physical(rho)
+            assert physicality(rho, "test")[0]
             s = chsh_from_rho(rho)
             if previous is not None:
                 assert s <= previous + 1e-12
@@ -304,18 +305,18 @@ class TestGenerateEvents:
 
 class TestSimulateCounts:
     def test_zero_probability_gives_zero(self):
-        rho = TwoQubitState.singlet()
+        rho = singlet()
         hh = np.outer([1, 0, 0, 0], [1, 0, 0, 0])[np.newaxis]
         for seed in range(5):
             assert simulate_setting_counts(rho, hh, 10_000, seed)[0] == 0
 
     def test_unit_probability_within_poisson_band(self):
-        rho = TwoQubitState.maximally_mixed()
+        rho = maximally_mixed()
         count = simulate_setting_counts(rho, np.eye(4)[np.newaxis], 10_000, 9)[0]
         assert abs(count - 10_000) <= 300  # 3 sigma
 
     def test_setting_counts_deterministic_and_sized(self):
-        rho = TwoQubitState.singlet()
+        rho = singlet()
         stack = kron2(polarizer([0.0, 45.0, 90.0]), np.eye(2))
         a = simulate_setting_counts(rho, stack, 1000, 17)
         b = simulate_setting_counts(rho, stack, 1000, 17)

@@ -6,7 +6,7 @@ import pytest
 
 from diqrng.certify import chsh_from_rho
 from diqrng.pipeline import derive_seed, json_text, preset_config
-from diqrng.qmath import TwoQubitState, born_probabilities, is_physical
+from diqrng.qmath import born_probabilities, physicality
 from diqrng.source import eraser_postselected_state, simulate_setting_counts, state_at_delay
 from diqrng.tomography import (
     KWIAT,
@@ -28,7 +28,13 @@ from diqrng.tomography import (
     posterior_functional,
     split_rhat,
 )
-from model_oracles import fidelity, random_physical_state, random_walk_chain_reference
+from model_oracles import (
+    fidelity,
+    maximally_mixed,
+    random_physical_state,
+    random_walk_chain_reference,
+    singlet,
+)
 
 
 def exact_counts(rho, total=10_000):
@@ -66,7 +72,7 @@ class TestProjectorSet:
             KWIAT[0, 0, 0] = 0.0
 
     def test_singlet_probabilities(self):
-        probs = dict(zip(KWIAT_LABELS, born_probabilities(TwoQubitState.singlet(), KWIAT)))
+        probs = dict(zip(KWIAT_LABELS, born_probabilities(singlet(), KWIAT)))
         assert probs["HH"] == pytest.approx(0.0, abs=1e-12)
         assert probs["VV"] == pytest.approx(0.0, abs=1e-12)
         assert probs["HV"] == pytest.approx(0.5, abs=1e-12)
@@ -78,15 +84,13 @@ class TestProjectorSet:
 
 class TestLeastSquares:
     def test_exact_singlet_recovery(self):
-        result = ls_invert(exact_counts(TwoQubitState.singlet(), 10**9))
-        assert (
-            np.max(np.abs(result.rho_est.matrix - TwoQubitState.singlet().matrix))
-            < 1e-8
-        )
+        result = ls_invert(exact_counts(singlet(), 10**9))
+        assert np.max(np.abs(result.rho_est - singlet())) < 1e-8
+        assert not result.rho_est.flags.writeable
 
     def test_exact_mixed_recovery(self):
-        result = ls_invert(exact_counts(TwoQubitState.maximally_mixed(), 10**9))
-        assert np.max(np.abs(result.rho_est.matrix - np.eye(4) / 4.0)) < 1e-8
+        result = ls_invert(exact_counts(maximally_mixed(), 10**9))
+        assert np.max(np.abs(result.rho_est - np.eye(4) / 4.0)) < 1e-8
 
     def test_random_states_recovered_exactly(self):
         rng = np.random.default_rng(0)
@@ -116,18 +120,18 @@ class TestLeastSquares:
 
 class TestMle:
     def test_exact_singlet_high_count(self):
-        result = mle_estimate(exact_counts(TwoQubitState.singlet(), 1_000_000))
+        result = mle_estimate(exact_counts(singlet(), 1_000_000))
         assert result.physical
-        assert fidelity(result.rho_est, TwoQubitState.singlet()) >= 0.9999
+        assert fidelity(result.rho_est, singlet()) >= 0.9999
 
     def test_exact_maximally_mixed(self):
-        result = mle_estimate(exact_counts(TwoQubitState.maximally_mixed(), 1_000_000))
-        assert fidelity(result.rho_est, TwoQubitState.maximally_mixed()) >= 0.999
+        result = mle_estimate(exact_counts(maximally_mixed(), 1_000_000))
+        assert fidelity(result.rho_est, maximally_mixed()) >= 0.999
 
     def test_degenerate_tiny_counts_stay_physical(self):
         result = mle_estimate(TomoCounts(np.ones(16, dtype=np.int64), 16))
         assert result.physical
-        assert result.rho_est.trace() == pytest.approx(1.0, abs=1e-9)
+        assert np.trace(result.rho_est) == pytest.approx(1.0, abs=1e-9)
 
     def test_all_zero_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -143,7 +147,7 @@ class TestMle:
         result = mle_estimate(counts, tol=1e-3)
         assert result.diagnostics["log_likelihood"] > -np.inf
         assert result.physical
-        start = _project_to_states(ls_invert(counts).rho_est.matrix)
+        start = _project_to_states(ls_invert(counts).rho_est)
         start_value, _ = _log_likelihood(
             start, counts.counts.astype(float), np.full(16, 5000.0), KWIAT
         )
@@ -158,7 +162,7 @@ class TestMle:
         truth = random_physical_state(rng)
         counts = simulate_setting_counts(truth, KWIAT, 5000, 4).astype(float)
         for _ in range(10):
-            rho = random_physical_state(rng).matrix
+            rho = random_physical_state(rng)
             _, _, grad = _log_likelihood_with_gradient(rho, counts, totals, stack)
             eps = 1e-6
             for _ in range(4):
@@ -190,7 +194,7 @@ class TestMle:
         tol = 1e-3
         counts, _ = pipeline_tomo_counts("dataset_A", 20260810)
         result = mle_estimate(counts, tol=tol)
-        rho_hat = result.rho_est.matrix
+        rho_hat = result.rho_est
         n = counts.counts.astype(float)
         total = float(counts.acquisition_total)
 
@@ -211,7 +215,7 @@ class TestMle:
         assert loglik(rho_hat) == pytest.approx(result.diagnostics["log_likelihood"], abs=1e-6)
         rng = np.random.default_rng(21)
         for eps in np.geomspace(1e-4, 1e-1, 50):
-            sigma = random_physical_state(rng, rank=int(rng.integers(1, 5))).matrix
+            sigma = random_physical_state(rng, rank=int(rng.integers(1, 5)))
             assert loglik((1.0 - eps) * rho_hat + eps * sigma) <= loglik(rho_hat) + tol
 
 
@@ -236,7 +240,7 @@ class TestBayesian:
         )
         assert result.physical
         assert samples.R == 6000
-        assert np.max(np.abs(result.rho_est.matrix - np.eye(4) / 4.0)) < 0.02
+        assert np.max(np.abs(result.rho_est - np.eye(4) / 4.0)) < 0.02
 
     def test_posterior_concentrates_on_truth(self):
         rng = np.random.default_rng(6)
@@ -281,14 +285,14 @@ class TestBayesian:
         )
         assert 0.05 <= samples.acceptance_rate <= 0.6
 
-    def test_every_sample_is_physical(self):
+    def test_every_sample_is_a_state(self):
         rho = random_physical_state(np.random.default_rng(15))
         _, samples = bayesian_estimate(
             exact_counts(rho, 1000),
             cfg=BayesConfig(R=500, burn_in=200, thin=1, rng_seed=16),
         )
-        for m in samples.rho_samples[::100]:
-            assert is_physical(TwoQubitState(m))
+        assert physicality(samples.rho_samples, "test")[0].all()
+        assert not samples.rho_samples.flags.writeable
 
     def test_r_validation(self):
         counts = TomoCounts(np.ones(16, dtype=np.int64), 16)
@@ -372,7 +376,7 @@ class TestPosteriorFunctional:
             exact_counts(rho, 10_000), cfg=BayesConfig(rng_seed=19)
         )
         summary = posterior_functional(
-            samples, lambda ms: [fidelity(TwoQubitState(m), rho) for m in ms]
+            samples, lambda ms: [fidelity(m, rho) for m in ms]
         )
         assert summary.mean >= 0.95
 
@@ -422,7 +426,7 @@ class TestPosteriorFunctional:
         # NaN fails every comparison, so only "warn unless R-hat <= 1.01
         # and ESS >= 400" catches a functional whose draws never move.
         cfg = BayesConfig(R=200, burn_in=100, thin=1, rng_seed=5)
-        _, samples = bayesian_estimate(exact_counts(TwoQubitState.singlet()), cfg)
+        _, samples = bayesian_estimate(exact_counts(singlet()), cfg)
         with pytest.warns(UserWarning, match="functional draws have split R-hat nan and ESS nan"):
             summary = posterior_functional(samples, lambda r: np.ones(len(r)))
 
