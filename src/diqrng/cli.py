@@ -1,6 +1,7 @@
 """Command-line entry points for the pipeline.
 
-Exit codes: 0 success, 1 validation problem (bad config or arguments),
+Exit codes: 0 success, 1 validation problem (bad config or arguments, a
+malformed input bit file, or a path that cannot be read or written),
 2 stage failure at run time.
 """
 
@@ -138,7 +139,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

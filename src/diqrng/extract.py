@@ -148,7 +148,13 @@ class BitStream:
     @classmethod
     def load(cls, path) -> "BitStream":
         path = Path(path)
-        sidecar = json.loads(Path(str(path) + ".json").read_text())
+        sidecar_path = Path(str(path) + ".json")
+        sidecar = json.loads(sidecar_path.read_text())
+        if not isinstance(sidecar, dict):
+            raise ValueError(f"sidecar {sidecar_path} must be a JSON object")
+        for key in ("n_bits", "sha256"):
+            if key not in sidecar:
+                raise ValueError(f"sidecar {sidecar_path} has no {key!r}")
         n_bits = sidecar["n_bits"]
         if type(n_bits) is not int:  # not bool, float or str
             raise ValueError(f"sidecar n_bits must be a JSON integer, got {n_bits!r}")

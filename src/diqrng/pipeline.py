@@ -299,7 +299,11 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _ensure_dir(path) -> Path:
+def _ensure_dir(path) -> Path | None:
+    """Create the output directory, if there is one.  Each stage calls this
+    before its work, so an unusable path fails before any simulation."""
+    if path is None:
+        return None
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -311,6 +315,7 @@ def _ensure_dir(path) -> Path:
 
 def run_hom(cfg: PipelineConfig, out_dir=None) -> dict:
     """HOM scan at 61 points over +-3 sigma; dwell sized for ~1e4 peak counts."""
+    out_dir = _ensure_dir(out_dir)
     src = replace(cfg.source, rng_seed=derive_seed(cfg.global_seed, "hom"))
     positions = source.default_scan_positions(src)
     baseline = src.pair_rate * src.det_efficiency**2
@@ -324,7 +329,6 @@ def run_hom(cfg: PipelineConfig, out_dir=None) -> dict:
         "dwell_s": dwell,
     }
     if out_dir is not None:
-        out_dir = _ensure_dir(out_dir)
         scan.to_csv(out_dir / "hom_scan.csv")
         (out_dir / "hom_visibility.json").write_text(json_text(result))
         result["scan_csv"] = str(out_dir / "hom_scan.csv")
@@ -333,8 +337,11 @@ def run_hom(cfg: PipelineConfig, out_dir=None) -> dict:
 
 def run_generate(cfg: PipelineConfig, out_dir=None, n_bits: int | None = None):
     """Heralded raw bit stream of exactly n_bits, written with its sidecar."""
+    if n_bits is not None:
+        cfg = replace(cfg, n_bits=n_bits)  # a bad n_bits is a bad argument, not a stage failure
+    out_dir = _ensure_dir(out_dir)
     src = replace(cfg.source, rng_seed=derive_seed(cfg.global_seed, "bits"))
-    events = source.generate_events(src, cfg.n_bits if n_bits is None else n_bits)
+    events = source.generate_events(src, cfg.n_bits)
     info = {
         "n_bits": events.bits.n_bits,
         "sha256": events.bits.sha256(),
@@ -345,7 +352,6 @@ def run_generate(cfg: PipelineConfig, out_dir=None, n_bits: int | None = None):
         "n_ties": events.n_ties,
     }
     if out_dir is not None:
-        out_dir = _ensure_dir(out_dir)
         path = events.bits.save(out_dir / "raw_bits.bin")
         info["file"] = str(path)
     return events.bits, info
@@ -354,6 +360,7 @@ def run_generate(cfg: PipelineConfig, out_dir=None, n_bits: int | None = None):
 def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> dict:
     """Direct CHSH from fresh simulated counts, three tomography estimates
     with their bound values, and min-entropy of the supplied stream."""
+    out_dir = _ensure_dir(out_dir)
     rho = source.state_at_delay(cfg.source)
     overlap = cfg.source.overlap_at_delay()
     settings = cfg.chsh.settings
@@ -434,7 +441,6 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
         "basis": "strict |S| > 2 on the direct estimate",
     }
     if out_dir is not None:
-        out_dir = _ensure_dir(out_dir)
         (out_dir / "certify.json").write_text(json_text(report))
     return report
 
@@ -445,6 +451,7 @@ def run_extract(cfg: PipelineConfig, raw: BitStream, out_dir=None):
             f"extraction expects a raw stream, got stage {raw.stage!r} "
             "(double extraction?)"
         )
+    out_dir = _ensure_dir(out_dir)
     ext_cfg = replace(cfg.extractor, rng_seed=derive_seed(cfg.global_seed, "toeplitz"))
     extracted = extract.extract_stream(raw, ext_cfg)
     info = {
@@ -457,20 +464,19 @@ def run_extract(cfg: PipelineConfig, raw: BitStream, out_dir=None):
         "seed_sha256": extracted.provenance["seed_sha256"],
     }
     if out_dir is not None:
-        out_dir = _ensure_dir(out_dir)
         path = extracted.save(out_dir / "extracted_bits.bin")
         info["file"] = str(path)
     return extracted, info
 
 
 def run_test(cfg: PipelineConfig, bits: BitStream, out_dir=None, reference: dict | None = None):
+    out_dir = _ensure_dir(out_dir)
     suite_report = statsuite.run_suite(
         bits,
         threshold=cfg.suite_threshold,
         stream_metadata={"sha256": bits.sha256(), "stage": bits.stage},
     )
     if out_dir is not None:
-        out_dir = _ensure_dir(out_dir)
         (out_dir / "suite.json").write_text(json_text(suite_report.to_json_dict()))
         suite_report.save_csv(out_dir / "suite.csv", (reference or {}).get("suite_p_values"))
     return suite_report

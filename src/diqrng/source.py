@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .certify import ChshCounts, ChshSettings
 from .extract import BitStream
@@ -163,8 +162,11 @@ def visibility_from_scan(scan: HomScan) -> tuple:
     """Least-squares fit of the Gaussian-dip model; returns (v, v_err).
 
     v is (C_max - C_min) / C_max of the fitted curve, which is the fitted dip
-    depth parameter itself.
+    depth parameter itself.  scipy.optimize is imported here, at the first
+    fit, so that importing the package does not load it.
     """
+    from scipy.optimize import curve_fit
+
     if scan.positions_nm.size < 7:
         raise ValueError("need at least 7 scan points spanning the dip")
     counts = scan.counts.astype(float)

@@ -20,9 +20,28 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaincc, ndtr
 
 from diqrng.extract import bitslice
+
+
+# scipy.special is imported at the first p-value, not with the package.  The
+# first call of each function below rebinds its module name to the scipy
+# function itself, so later calls pay no import; every binding computes the
+# same values.
+def gammaincc(a, x):
+    """Regularized upper incomplete gamma function Q(a, x)."""
+    global gammaincc
+    from scipy.special import gammaincc
+
+    return gammaincc(a, x)
+
+
+def ndtr(x):
+    """Standard normal cumulative distribution function."""
+    global ndtr
+    from scipy.special import ndtr
+
+    return ndtr(x)
 
 
 class NotApplicable(ValueError):

@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .qmath import PAULI2, kron2, pauli_compose, physicality, read_only
 
@@ -307,9 +306,19 @@ class BayesConfig:
             raise ValueError("thin, K must be >= 1 and step > 0")
 
 
+def _ndtr(x):
+    """Standard normal CDF.  scipy.special is imported at the first call, not
+    with the package; that call rebinds this name to ``scipy.special.ndtr``,
+    so the chain's later calls pay no import."""
+    global _ndtr
+    from scipy.special import ndtr as _ndtr
+
+    return _ndtr(x)
+
+
 def _gamma_from_normal(y: np.ndarray) -> np.ndarray:
     """Unit-rate exponential (Gamma(1)) via the probability transform."""
-    return -np.log(ndtr(-np.clip(y, -8.0, 8.0)))
+    return -np.log(_ndtr(-np.clip(y, -8.0, 8.0)))
 
 
 def _rho_from_vector(x: np.ndarray, k_components: int) -> np.ndarray:

@@ -1,11 +1,16 @@
 import dataclasses
 import json
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diqrng import cli
+import diqrng
+from diqrng import cli, extract, source, statsuite
 from diqrng.extract import BitStream
 from diqrng.pipeline import (
     REFERENCE_EXPERIMENT,
@@ -405,12 +410,11 @@ class TestCli:
         # --n-bits 0 is a request for no bits, not for the config's length.
         with pytest.raises(ValueError, match="n_bits must be at least 1"):
             run_generate(preset_config("dataset_A"), None, n_bits=0)
-        rc = cli.main(
-            ["generate", "--preset", "dataset_A", "--n-bits", "0", "--out", str(tmp_path)]
-        )
+        gen = tmp_path / "gen"
+        rc = cli.main(["generate", "--preset", "dataset_A", "--n-bits", "0", "--out", str(gen)])
         assert rc == 1
         assert "n_bits must be at least 1" in capsys.readouterr().err
-        assert not (tmp_path / "raw_bits.bin").exists()
+        assert not gen.exists()
         out = tmp_path / "run"
         assert cli.main(["run-all", "--preset", "dataset_A", "--n-bits", "0", "--out", str(out)]) == 1
         assert not out.exists()
@@ -480,6 +484,51 @@ class TestCli:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda sidecar: [1, 2], "must be a JSON object"),
+            (lambda sidecar: {k: v for k, v in sidecar.items() if k != "n_bits"}, "no 'n_bits'"),
+            (lambda sidecar: {k: v for k, v in sidecar.items() if k != "sha256"}, "no 'sha256'"),
+        ],
+        ids=["not an object", "no n_bits", "no sha256"],
+    )
+    @pytest.mark.parametrize("command", ["extract", "test", "certify"])
+    def test_malformed_sidecar_exit_code(self, tmp_path, capsys, edit, message, command):
+        bits, _ = run_generate(preset_config("dataset_A"), tmp_path, n_bits=REDUCED_BITS)
+        sidecar = tmp_path / "raw_bits.bin.json"
+        sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+        with pytest.raises(ValueError, match=message):
+            BitStream.load(tmp_path / "raw_bits.bin")
+        rc = cli.main([command, "--bits", str(tmp_path / "raw_bits.bin"), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"sidecar {sidecar} " in err and message in err
+
+    @pytest.mark.parametrize(
+        "command, module, stage",
+        [
+            ("generate", source, "generate_events"),
+            ("extract", extract, "extract_stream"),
+            ("test", statsuite, "run_suite"),
+        ],
+    )
+    def test_out_at_an_existing_file_fails_before_the_stage_runs(
+        self, tmp_path, capsys, monkeypatch, command, module, stage
+    ):
+        run_generate(preset_config("dataset_A"), tmp_path, n_bits=REDUCED_BITS)
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+
+        def stage_ran(*args, **kwargs):
+            raise AssertionError(f"{stage} ran before the output directory was made")
+
+        monkeypatch.setattr(module, stage, stage_ran)
+        args = ["--bits", str(tmp_path / "raw_bits.bin")] if command != "generate" else []
+        assert cli.main([command, *args, "--out", str(not_a_dir)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not_a_dir.read_text() == ""
+
     def test_seed_flag_changes_stream(self, tmp_path):
         for seed in (1, 2):
             cli.main(
@@ -508,3 +557,57 @@ class TestHomScanIsByteIdentical:
         assert (tmp_path / "x" / "hom_scan.csv").read_bytes() == (
             tmp_path / "y" / "hom_scan.csv"
         ).read_bytes()
+
+
+def _scipy_modules_after(body: str) -> list:
+    """The scipy modules loaded in a fresh interpreter after running ``body``.
+
+    A subprocess, because the test session has scipy loaded already."""
+    script = textwrap.dedent(
+        """
+        import sys
+        sys.path.insert(0, {src!r})
+        {body}
+        print("\\n".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    ).format(src=str(Path(diqrng.__file__).parents[1]), body=body)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+class TestStartupLoadsNumpyOnly:
+    """scipy is imported by the code that calls it: the HOM fit loads
+    scipy.optimize, and the Bayes chain and the suite's p-values load
+    scipy.special.  Importing the package loads neither."""
+
+    def test_importing_every_module_loads_no_scipy(self):
+        loaded = _scipy_modules_after(
+            "import pkgutil, importlib, diqrng, diqrng.cli\n"
+            "for m in pkgutil.walk_packages(diqrng.__path__, 'diqrng.'):\n"
+            "    importlib.import_module(m.name)\n"
+            "assert 'diqrng.statsuite.sp800_22' in sys.modules"
+        )
+        assert loaded == []
+
+    def test_generate_and_extract_load_no_scipy(self):
+        loaded = _scipy_modules_after(
+            "from diqrng.pipeline import preset_config, run_extract, run_generate\n"
+            "cfg = preset_config('dataset_A')\n"
+            f"raw, _ = run_generate(cfg, None, n_bits={REDUCED_BITS})\n"
+            "run_extract(cfg, raw, None)"
+        )
+        assert loaded == []
+
+    def test_suite_loads_scipy_special_only(self):
+        loaded = _scipy_modules_after(
+            "import numpy as np\n"
+            "from diqrng.extract import BitStream\n"
+            "from diqrng.pipeline import preset_config, run_test\n"
+            "bits = np.random.default_rng(0).integers(0, 2, 20000, dtype=np.uint8)\n"
+            "run_test(preset_config('dataset_A'), BitStream.from_bits(bits))"
+        )
+        assert "scipy.special" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.optimize")]
