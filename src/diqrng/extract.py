@@ -157,14 +157,16 @@ class BitStream:
                 raise ValueError(f"sidecar {sidecar_path} has no {key!r}")
         n_bits = sidecar["n_bits"]
         if type(n_bits) is not int:  # not bool, float or str
-            raise ValueError(f"sidecar n_bits must be a JSON integer, got {n_bits!r}")
+            raise ValueError(
+                f"sidecar {sidecar_path} n_bits must be a JSON integer, got {n_bits!r}"
+            )
         stream = cls(
             np.frombuffer(path.read_bytes(), dtype=np.uint8),
             n_bits,
             {k: v for k, v in sidecar.items() if k not in ("n_bits", "sha256")},
         )
         if stream.sha256() != sidecar["sha256"]:
-            raise ValueError(f"checksum mismatch for {path}")
+            raise ValueError(f"checksum mismatch: {path} does not hash to sidecar {sidecar_path}")
         return stream
 
 

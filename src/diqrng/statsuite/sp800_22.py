@@ -66,14 +66,14 @@ def _require_length(n: int, minimum: int, name: str):
         raise InsufficientLengthError(f"{name} requires at least {minimum} bits, got {n}")
 
 
-def _rolling_values(bits: np.ndarray, m: int, cyclic: bool = False) -> np.ndarray:
+def _rolling_values(bits: np.ndarray, m: int) -> np.ndarray:
     """Overlapping m-bit window values (MSB first) as unsigned integers,
     taken along the last axis."""
-    ext = np.concatenate([bits, bits[..., : m - 1]], axis=-1) if cyclic else bits
-    n_out = ext.shape[-1] - m + 1
-    v = np.zeros(ext.shape[:-1] + (n_out,), dtype=np.uint32 if m <= 32 else np.uint64)
+    n_out = bits.shape[-1] - m + 1
+    v = np.zeros(bits.shape[:-1] + (n_out,), dtype=np.uint32 if m <= 32 else np.uint64)
     for i in range(m):
-        v = (v << 1) | ext[..., i : i + n_out]
+        v <<= 1
+        v |= bits[..., i : i + n_out]
     return v
 
 
@@ -349,8 +349,9 @@ def overlapping_template_test(b: np.ndarray, m: int = 9, block_m: int = 1032) ->
     k_max = 5
     n_blocks = n // block_m
     blocks = b[: n_blocks * block_m].reshape(n_blocks, block_m)
-    csum = np.zeros((n_blocks, block_m + 1), dtype=np.int64)
-    np.cumsum(blocks, axis=1, out=csum[:, 1:])
+    dtype = np.int16 if block_m < 2**15 else np.int64
+    csum = np.zeros((n_blocks, block_m + 1), dtype=dtype)
+    np.cumsum(blocks, axis=1, dtype=dtype, out=csum[:, 1:])
     window_sums = csum[:, m:] - csum[:, :-m]
     counts = np.minimum((window_sums == m).sum(axis=1), k_max)
     nu = np.bincount(counts, minlength=k_max + 1)
@@ -511,8 +512,32 @@ def linear_complexity_test(b: np.ndarray, block_m: int = 500) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _window_counts(b: np.ndarray, m: int) -> np.ndarray:
-    """Counts of the n cyclic m-bit windows, indexed by value (MSB first)."""
-    return np.bincount(_rolling_values(b, m, cyclic=True), minlength=2**m)
+    """Counts of the n cyclic m-bit windows, indexed by value (MSB first).
+
+    The stream with its first m - 1 bits appended is packed MSB first, and
+    word q is the big-endian uint64 of the 8 bytes from byte q, so it holds
+    bits 8q .. 8q + 63.  The window at bit 8q + r is then
+    (word_q >> (64 - m - r)) & (2^m - 1), for m <= 57; the 2^m <= n rule
+    of the tests that call this keeps m far below that.  Eight shifts and
+    bincounts over n / 8 words count all n windows.
+    """
+    n = b.size
+    n_words = (n + 7) // 8
+    packed = np.zeros(n_words + 7, dtype=np.uint8)
+    ext = np.packbits(np.concatenate([b, b[: m - 1]]))
+    packed[: ext.size] = ext
+    words = packed[:n_words].astype(np.uint64)
+    for i in range(1, 8):
+        words <<= np.uint64(8)
+        words |= packed[i : i + n_words]
+    counts = np.zeros(2**m, dtype=np.int64)
+    mask = np.uint64(2**m - 1)
+    for r in range(8):
+        # Windows start at bits r, 8 + r, ..., below n.
+        values = words[: (n - r + 7) // 8] >> np.uint64(64 - m - r)
+        values &= mask
+        counts += np.bincount(values.view(np.int64), minlength=2**m)
+    return counts
 
 
 def _prefix_counts(counts: np.ndarray) -> np.ndarray:
@@ -573,50 +598,68 @@ def approximate_entropy_test(b: np.ndarray, m: int = 10) -> tuple:
 # 13. Cumulative Sums
 # ---------------------------------------------------------------------------
 
+def _random_walk(b: np.ndarray) -> np.ndarray:
+    """The walk 0, S_1, .., S_n, 0 of a 0/1 stream, S_k being the sum of the
+    first k steps (+1 per one, -1 per zero): int32, or int64 at n >= 2^31."""
+    n = b.size
+    walk = np.zeros(n + 2, dtype=np.int32 if n < 2**31 else np.int64)
+    steps = walk[1:-1]
+    steps[:] = b
+    steps <<= 1
+    steps -= 1
+    np.cumsum(steps, out=steps)
+    return walk
+
+
 def _cusum_p(n: int, z: float) -> float:
     # Summation bounds follow the reference convention exactly (integer
-    # truncation toward zero); the boundary terms matter for small n.
+    # truncation toward zero); the boundary terms matter for small n.  Each
+    # sum takes one ndtr call over its k and adds its terms in k order in
+    # Python floats, as a scalar loop over k would.
     if z <= 0.0:
         return 1.0
     sqrt_n = math.sqrt(n)
     ratio = n / z
     total = 1.0
     k_hi = int((ratio - 1.0) / 4.0)
-    for k in range(int((-ratio + 1.0) / 4.0), k_hi + 1):
-        total -= ndtr((4.0 * k + 1.0) * z / sqrt_n) - ndtr(
-            (4.0 * k - 1.0) * z / sqrt_n
-        )
-    for k in range(int((-ratio - 3.0) / 4.0), k_hi + 1):
-        total += ndtr((4.0 * k + 3.0) * z / sqrt_n) - ndtr(
-            (4.0 * k + 1.0) * z / sqrt_n
-        )
+    k = np.arange(int((-ratio + 1.0) / 4.0), k_hi + 1, dtype=np.float64)
+    cdf = ndtr(np.array([4.0 * k + 1.0, 4.0 * k - 1.0]) * z / sqrt_n)
+    for term in (cdf[0] - cdf[1]).tolist():
+        total -= term
+    k = np.arange(int((-ratio - 3.0) / 4.0), k_hi + 1, dtype=np.float64)
+    cdf = ndtr(np.array([4.0 * k + 3.0, 4.0 * k + 1.0]) * z / sqrt_n)
+    for term in (cdf[0] - cdf[1]).tolist():
+        total += term
     return min(max(total, 0.0), 1.0)
 
 
 def cumulative_sums_test(b: np.ndarray) -> tuple:
+    """Forward and backward p-values from one walk.
+
+    With S_0 = 0 and S_k the sum of the first k steps (+1 per one, -1 per
+    zero), the forward partial sums are S_1 .. S_n and the backward ones
+    are S_n - S_k for k = 0 .. n - 1.  So the forward z is max |S_k| and,
+    |S_n - t| being convex in t, the backward z is the larger of
+    |S_n - min_k S_k| and |S_n - max_k S_k| over k = 0 .. n.
+    """
     n = b.size
     _require_length(n, 100, "Cumulative Sums")
-    x = 2.0 * b.astype(np.int64) - 1
-    p_values = []
-    for direction in ("forward", "backward"):
-        series = x if direction == "forward" else x[::-1]
-        z = float(np.max(np.abs(np.cumsum(series))))
-        p_values.append(_cusum_p(n, z))
-    return tuple(p_values), {"n": n}
+    walk = _random_walk(b)
+    lo, hi, s_n = int(walk.min()), int(walk.max()), int(walk[-2])
+    z_forward = float(max(hi, -lo))
+    z_backward = float(max(abs(s_n - lo), abs(s_n - hi)))
+    return (_cusum_p(n, z_forward), _cusum_p(n, z_backward)), {"n": n}
 
 
 # ---------------------------------------------------------------------------
 # 14/15. Random Excursions and Variant
 # ---------------------------------------------------------------------------
 
-def _random_walk(b: np.ndarray):
-    s = np.cumsum(2 * b.astype(np.int64) - 1)
-    if s[-1] != 0:
-        walk = np.concatenate([[0], s, [0]])
-    else:
-        walk = np.concatenate([[0], s])
-    zero_pos = np.flatnonzero(walk == 0)
-    return walk, zero_pos, int(zero_pos.size - 1)
+def _cycles(walk: np.ndarray, n_zeros: int) -> int:
+    """Number of cycles J of a :func:`_random_walk` with ``n_zeros`` zeros:
+    each zero after the first closes one, and the appended 0 closes one only
+    when S_n is not already 0."""
+    return n_zeros - 1 - int(walk[-2] == 0)
 
 
 def _excursion_state_pi(x: int) -> np.ndarray:
@@ -631,16 +674,25 @@ def _excursion_state_pi(x: int) -> np.ndarray:
 
 def random_excursions_test(b: np.ndarray) -> tuple:
     _require_length(b.size, 100, "Random Excursions")
-    walk, zero_pos, j_cycles = _random_walk(b)
+    walk = _random_walk(b)
+    near = np.flatnonzero(np.abs(walk) <= 4)
+    values = walk[near]
+    is_zero = values == 0
+    zero_pos = near[is_zero]
+    j_cycles = _cycles(walk, zero_pos.size)
     if j_cycles < 500:
         raise NotApplicable(f"only {j_cycles} cycles (< 500)", {"J": j_cycles})
-    p_values = []
     states = [-4, -3, -2, -1, 1, 2, 3, 4]
-    for x in states:
-        hits = np.flatnonzero(walk == x)
-        cycle_of_hit = np.searchsorted(zero_pos, hits, side="right") - 1
-        per_cycle = np.bincount(cycle_of_hit, minlength=j_cycles)
-        nu = np.bincount(np.minimum(per_cycle, 5), minlength=6)
+    hits, values = near[~is_zero], values[~is_zero].astype(np.int64)
+    cycle_of_hit = np.searchsorted(zero_pos, hits, side="right") - 1
+    # Row i of per_cycle counts the visits to states[i] in each cycle.
+    state_row = values + 4 - (values > 0)
+    per_cycle = np.bincount(state_row * j_cycles + cycle_of_hit, minlength=8 * j_cycles)
+    per_cycle = np.minimum(per_cycle.reshape(8, j_cycles), 5)
+    per_cycle += 6 * np.arange(8)[:, np.newaxis]
+    nu_rows = np.bincount(per_cycle.ravel(), minlength=48).reshape(8, 6)
+    p_values = []
+    for x, nu in zip(states, nu_rows):
         expected = j_cycles * _excursion_state_pi(x)
         chi2 = float(np.sum((nu - expected) ** 2 / expected))
         p_values.append(gammaincc(2.5, chi2 / 2.0))
@@ -649,13 +701,16 @@ def random_excursions_test(b: np.ndarray) -> tuple:
 
 def random_excursions_variant_test(b: np.ndarray) -> tuple:
     _require_length(b.size, 100, "Random Excursions Variant")
-    walk, _, j_cycles = _random_walk(b)
+    walk = _random_walk(b)
+    near = walk[np.abs(walk) <= 9].astype(np.int64)
+    visits = np.bincount(near + 9, minlength=19)
+    j_cycles = _cycles(walk, int(visits[9]))
     if j_cycles < 500:
         raise NotApplicable(f"only {j_cycles} cycles (< 500)", {"J": j_cycles})
     states = [x for x in range(-9, 10) if x != 0]
     p_values = []
     for x in states:
-        xi = int(np.count_nonzero(walk == x))
+        xi = int(visits[x + 9])
         p_values.append(
             math.erfc(abs(xi - j_cycles) / math.sqrt(2.0 * j_cycles * (4.0 * abs(x) - 2.0)))
         )

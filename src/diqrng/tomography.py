@@ -19,7 +19,9 @@ already drawn, and up to eight of them are evaluated as one numpy batch.
 This makes the sequential chain's accept/reject decisions, because a
 rejected step leaves the state unchanged, the noise does not depend on the
 state, and no batch crosses a 50-step adaptation window, where the step
-size may change.
+size may change.  The loop does no work per rejected step: each batch's
+Metropolis tests are one scan of a Python list, and the thinned draws
+that fall among the steps a batch decides are filled in one go.
 
 The chain's log-target never forms a density matrix: the Born probabilities
 come from the real and imaginary parts of the kets through one fixed
@@ -173,8 +175,8 @@ def _binomial_log_likelihood(probs: np.ndarray, counts, totals):
     """Binomial log-likelihood of the 16 counts at each (..., 16) row of
     Born probabilities, shape (...), and the clipped probabilities it was
     evaluated at."""
-    probs = np.clip(probs, _P_CLIP, 1.0 - _P_CLIP)
-    value = np.sum(counts * np.log(probs) + (totals - counts) * np.log1p(-probs), axis=-1)
+    probs = np.minimum(np.maximum(probs, _P_CLIP), 1.0 - _P_CLIP)
+    value = np.add.reduce(counts * np.log(probs) + (totals - counts) * np.log1p(-probs), axis=-1)
     return value, probs
 
 
@@ -318,7 +320,7 @@ def _ndtr(x):
 
 def _gamma_from_normal(y: np.ndarray) -> np.ndarray:
     """Unit-rate exponential (Gamma(1)) via the probability transform."""
-    return -np.log(_ndtr(-np.clip(y, -8.0, 8.0)))
+    return -np.log(_ndtr(-np.minimum(np.maximum(y, -8.0), 8.0)))
 
 
 def _rho_from_vector(x: np.ndarray, k_components: int) -> np.ndarray:
@@ -364,9 +366,9 @@ def _log_target(x: np.ndarray, k_components: int, model):
     kets = params[..., 0:8]
     gammas = _gamma_from_normal(params[..., 8])
     # c_k = w_k / |v_k|^2, with the ket-norm floor of _rho_from_vector.
-    sq_norms = np.maximum(np.sum(kets * kets, axis=-1), 1e-24)
-    scale = gammas / (gammas.sum(axis=-1, keepdims=True) * sq_norms)
-    outer = np.swapaxes(kets, -1, -2) @ (scale[..., np.newaxis] * kets)
+    sq_norms = np.maximum(np.add.reduce(kets * kets, axis=-1), 1e-24)
+    scale = gammas / (np.add.reduce(gammas, axis=-1, keepdims=True) * sq_norms)
+    outer = kets.swapaxes(-1, -2) @ (scale[..., np.newaxis] * kets)
     probs = outer.reshape(outer.shape[:-2] + (64,)) @ forms
     return _binomial_log_likelihood(probs, counts, totals)[0] + log_p
 
@@ -397,6 +399,14 @@ def bayesian_estimate(counts: TomoCounts, cfg: BayesConfig | None = None):
     window in the sequential order), and no batch crosses a window
     boundary, where the step may change.
 
+    The bookkeeping is per batch, not per step.  The batch's log-targets
+    are one ``tolist()``, scanned for the first accept.  Every step before
+    that accept keeps x, so the kept draws among them (steps
+    burn_in + thin - 1 + thin r) are x; the accept is counted towards the
+    acceptance rate when it is at or after ``burn_in``.  Keeping the draws
+    in the preallocated (R, 9K) array, rather than a list of accepted
+    states to index after the chain, leaves no small allocations behind.
+
     The log-target is computed from the 9K parameters in real arithmetic
     (:func:`_log_target`), without a density matrix; the kept draws'
     states are built once at the end, by :func:`_rho_from_vector` on the
@@ -416,15 +426,16 @@ def bayesian_estimate(counts: TomoCounts, cfg: BayesConfig | None = None):
     rng = np.random.default_rng([int(cfg.rng_seed), 0xBA7E5])
 
     x = rng.standard_normal(dim)
-    log_p = _log_target(x, cfg.K, model)
+    log_p = float(_log_target(x, cfg.K, model))
     evaluations = 1
     step = cfg.step
     total_steps = cfg.burn_in + cfg.R * cfg.thin
     kept_x = np.empty((cfg.R, dim))
     kept = 0
+    next_kept = cfg.burn_in + cfg.thin - 1
     accepted_post = 0
     noise = np.empty((_WINDOW, dim))
-    log_u = np.empty(_WINDOW)
+    log_u = [0.0] * _WINDOW
     for start in range(0, total_steps, _WINDOW):
         width = min(_WINDOW, total_steps - start)
         for j in range(width):
@@ -435,24 +446,30 @@ def bayesian_estimate(counts: TomoCounts, cfg: BayesConfig | None = None):
         while j < width:
             end = min(j + _PREFETCH, width)
             proposals = x + step * noise[j:end]
-            cand_log_p = _log_target(proposals, cfg.K, model)
+            cand_log_p = _log_target(proposals, cfg.K, model).tolist()
             evaluations += end - j
-            hits = np.flatnonzero(log_u[j:end] < cand_log_p - log_p)
-            accept = j + int(hits[0]) if hits.size else end
-            stop = min(accept + 1, end)
-            for a in range(j, stop):
-                i = start + a
-                if a == accept:
-                    x, log_p = proposals[a - j], cand_log_p[a - j]
-                    window_accepts += 1
-                    if i >= cfg.burn_in:
-                        accepted_post += 1
-                if i >= cfg.burn_in and (i - cfg.burn_in) % cfg.thin == cfg.thin - 1:
-                    kept_x[kept] = x
-                    kept += 1
-            j = stop
+            accept = end
+            for a in range(j, end):
+                if log_u[a] < cand_log_p[a - j] - log_p:
+                    accept = a
+                    break
+            # The steps before the accept keep x.  A kept step at the accept
+            # itself is filled by the next batch, or after the loop.
+            while next_kept < start + accept:
+                kept_x[kept] = x
+                kept += 1
+                next_kept += cfg.thin
+            if accept == end:
+                j = end
+            else:
+                x, log_p = proposals[accept - j], cand_log_p[accept - j]
+                window_accepts += 1
+                if start + accept >= cfg.burn_in:
+                    accepted_post += 1
+                j = accept + 1
         if width == _WINDOW and start + _WINDOW <= cfg.burn_in:
             step *= math.exp(0.6 * (window_accepts / _WINDOW - 0.3))
+    kept_x[kept:] = x
     acceptance = accepted_post / (cfg.R * cfg.thin)
     kept_rho = _rho_from_vector(kept_x, cfg.K)
     diagnostics = {

@@ -6,8 +6,10 @@ multi-seed tests apply to pooled p-values.  They live with the tests because
 nothing in the package needs them.
 """
 
+import math
+
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import gammaincc, ndtr
 from scipy.stats import kstest
 
 from diqrng.statsuite import aperiodic_templates
@@ -132,3 +134,81 @@ def non_overlapping_template_p_values(bits, m: int = 9, n_blocks: int = 8) -> tu
             chi2 += (w - mu) ** 2 / sigma2
         p_values.append(float(gammaincc(n_blocks / 2.0, chi2 / 2.0)))
     return tuple(p_values)
+
+
+def cyclic_window_counts(bits, m: int) -> np.ndarray:
+    """Counts of the n cyclic m-bit windows (MSB first), by value: the
+    stream with its first m - 1 bits appended, one shift-or per window bit."""
+    b = np.asarray(bits, dtype=np.uint8)
+    ext = np.concatenate([b, b[: m - 1]])
+    n_out = ext.size - m + 1
+    v = np.zeros(n_out, dtype=np.uint32 if m <= 32 else np.uint64)
+    for i in range(m):
+        v = (v << 1) | ext[i : i + n_out]
+    return np.bincount(v, minlength=2**m)
+
+
+def cusum_p_scalar(n: int, z: float) -> float:
+    """Cumulative Sums p-value, one scalar ndtr call per term."""
+    if z <= 0.0:
+        return 1.0
+    sqrt_n = math.sqrt(n)
+    ratio = n / z
+    total = 1.0
+    k_hi = int((ratio - 1.0) / 4.0)
+    for k in range(int((-ratio + 1.0) / 4.0), k_hi + 1):
+        total -= ndtr((4.0 * k + 1.0) * z / sqrt_n) - ndtr((4.0 * k - 1.0) * z / sqrt_n)
+    for k in range(int((-ratio - 3.0) / 4.0), k_hi + 1):
+        total += ndtr((4.0 * k + 3.0) * z / sqrt_n) - ndtr((4.0 * k + 1.0) * z / sqrt_n)
+    return min(max(total, 0.0), 1.0)
+
+
+def cumulative_sums_p_values(bits) -> tuple:
+    """Forward and backward p-values, each from its own int64 cumsum."""
+    x = 2 * np.asarray(bits, dtype=np.int64) - 1
+    n = x.size
+    return tuple(
+        cusum_p_scalar(n, float(np.max(np.abs(np.cumsum(series))))) for series in (x, x[::-1])
+    )
+
+
+def random_walk_cycles(bits):
+    """The walk [0, S_1 .. S_n] with a closing 0 appended unless S_n = 0,
+    its zero positions, and the number of cycles J."""
+    s = np.cumsum(2 * np.asarray(bits, dtype=np.int64) - 1)
+    walk = np.concatenate([[0], s, [0]] if s[-1] != 0 else [[0], s])
+    zero_pos = np.flatnonzero(walk == 0)
+    return walk, zero_pos, int(zero_pos.size - 1)
+
+
+def _excursion_state_pi(x: int) -> np.ndarray:
+    a = 1.0 / (2.0 * abs(x))
+    b = 1.0 - a
+    return np.array([b] + [a * a * b ** (k - 1) for k in range(1, 5)] + [a * b**4])
+
+
+def random_excursions_p_values(bits) -> tuple:
+    """(p-values, J): one scan of the walk and one cycle bincount per state."""
+    walk, zero_pos, j_cycles = random_walk_cycles(bits)
+    p_values = []
+    for x in (-4, -3, -2, -1, 1, 2, 3, 4):
+        hits = np.flatnonzero(walk == x)
+        cycle_of_hit = np.searchsorted(zero_pos, hits, side="right") - 1
+        per_cycle = np.bincount(cycle_of_hit, minlength=j_cycles)
+        nu = np.bincount(np.minimum(per_cycle, 5), minlength=6)
+        expected = j_cycles * _excursion_state_pi(x)
+        chi2 = float(np.sum((nu - expected) ** 2 / expected))
+        p_values.append(gammaincc(2.5, chi2 / 2.0))
+    return tuple(p_values), j_cycles
+
+
+def random_excursions_variant_p_values(bits) -> tuple:
+    """(p-values, J): one count of the walk's visits per state."""
+    walk, _, j_cycles = random_walk_cycles(bits)
+    p_values = []
+    for x in (x for x in range(-9, 10) if x != 0):
+        xi = int(np.count_nonzero(walk == x))
+        p_values.append(
+            math.erfc(abs(xi - j_cycles) / math.sqrt(2.0 * j_cycles * (4.0 * abs(x) - 2.0)))
+        )
+    return tuple(p_values), j_cycles

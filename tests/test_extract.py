@@ -94,8 +94,9 @@ class TestBitStream:
         payload = bytearray(path.read_bytes())
         payload[0] ^= 1
         path.write_bytes(bytes(payload))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="checksum mismatch") as err:
             BitStream.load(path)
+        assert f"sidecar {tmp_path / 'bits.bin.json'}" in str(err.value)
 
     @pytest.mark.parametrize("n_bits", [9.9, 9.0, "9", True])
     def test_sidecar_n_bits_must_be_a_json_integer(self, tmp_path, n_bits):
@@ -105,8 +106,9 @@ class TestBitStream:
         sidecar = json.loads(sidecar_path.read_text())
         sidecar["n_bits"] = n_bits
         sidecar_path.write_text(json.dumps(sidecar))
-        with pytest.raises(ValueError, match="n_bits must be a JSON integer"):
+        with pytest.raises(ValueError, match="n_bits must be a JSON integer") as err:
             BitStream.load(path)
+        assert f"sidecar {sidecar_path} " in str(err.value)
 
 
 #: Every public entry point that takes a bit array.

@@ -30,24 +30,53 @@ from diqrng.statsuite import (
 from diqrng.pipeline import REFERENCE_EXPERIMENT, json_text
 from diqrng.statsuite import suite
 from diqrng.statsuite.sp800_22 import (
+    _cusum_p,
     _longest_run_bin_probs,
     _no_run_probability,
     _prefix_counts,
     _window_counts,
     gammaincc,
     ndtr,
+    random_excursions_test,
+    random_excursions_variant_test,
 )
 from sp800_22_oracles import (
     berlekamp_massey,
+    cumulative_sums_p_values,
+    cusum_p_scalar,
+    cyclic_window_counts,
     gf2_rank_reference,
     ks_uniformity,
     no_run_probability_weighted_sum,
     non_overlapping_template_p_values,
+    random_excursions_p_values,
+    random_excursions_variant_p_values,
 )
 
 
 def bits_from_string(s):
     return np.array([int(c) for c in s], dtype=np.uint8)
+
+
+def constant_and_alternating_streams(n):
+    """All-zero, all-one and alternating streams of n bits."""
+    return {
+        "zeros": np.zeros(n, dtype=np.uint8),
+        "ones": np.ones(n, dtype=np.uint8),
+        "alternating": np.resize(np.array([1, 0], dtype=np.uint8), n),
+    }
+
+
+def balanced_stream(n, seed):
+    """A random stream with as many ones as zeros (n even): its walk ends at 0."""
+    return np.random.default_rng(seed).permutation(np.resize(np.array([0, 1], dtype=np.uint8), n))
+
+
+def unbalanced_stream(n, seed):
+    """A balanced stream with its last bit flipped: its walk ends at -2 or 2."""
+    bits = balanced_stream(n, seed)
+    bits[-1] ^= 1
+    return bits
 
 
 class TestSpecialFunctions:
@@ -397,6 +426,22 @@ class TestSerialAndApEn:
             counts = _window_counts(bits, m)
             assert np.array_equal(_prefix_counts(counts), _window_counts(bits, m - 1))
 
+    @pytest.mark.parametrize("n", (100, 1001, 65_536, 1_200_003))
+    def test_window_counts_equal_shift_or_oracle(self, n):
+        # The packed-word counts must equal the cyclic shift-or ones at every
+        # bit offset of the last, partial byte.
+        bits = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+        for m in range(2, 18):
+            assert np.array_equal(_window_counts(bits, m), cyclic_window_counts(bits, m)), m
+
+    @pytest.mark.parametrize("n", (100, 1001))
+    def test_window_counts_of_constant_and_alternating_streams(self, n):
+        for name, bits in constant_and_alternating_streams(n).items():
+            for m in range(2, 18):
+                counts = _window_counts(bits, m)
+                assert np.array_equal(counts, cyclic_window_counts(bits, m)), (name, m)
+                assert counts.sum() == n
+
     def test_apen_all_zeros_fails(self):
         result = run_named_test("Approximate Entropy", np.zeros(40_000, dtype=np.uint8), m=3)
         assert result.p_value < 1e-10
@@ -414,6 +459,25 @@ class TestCumulativeSums:
         from diqrng.statsuite.sp800_22 import _cusum_p
 
         assert _cusum_p(10, 4.0) == pytest.approx(0.4116588, abs=1e-6)
+
+    def test_vectorized_p_equals_scalar_terms(self):
+        # One ndtr call per sum, terms added in k order: the same bits as one
+        # scalar call per term, including the truncated boundary terms.
+        for n in (100, 101, 1001, 65_536, 1_200_003):
+            for z in sorted({1.0, 2.0, 3.0, 7.0, float(n // 7), float(n // 2), float(n)}):
+                assert _cusum_p(n, z) == cusum_p_scalar(n, z), (n, z)
+
+    @pytest.mark.parametrize("n", (100, 1001, 65_536, 1_200_003))
+    def test_one_walk_equals_two_cumsums(self, n):
+        streams = {
+            "random": np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8),
+            **constant_and_alternating_streams(n),
+        }
+        if n % 2 == 0:
+            streams["ends at 0"] = balanced_stream(n, n)
+            streams["ends off 0"] = unbalanced_stream(n, n)
+        for name, bits in streams.items():
+            assert cumulative_sums_test(bits)[0] == cumulative_sums_p_values(bits), name
 
     def test_alternating_minimal_excursion(self):
         p_values, _ = cumulative_sums_test(np.tile([1, 0], 100_000))
@@ -439,6 +503,32 @@ class TestRandomExcursions:
         variant = run_named_test("Random Excursions Variant", bits)
         if variant.applicable:
             assert len(variant.p_values) == 18
+
+    @staticmethod
+    def assert_both_tests_match_oracles(bits):
+        for test, oracle in (
+            (random_excursions_test, random_excursions_p_values),
+            (random_excursions_variant_test, random_excursions_variant_p_values),
+        ):
+            p_values, j_cycles = oracle(bits)
+            if j_cycles < 500:
+                with pytest.raises(NotApplicable) as info:
+                    test(bits)
+                assert info.value.params == {"J": j_cycles}
+            else:
+                got, params = test(bits)
+                assert got == p_values and params["J"] == j_cycles
+
+    @pytest.mark.parametrize("ends_at_zero", [True, False], ids=["ends at 0", "ends off 0"])
+    @pytest.mark.parametrize("n", (1000, 65_536, 1_200_002))
+    def test_one_walk_equals_per_state_oracle(self, n, ends_at_zero):
+        # J must not count the appended closing 0 twice when S_n is 0.
+        bits = (balanced_stream if ends_at_zero else unbalanced_stream)(n, n)
+        self.assert_both_tests_match_oracles(bits)
+
+    @pytest.mark.parametrize("name", ["zeros", "ones", "alternating"])
+    def test_constant_and_alternating_streams_match_oracle(self, name):
+        self.assert_both_tests_match_oracles(constant_and_alternating_streams(10_000)[name])
 
     def test_state_probabilities_sum_to_one(self):
         from diqrng.statsuite.sp800_22 import _excursion_state_pi

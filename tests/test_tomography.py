@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -356,6 +357,25 @@ class TestBayesian:
         assert np.array_equal(samples.acceptance_rate, ref_acceptance)
         assert np.array_equal(result.diagnostics["step_final"], ref_step)
         assert result.diagnostics["evaluations"] > cfg.burn_in + cfg.R * cfg.thin
+
+    @pytest.mark.parametrize(
+        "preset, evaluations, acceptance, step_final, samples_sha256",
+        [
+            ("dataset_A", 55_019, 0.22396, 0.013545124061076427, "de8a0797db845093"),
+            ("dataset_B", 67_242, 0.30984, 0.010155613783108005, "6eb9e5c8d6d1ea3b"),
+        ],
+    )
+    def test_pipeline_chain_pinned(self, preset, evaluations, acceptance, step_final, samples_sha256):
+        # The pipeline chains at seed 20260808 as the per-step loop drew
+        # them: a leaner loop must not move a draw, a decision or the count
+        # of log-targets computed.
+        counts, _ = pipeline_tomo_counts(preset, 20260808)
+        cfg = preset_config(preset, 20260808).tomo.bayes_config(derive_seed(20260808, "bayes"))
+        result, samples = bayesian_estimate(counts, cfg)
+        assert result.diagnostics["evaluations"] == evaluations
+        assert samples.acceptance_rate == acceptance
+        assert result.diagnostics["step_final"] == step_final
+        assert hashlib.sha256(samples.samples.tobytes()).hexdigest()[:16] == samples_sha256
 
 
 class TestPosteriorFunctional:
