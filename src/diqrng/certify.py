@@ -11,7 +11,7 @@ matrix (the horodecki-singular-value convention, noted in every report).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,17 +41,9 @@ class ChshSettings:
     b_prime: float = 67.5
 
     def __post_init__(self):
-        for name, angle in self.as_dict().items():
+        for name, angle in asdict(self).items():
             if not 0.0 <= angle < 180.0:
                 raise ValueError(f"analyzer angle {name}={angle} outside [0, 180)")
-
-    def as_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "a_prime": self.a_prime,
-            "b": self.b,
-            "b_prime": self.b_prime,
-        }
 
     def pairs(self):
         """The four (alice, bob) angle pairs in PAIR_ORDER."""
@@ -97,7 +89,6 @@ class ChshCounts:
     """
 
     quads: np.ndarray
-    settings: ChshSettings = field(default_factory=ChshSettings)
 
     def __post_init__(self):
         q = np.array(self.quads, dtype=np.int64)
@@ -116,7 +107,6 @@ class ChshResult:
     S: float
     stderr: float
     e_values: tuple
-    settings: ChshSettings
 
     @property
     def violates_classical(self) -> bool:
@@ -131,43 +121,23 @@ class MinEntropyResult:
     n_bits: int
 
 
-def correlation_E(quad) -> float:
-    """E = (N(a,b) + N(a_perp,b_perp) - N(a,b_perp) - N(a_perp,b)) / total."""
-    q = np.asarray(quad, dtype=float).reshape(4)
-    if np.any(q < 0):
-        raise ValueError("counts must be non-negative")
-    total = float(q.sum())
-    if total <= 0:
-        raise ValueError("correlation_E needs a positive total count")
-    return float((q[0] + q[1] - q[2] - q[3]) / total)
-
-
-def _e_variance(quad) -> float:
-    """Poisson error propagation through E for one setting pair."""
-    q = np.asarray(quad, dtype=float).reshape(4)
-    total = q.sum()
-    e = (q[0] + q[1] - q[2] - q[3]) / total
-    signs = np.array([1.0, 1.0, -1.0, -1.0])
-    return float(np.sum(q * ((signs - e) / total) ** 2))
-
-
 def _chsh_of_quads(quads) -> tuple:
-    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') and the four E values of
-    a (4, 4) array of quads (PAIR_ORDER rows, QUAD_ORDER columns)."""
-    e = [correlation_E(quad) for quad in quads]
-    return e[0] - e[1] + e[2] + e[3], e
+    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b'), its Poisson variance and
+    the four E values of a (4, 4) array of quads (PAIR_ORDER rows,
+    QUAD_ORDER columns); each row gives E = (q0 + q1 - q2 - q3) / total."""
+    q = np.asarray(quads, dtype=float)
+    total = q.sum(axis=1)
+    e = (q[:, 0] + q[:, 1] - q[:, 2] - q[:, 3]) / total
+    signs = np.array([1.0, 1.0, -1.0, -1.0])
+    var = np.sum(q * ((signs - e[:, None]) / total[:, None]) ** 2, axis=1)
+    e0, e1, e2, e3 = e.tolist()
+    return e0 - e1 + e2 + e3, sum(var.tolist()), (e0, e1, e2, e3)
 
 
 def chsh_direct(counts: ChshCounts) -> ChshResult:
     """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') from measured quads."""
-    s, e = _chsh_of_quads(counts.quads)
-    var = sum(_e_variance(counts.quads[i]) for i in range(4))
-    return ChshResult(
-        S=float(s),
-        stderr=math.sqrt(var),
-        e_values=tuple(e),
-        settings=counts.settings,
-    )
+    s, var, e = _chsh_of_quads(counts.quads)
+    return ChshResult(S=s, stderr=math.sqrt(var), e_values=e)
 
 
 def chsh_at_settings(rho, settings: ChshSettings) -> float:
@@ -175,7 +145,7 @@ def chsh_at_settings(rho, settings: ChshSettings) -> float:
     combination of :func:`chsh_direct` with the Born probabilities of
     ``settings.projectors()`` in place of the quads."""
     probs = born_probabilities(rho, settings.projectors().reshape(16, 4, 4))
-    return float(_chsh_of_quads(probs.reshape(4, 4))[0])
+    return _chsh_of_quads(probs.reshape(4, 4))[0]
 
 
 def chsh_from_rho(rho):

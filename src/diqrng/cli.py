@@ -30,6 +30,8 @@ def _load_config(args) -> PipelineConfig:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
     if args.threshold is not None:
         cfg = dataclasses.replace(cfg, suite_threshold=args.threshold)
+    if getattr(args, "n_bits", None) is not None:
+        cfg = dataclasses.replace(cfg, n_bits=args.n_bits)
     return cfg
 
 
@@ -48,7 +50,7 @@ def cmd_simulate_hom(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args)
-    _, info = pipeline.run_generate(cfg, cfg.output_dir, n_bits=args.n_bits)
+    _, info = pipeline.run_generate(cfg, cfg.output_dir)
     print(json_text(info))
     return 0
 
@@ -84,7 +86,7 @@ def cmd_test(args) -> int:
 
 def cmd_run_all(args) -> int:
     cfg = _load_config(args)
-    report = pipeline.run_all(cfg, cfg.output_dir, n_bits=args.n_bits)
+    report = pipeline.run_all(cfg, cfg.output_dir)
     summary = {**report["summary"], "report": str(Path(cfg.output_dir) / "run_report.json")}
     print(json_text(summary))
     return 0

@@ -265,7 +265,7 @@ DATASET_B_OVERLAP = 0.758
 _DATASET_B_DELAY_NM = 700.0
 
 
-def preset_config(name: str, global_seed: int = 20260808, output_dir: str | None = None) -> PipelineConfig:
+def preset_config(name: str, global_seed: int = 20260808) -> PipelineConfig:
     if name == "dataset_A":
         src = SourceConfig(visibility_v0=DATASET_A_OVERLAP, delay_tau_nm=0.0)
         settings = optimal_settings_for_visibility(DATASET_A_OVERLAP)
@@ -289,7 +289,7 @@ def preset_config(name: str, global_seed: int = 20260808, output_dir: str | None
     return PipelineConfig(
         source=src,
         chsh=ChshStageConfig(settings=settings),
-        output_dir=output_dir or f"runs/{name}",
+        output_dir=f"runs/{name}",
         global_seed=global_seed,
         preset=name,
     )
@@ -335,10 +335,8 @@ def run_hom(cfg: PipelineConfig, out_dir=None) -> dict:
     return result
 
 
-def run_generate(cfg: PipelineConfig, out_dir=None, n_bits: int | None = None):
-    """Heralded raw bit stream of exactly n_bits, written with its sidecar."""
-    if n_bits is not None:
-        cfg = replace(cfg, n_bits=n_bits)  # a bad n_bits is a bad argument, not a stage failure
+def run_generate(cfg: PipelineConfig, out_dir=None):
+    """Heralded raw bit stream of exactly cfg.n_bits, written with its sidecar."""
     out_dir = _ensure_dir(out_dir)
     src = replace(cfg.source, rng_seed=derive_seed(cfg.global_seed, "bits"))
     events = source.generate_events(src, cfg.n_bits)
@@ -383,7 +381,7 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
         "S_model": certify.chsh_at_settings(rho, settings),
         "stderr": direct.stderr,
         "e_values": list(direct.e_values),
-        "settings": settings.as_dict(),
+        "settings": dataclasses.asdict(settings),
         "pairs_per_setting": cfg.chsh.pairs_per_setting,
     }
 
@@ -469,8 +467,11 @@ def run_extract(cfg: PipelineConfig, raw: BitStream, out_dir=None):
     return extracted, info
 
 
-def run_test(cfg: PipelineConfig, bits: BitStream, out_dir=None, reference: dict | None = None):
+def run_test(cfg: PipelineConfig, bits: BitStream, out_dir=None):
+    """The SP 800-22 suite on bits at cfg.suite_threshold.  suite.csv sets
+    each p-value beside the published one of cfg.preset, if it has any."""
     out_dir = _ensure_dir(out_dir)
+    reference = REFERENCE_EXPERIMENT.get(cfg.preset, {})
     suite_report = statsuite.run_suite(
         bits,
         threshold=cfg.suite_threshold,
@@ -478,19 +479,17 @@ def run_test(cfg: PipelineConfig, bits: BitStream, out_dir=None, reference: dict
     )
     if out_dir is not None:
         (out_dir / "suite.json").write_text(json_text(suite_report.to_json_dict()))
-        suite_report.save_csv(out_dir / "suite.csv", (reference or {}).get("suite_p_values"))
+        suite_report.save_csv(out_dir / "suite.csv", reference.get("suite_p_values"))
     return suite_report
 
 
-def run_all(cfg: PipelineConfig, out_dir=None, n_bits: int | None = None) -> dict:
-    """The full workflow; failures halt with the stage name, keeping partial
-    artifacts on disk.  ``n_bits`` overrides the config's length, and the
-    report embeds the config that ran, so it replays the run.  Returns the
-    report as written to run_report.json, undefined values as None."""
-    if n_bits is not None:
-        cfg = replace(cfg, n_bits=n_bits)  # a bad n_bits is a bad argument, not a stage failure
+def run_all(cfg: PipelineConfig, out_dir=None) -> dict:
+    """The full workflow, every stage reading the one config; failures halt
+    with the stage name, keeping partial artifacts on disk.  The report
+    embeds that config, so it replays the run.  Returns the report as
+    written to run_report.json, undefined values as None."""
     out_dir = _ensure_dir(out_dir if out_dir is not None else cfg.output_dir)
-    reference = REFERENCE_EXPERIMENT.get(cfg.preset or "", None)
+    reference = REFERENCE_EXPERIMENT.get(cfg.preset)
     report = {
         "preset": cfg.preset,
         "config": cfg.to_json_dict(),
@@ -517,7 +516,7 @@ def run_all(cfg: PipelineConfig, out_dir=None, n_bits: int | None = None) -> dic
             "extracted": dataclasses.asdict(min_entropy(extracted)),
         }
         stage = "test"
-        suite_report = run_test(cfg, extracted, out_dir, reference)
+        suite_report = run_test(cfg, extracted, out_dir)
         report["suite"] = suite_report.to_json_dict()
         report["verdict"] = {
             "entangled": report["certify"]["verdict"]["entangled"],

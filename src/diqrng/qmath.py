@@ -59,29 +59,24 @@ def polarizer(angle_deg) -> np.ndarray:
 # Physicality
 # ---------------------------------------------------------------------------
 
-def physicality_defects(m: np.ndarray):
-    """Trace deviation, hermiticity defect and minimum eigenvalue of every
-    matrix in an (..., 4, 4) stack, as three arrays of shape (...)."""
-    adjoint = m.conj().swapaxes(-1, -2)
-    tr_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
-    herm = np.max(np.abs(m - adjoint), axis=(-2, -1))
-    min_eig = np.linalg.eigvalsh(0.5 * (m + adjoint))[..., 0]
-    return tr_dev, herm, min_eig
-
-
 def physicality(m, what: str, herm_tol: float = DEFAULT_TOL):
     """Whether each matrix of the (..., 4, 4) stack m is a state: trace
     deviation and negative eigenvalues within DEFAULT_TOL, hermiticity
     defect within herm_tol.  Returns a bool array of shape (...) and the
-    three arrays of :func:`physicality_defects`.  A non-finite entry raises
+    trace deviation, hermiticity defect and minimum eigenvalue of every
+    matrix, as three arrays of shape (...).  A non-finite entry raises
     ValueError, naming ``what``, before any eigenvalue is computed."""
     m = np.asarray(m)
     finite = np.isfinite(m)
     if not finite.all():
         entry = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise ValueError(f"{what} requires finite states; entry {entry} is {m[entry]}")
-    defects = tr_dev, herm, min_eig = physicality_defects(m)
-    return (tr_dev <= DEFAULT_TOL) & (herm <= herm_tol) & (min_eig >= -DEFAULT_TOL), defects
+    adjoint = m.conj().swapaxes(-1, -2)
+    tr_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    herm = np.max(np.abs(m - adjoint), axis=(-2, -1))
+    min_eig = np.linalg.eigvalsh(0.5 * (m + adjoint))[..., 0]
+    ok = (tr_dev <= DEFAULT_TOL) & (herm <= herm_tol) & (min_eig >= -DEFAULT_TOL)
+    return ok, (tr_dev, herm, min_eig)
 
 
 def require_physical(m, what: str, herm_tol: float = DEFAULT_TOL):

@@ -362,4 +362,4 @@ def simulate_chsh_counts(
         raise ValueError("pairs_per_setting must be at least 1")
     stack = settings.projectors().reshape(16, 4, 4)
     quads = simulate_setting_counts(rho, stack, pairs_per_setting, rng_seed)
-    return ChshCounts(quads=quads.reshape(4, 4), settings=settings)
+    return ChshCounts(quads=quads.reshape(4, 4))

@@ -18,10 +18,12 @@ validate them against brute-force enumeration.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
 from diqrng.extract import bitslice
+from diqrng.qmath import read_only
 
 
 # scipy.special is imported at the first p-value, not with the package.  The
@@ -57,13 +59,9 @@ class NotApplicable(ValueError):
         self.fails = fails
 
 
-class InsufficientLengthError(NotApplicable):
-    """The stream is shorter than a test's minimum length."""
-
-
 def _require_length(n: int, minimum: int, name: str):
     if n < minimum:
-        raise InsufficientLengthError(f"{name} requires at least {minimum} bits, got {n}")
+        raise NotApplicable(f"{name} requires at least {minimum} bits, got {n}")
 
 
 def _rolling_values(bits: np.ndarray, m: int) -> np.ndarray:
@@ -146,7 +144,10 @@ def _no_run_probability(n: int, run: int) -> float:
     return q[n]
 
 
+@cache
 def _longest_run_bin_probs(block_m: int, lo: int, hi: int) -> np.ndarray:
+    """P(longest run <= lo), P(= lo + 1), .., P(>= hi) in one block, a
+    read-only array computed once per (block_m, lo, hi)."""
     probs = []
     cdf_prev = 0.0
     for length in range(lo, hi):
@@ -154,7 +155,7 @@ def _longest_run_bin_probs(block_m: int, lo: int, hi: int) -> np.ndarray:
         probs.append(cdf - cdf_prev if probs else cdf)
         cdf_prev = cdf
     probs.append(1.0 - cdf_prev)
-    return np.array(probs)
+    return read_only(np.array(probs))
 
 
 def longest_runs_test(b: np.ndarray) -> tuple:
@@ -324,11 +325,13 @@ def non_overlapping_template_test(b: np.ndarray, m: int = 9, n_blocks: int = 8) 
 # 8. Overlapping Template Matching
 # ---------------------------------------------------------------------------
 
+@cache
 def overlapping_count_probs(block_m: int, m: int, k_max: int) -> np.ndarray:
     """Exact distribution of the overlapping all-ones count in a block.
 
     Transfer-matrix DP over (trailing-ones run capped at m, count capped at
-    k_max); returns P(count = 0), .., P(count >= k_max).
+    k_max); returns P(count = 0), .., P(count >= k_max) as a read-only
+    array computed once per (block_m, m, k_max).
     """
     state = np.zeros((m + 1, k_max + 1))
     state[0, 0] = 1.0
@@ -340,7 +343,7 @@ def overlapping_count_probs(block_m: int, m: int, k_max: int) -> np.ndarray:
         nxt[m, 1:] += occurred[:-1]
         nxt[m, k_max] += occurred[k_max]
         state = nxt
-    return state.sum(axis=0)
+    return read_only(state.sum(axis=0))
 
 
 def overlapping_template_test(b: np.ndarray, m: int = 9, block_m: int = 1032) -> tuple:

@@ -1,6 +1,7 @@
 """Test-side references for the quantum model: named states (pure, singlet,
 maximally mixed, Werner) as (4, 4) arrays, the analytic CHSH prediction
-with two-outcome analyzers A = P(angle) - P(angle + 90), the per-quad joint
+with two-outcome analyzers A = P(angle) - P(angle + 90), the CHSH estimate
+of a (4, 4) count array computed one setting pair at a time, the per-quad joint
 polarizer projectors built one np.kron at a time, the Pauli decomposition,
 correlation matrix and Uhlmann fidelity of a state, random states and
 unitaries, a reader for the HOM scan CSV, and the Bayes chain run one
@@ -84,6 +85,22 @@ def chsh_predicted(rho: np.ndarray, settings: ChshSettings) -> float:
     """Noise-free S for given analyzer settings."""
     e = [predicted_E(rho, a, b) for a, b in settings.pairs()]
     return e[0] - e[1] + e[2] + e[3]
+
+
+def chsh_direct_reference(quads) -> tuple:
+    """(S, stderr, e_values) of a (4, 4) array of quads (PAIR_ORDER rows,
+    QUAD_ORDER columns), one row at a time: E = (q0 + q1 - q2 - q3) / total
+    and its Poisson variance sum_k q_k ((sign_k - E) / total)^2 per row."""
+    e_values, var = [], 0.0
+    signs = np.array([1.0, 1.0, -1.0, -1.0])
+    for quad in quads:
+        q = np.asarray(quad, dtype=float).reshape(4)
+        total = float(q.sum())
+        e = float((q[0] + q[1] - q[2] - q[3]) / total)
+        e_values.append(e)
+        var += float(np.sum(q * ((signs - e) / total) ** 2))
+    s = e_values[0] - e_values[1] + e_values[2] + e_values[3]
+    return s, math.sqrt(var), tuple(e_values)
 
 
 def pauli_decompose(rho: np.ndarray) -> np.ndarray:

@@ -438,9 +438,10 @@ class TestCriterion9PropertySuites:
         cfg = dataclasses.replace(
             cfg,
             tomo=dataclasses.replace(cfg.tomo, bayes_r=1000, bayes_burn_in=500),
+            n_bits=450_000,
         )
-        report_a = run_all(cfg, tmp_path / "a", n_bits=450_000)
-        report_b = run_all(cfg, tmp_path / "b", n_bits=450_000)
+        report_a = run_all(cfg, tmp_path / "a")
+        report_b = run_all(cfg, tmp_path / "b")
         for name in ("raw_bits.bin", "extracted_bits.bin"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name

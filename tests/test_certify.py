@@ -9,7 +9,6 @@ from diqrng.certify import (
     ChshSettings,
     chsh_direct,
     chsh_from_rho,
-    correlation_E,
     min_entropy,
     optimal_settings_for_visibility,
 )
@@ -18,6 +17,7 @@ from diqrng.pipeline import preset_config
 from diqrng.qmath import born_probabilities, pauli_compose
 from diqrng.source import eraser_postselected_state, simulate_chsh_counts, state_at_delay
 from model_oracles import (
+    chsh_direct_reference,
     chsh_predicted,
     chsh_quad_projectors,
     correlation_matrix,
@@ -38,18 +38,25 @@ def dephased_state(v):
 
 
 class TestCorrelationE:
+    """E of one setting pair, read off its row of chsh_direct(...).e_values."""
+
+    @staticmethod
+    def e_of_row(quad, row):
+        quads = np.full((4, 4), 25, dtype=np.int64)
+        quads[row] = quad
+        return chsh_direct(ChshCounts(quads)).e_values[row]
+
     def test_perfect_correlation(self):
-        assert correlation_E((100, 100, 0, 0)) == pytest.approx(1.0)
+        for row in range(4):
+            assert self.e_of_row((100, 100, 0, 0), row) == pytest.approx(1.0)
 
     def test_perfect_anticorrelation(self):
-        assert correlation_E((0, 0, 100, 100)) == pytest.approx(-1.0)
+        for row in range(4):
+            assert self.e_of_row((0, 0, 100, 100), row) == pytest.approx(-1.0)
 
     def test_uncorrelated(self):
-        assert correlation_E((50, 50, 50, 50)) == pytest.approx(0.0)
-
-    def test_zero_total_raises(self):
-        with pytest.raises(ValueError):
-            correlation_E((0, 0, 0, 0))
+        for row in range(4):
+            assert self.e_of_row((50, 50, 50, 50), row) == pytest.approx(0.0)
 
 
 class TestPredictedE:
@@ -83,7 +90,7 @@ class TestChshDirect:
             quads[row] = np.round(
                 np.array([p_pp, p_pp, p_pm, p_pm]) * total
             ).astype(np.int64)
-        result = chsh_direct(ChshCounts(quads, settings))
+        result = chsh_direct(ChshCounts(quads))
         assert abs(result.S) == pytest.approx(2.0 * SQRT2, abs=1e-3)
         assert result.violates_classical
 
@@ -105,6 +112,15 @@ class TestChshDirect:
         quads[2] = 0
         with pytest.raises(ValueError):
             ChshCounts(quads)
+
+    @pytest.mark.parametrize("preset", ["dataset_A", "dataset_B", "classical_source"])
+    def test_equals_the_per_row_reference_exactly(self, preset):
+        cfg = preset_config(preset)
+        rho = state_at_delay(cfg.source)
+        for seed in range(50):
+            counts = simulate_chsh_counts(rho, cfg.chsh.settings, cfg.chsh.pairs_per_setting, seed)
+            result = chsh_direct(counts)
+            assert (result.S, result.stderr, result.e_values) == chsh_direct_reference(counts.quads)
 
 
 class TestChshFromRho:
@@ -267,6 +283,14 @@ class TestChshAtSettings:
             chsh_from_rho(rho), abs=1e-12
         )
 
+    @pytest.mark.parametrize("preset", ["dataset_A", "dataset_B", "classical_source"])
+    def test_equals_the_per_row_reference_on_the_born_probabilities(self, preset):
+        cfg = preset_config(preset)
+        rho = state_at_delay(cfg.source)
+        probs = born_probabilities(rho, cfg.chsh.settings.projectors().reshape(16, 4, 4))
+        s, _, _ = chsh_direct_reference(probs.reshape(4, 4))
+        assert certify.chsh_at_settings(rho, cfg.chsh.settings) == s
+
 
 class TestDirectVsPredictedConsistency:
     def test_simulated_counts_match_model_within_three_sigma(self):
@@ -286,7 +310,7 @@ class TestDirectVsPredictedConsistency:
         for k, (alpha, beta) in enumerate([(0.0, 10.0), (15.0, 60.0), (30.0, 37.5)]):
             settings = ChshSettings(a=alpha, a_prime=45.0, b=beta, b_prime=67.5)
             counts = simulate_chsh_counts(rho, settings, 100_000, 7 + k)
-            e_emp = correlation_E(counts.quads[0])
+            e_emp = chsh_direct(counts).e_values[0]
             expected = -math.cos(math.radians(2.0 * (alpha - beta)))
             sigma = math.sqrt((1.0 - expected**2) / 100_000.0) + 1e-9
             assert abs(e_emp - expected) <= 3.0 * sigma + 0.003

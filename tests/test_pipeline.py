@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -46,11 +47,11 @@ class TestSeedDerivation:
         assert derive_seed(1, "bits") != derive_seed(1, "tomo")
 
     def test_changing_one_label_leaves_other_stages_alone(self):
-        cfg = reduced(preset_config("dataset_A"))
-        raw_a, info_a = run_generate(cfg, None, n_bits=20_000)
+        cfg = reduced(preset_config("dataset_A"), n_bits=20_000)
+        raw_a, info_a = run_generate(cfg, None)
         # A different estimator seed must not touch the bit stream.
         cfg_other = dataclasses.replace(cfg, global_seed=cfg.global_seed)
-        raw_b, info_b = run_generate(cfg_other, None, n_bits=20_000)
+        raw_b, info_b = run_generate(cfg_other, None)
         assert info_a["sha256"] == info_b["sha256"]
         assert derive_seed(cfg.global_seed, "bayes") != derive_seed(
             cfg.global_seed, "bits"
@@ -189,8 +190,8 @@ class TestConfig:
     def test_report_replayable_from_embedded_config(self, tmp_path):
         from diqrng.pipeline import run_all
 
-        cfg = reduced(preset_config("dataset_A"), global_seed=99)
-        report = run_all(cfg, tmp_path / "first", n_bits=REDUCED_BITS)
+        cfg = reduced(preset_config("dataset_A"), global_seed=99, n_bits=REDUCED_BITS)
+        report = run_all(cfg, tmp_path / "first")
         replayed_cfg = PipelineConfig.from_json_dict(report["config"])
         assert replayed_cfg.digest() == report["config_sha256"]
         replay = run_all(replayed_cfg, tmp_path / "second")
@@ -207,24 +208,24 @@ class TestStages:
         assert abs(result["visibility"] - 0.9655) < 0.01
 
     def test_generate_stage_file_sizes(self, tmp_path):
-        cfg = preset_config("dataset_A")
-        _, info = run_generate(cfg, tmp_path, n_bits=64)
+        cfg = dataclasses.replace(preset_config("dataset_A"), n_bits=64)
+        _, info = run_generate(cfg, tmp_path)
         assert (tmp_path / "raw_bits.bin").stat().st_size == 8
         assert info["n_bits"] == 64
         loaded = BitStream.load(tmp_path / "raw_bits.bin")
         assert loaded.sha256() == info["sha256"]
 
     def test_extract_stage_rejects_double_extraction(self, tmp_path):
-        cfg = reduced(preset_config("dataset_A"))
-        raw, _ = run_generate(cfg, None, n_bits=REDUCED_BITS)
+        cfg = reduced(preset_config("dataset_A"), n_bits=REDUCED_BITS)
+        raw, _ = run_generate(cfg, None)
         extracted, info = run_extract(cfg, raw, tmp_path)
         assert info["n_bits_out"] == (REDUCED_BITS // 4500) * 1200
         with pytest.raises(ValueError, match="raw"):
             run_extract(cfg, extracted, tmp_path)
 
     def test_certify_stage_reports_all_routes(self, tmp_path):
-        cfg = reduced(preset_config("dataset_A"))
-        raw, _ = run_generate(cfg, None, n_bits=20_000)
+        cfg = reduced(preset_config("dataset_A"), n_bits=20_000)
+        raw, _ = run_generate(cfg, None)
         report = run_certify(cfg, raw, tmp_path)
         assert (tmp_path / "certify.json").exists()
         assert report["chsh_model"] == pytest.approx(2.78, abs=0.01)
@@ -249,13 +250,27 @@ class TestStages:
             provenance={"stage": "extracted"},
         )
         cfg = preset_config("dataset_A")
-        report = run_test(cfg, bits, tmp_path, REFERENCE_EXPERIMENT["dataset_A"])
+        report = run_test(cfg, bits, tmp_path)
         csv_text = (tmp_path / "suite.csv").read_text()
         assert "reference_p_value" in csv_text.splitlines()[0]
         assert "Frequency" in csv_text
         assert (tmp_path / "suite.json").exists()
         assert len(report.results) == 15
 
+    @pytest.mark.parametrize(
+        "cfg, reference",
+        [(preset_config("dataset_A"), "0.84"), (PipelineConfig(), "")],
+        ids=["dataset_A", "no preset"],
+    )
+    def test_suite_stage_reference_column_follows_the_preset(self, tmp_path, cfg, reference):
+        bits = BitStream.from_bits(
+            np.random.default_rng(3).integers(0, 2, 1_200_000, dtype=np.uint8),
+            provenance={"stage": "extracted"},
+        )
+        run_test(cfg, bits, tmp_path)
+        with open(tmp_path / "suite.csv", newline="") as f:
+            rows = {row["test"]: row for row in csv.DictReader(f)}
+        assert rows["Frequency"]["reference_p_value"] == reference
 
     def test_suite_stage_passes_short_stream_warning_on(self):
         bits = BitStream.from_bits(
@@ -276,14 +291,15 @@ class TestStageFailureHandling:
         cfg = dataclasses.replace(
             preset_config("dataset_A"),
             source=SourceConfig(det_efficiency=0.0, dark_rate=0.0),
+            n_bits=1000,
         )
         with pytest.raises(RuntimeError, match="simulate-hom"):
-            run_all(cfg, tmp_path, n_bits=1000)
+            run_all(cfg, tmp_path)
         partial = json.loads((tmp_path / "run_report.json").read_text())
         assert partial["failed_stage"] == "simulate-hom"
         assert "error" in partial
-        # The report embeds the config that ran, n_bits override included.
-        assert partial["config_sha256"] == dataclasses.replace(cfg, n_bits=1000).digest()
+        # The report embeds the config that ran.
+        assert partial["config_sha256"] == cfg.digest()
 
 
 class TestCli:
@@ -409,7 +425,7 @@ class TestCli:
     def test_zero_bits_requested_exit_code(self, tmp_path, capsys):
         # --n-bits 0 is a request for no bits, not for the config's length.
         with pytest.raises(ValueError, match="n_bits must be at least 1"):
-            run_generate(preset_config("dataset_A"), None, n_bits=0)
+            dataclasses.replace(preset_config("dataset_A"), n_bits=0)
         gen = tmp_path / "gen"
         rc = cli.main(["generate", "--preset", "dataset_A", "--n-bits", "0", "--out", str(gen)])
         assert rc == 1
@@ -467,8 +483,8 @@ class TestCli:
         assert message in report["error"]
 
     def test_double_extraction_exit_code(self, tmp_path):
-        cfg = reduced(preset_config("dataset_A"))
-        raw, _ = run_generate(cfg, None, n_bits=REDUCED_BITS)
+        cfg = reduced(preset_config("dataset_A"), n_bits=REDUCED_BITS)
+        raw, _ = run_generate(cfg, None)
         extracted, _ = run_extract(cfg, raw, tmp_path)
         extracted.save(tmp_path / "extracted_bits.bin")
         rc = cli.main(
@@ -495,7 +511,9 @@ class TestCli:
     )
     @pytest.mark.parametrize("command", ["extract", "test", "certify"])
     def test_malformed_sidecar_exit_code(self, tmp_path, capsys, edit, message, command):
-        bits, _ = run_generate(preset_config("dataset_A"), tmp_path, n_bits=REDUCED_BITS)
+        bits, _ = run_generate(
+            dataclasses.replace(preset_config("dataset_A"), n_bits=REDUCED_BITS), tmp_path
+        )
         sidecar = tmp_path / "raw_bits.bin.json"
         sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
         with pytest.raises(ValueError, match=message):
@@ -516,7 +534,7 @@ class TestCli:
     def test_out_at_an_existing_file_fails_before_the_stage_runs(
         self, tmp_path, capsys, monkeypatch, command, module, stage
     ):
-        run_generate(preset_config("dataset_A"), tmp_path, n_bits=REDUCED_BITS)
+        run_generate(dataclasses.replace(preset_config("dataset_A"), n_bits=REDUCED_BITS), tmp_path)
         not_a_dir = tmp_path / "file"
         not_a_dir.write_text("")
 
@@ -594,9 +612,10 @@ class TestStartupLoadsNumpyOnly:
 
     def test_generate_and_extract_load_no_scipy(self):
         loaded = _scipy_modules_after(
+            "from dataclasses import replace\n"
             "from diqrng.pipeline import preset_config, run_extract, run_generate\n"
-            "cfg = preset_config('dataset_A')\n"
-            f"raw, _ = run_generate(cfg, None, n_bits={REDUCED_BITS})\n"
+            f"cfg = replace(preset_config('dataset_A'), n_bits={REDUCED_BITS})\n"
+            "raw, _ = run_generate(cfg, None)\n"
             "run_extract(cfg, raw, None)"
         )
         assert loaded == []

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from diqrng.statsuite import (
-    InsufficientLengthError,
     NotApplicable,
     TEST_NAMES,
     aperiodic_templates,
@@ -649,7 +648,7 @@ class TestSuite:
             (overlapping_template_test, 1000),
             (linear_complexity_test, 499),
         ]:
-            with pytest.raises(InsufficientLengthError, match="requires at least"):
+            with pytest.raises(NotApplicable, match="requires at least"):
                 test(np.ones(n, dtype=np.uint8))
 
     @pytest.mark.filterwarnings("ignore:stream has 1000 bits")
