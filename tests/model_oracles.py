@@ -1,8 +1,8 @@
 """Test-side references for the quantum model: named states (pure, singlet,
 maximally mixed, Werner) as (4, 4) arrays, the analytic CHSH prediction
 with two-outcome analyzers A = P(angle) - P(angle + 90), the CHSH estimate
-of a (4, 4) count array computed one setting pair at a time, the per-quad joint
-polarizer projectors built one np.kron at a time, the Pauli decomposition,
+of a (4, 4) count array computed one setting pair at a time, the per-quad
+joint polarizer projectors built one np.kron at a time, the Pauli decomposition,
 correlation matrix and Uhlmann fidelity of a state, random states and
 unitaries, a reader for the HOM scan CSV, and the Bayes chain run one
 proposal at a time.
