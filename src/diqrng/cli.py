@@ -26,8 +26,6 @@ def _load_config(args) -> PipelineConfig:
         cfg = PipelineConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, global_seed=args.seed)
-    if args.out:
-        cfg = dataclasses.replace(cfg, output_dir=args.out)
     if args.threshold is not None:
         cfg = dataclasses.replace(cfg, suite_threshold=args.threshold)
     if getattr(args, "n_bits", None) is not None:
@@ -35,61 +33,53 @@ def _load_config(args) -> PipelineConfig:
     return cfg
 
 
-def cmd_print_config(args) -> int:
-    cfg = _load_config(args)
-    print(cfg.to_json())
-    return 0
+def _out_dir(args) -> Path:
+    """--out, else runs/<--preset>, else runs/default; never a config value."""
+    return Path(args.out or f"runs/{args.preset or 'default'}")
 
 
-def cmd_simulate_hom(args) -> int:
-    cfg = _load_config(args)
-    result = pipeline.run_hom(cfg, cfg.output_dir)
-    print(json_text({k: result[k] for k in ("visibility", "stderr")}))
-    return 0
+def cmd_print_config(cfg: PipelineConfig, args) -> str:
+    return cfg.to_json()
 
 
-def cmd_generate(args) -> int:
-    cfg = _load_config(args)
-    _, info = pipeline.run_generate(cfg, cfg.output_dir)
-    print(json_text(info))
-    return 0
+def cmd_simulate_hom(cfg: PipelineConfig, args) -> str:
+    result = pipeline.run_hom(cfg, _out_dir(args))
+    return json_text({k: result[k] for k in ("visibility", "stderr")})
 
 
-def cmd_certify(args) -> int:
-    cfg = _load_config(args)
+def cmd_generate(cfg: PipelineConfig, args) -> str:
+    _, info = pipeline.run_generate(cfg, _out_dir(args))
+    return json_text(info)
+
+
+def cmd_certify(cfg: PipelineConfig, args) -> str:
     bits = BitStream.load(args.bits) if args.bits else None
-    report = pipeline.run_certify(cfg, bits, cfg.output_dir)
+    report = pipeline.run_certify(cfg, bits, _out_dir(args))
     summary = {
         "chsh_model": report["chsh_model"],
         "chsh_direct": report["chsh_direct"]["S"],
         "verdict": report["verdict"],
     }
-    print(json_text(summary))
-    return 0
+    return json_text(summary)
 
 
-def cmd_extract(args) -> int:
-    cfg = _load_config(args)
+def cmd_extract(cfg: PipelineConfig, args) -> str:
     raw = BitStream.load(args.bits)
-    _, info = pipeline.run_extract(cfg, raw, cfg.output_dir)
-    print(json_text(info))
-    return 0
+    _, info = pipeline.run_extract(cfg, raw, _out_dir(args))
+    return json_text(info)
 
 
-def cmd_test(args) -> int:
-    cfg = _load_config(args)
+def cmd_test(cfg: PipelineConfig, args) -> str:
     bits = BitStream.load(args.bits)
-    report = pipeline.run_test(cfg, bits, cfg.output_dir)
-    print(json_text({"all_passed": report.all_passed, "failing": report.failing()}))
-    return 0
+    report = pipeline.run_test(cfg, bits, _out_dir(args))
+    return json_text({"all_passed": report.all_passed, "failing": report.failing()})
 
 
-def cmd_run_all(args) -> int:
-    cfg = _load_config(args)
-    report = pipeline.run_all(cfg, cfg.output_dir)
-    summary = {**report["summary"], "report": str(Path(cfg.output_dir) / "run_report.json")}
-    print(json_text(summary))
-    return 0
+def cmd_run_all(cfg: PipelineConfig, args) -> str:
+    out_dir = _out_dir(args)
+    report = pipeline.run_all(cfg, out_dir)
+    summary = {**report["summary"], "report": str(out_dir / "run_report.json")}
+    return json_text(summary)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, bits_arg=False, n_bits_arg=False):
+    def common(p, bits_arg=False, n_bits_arg=False, out_arg=True):
         p.add_argument("--config", help="pipeline config JSON path")
         p.add_argument(
             "--preset",
@@ -107,21 +97,26 @@ def build_parser() -> argparse.ArgumentParser:
             help="built-in operating point",
         )
         p.add_argument("--seed", type=int, help="override the global seed")
-        p.add_argument("--out", help="output directory")
+        if out_arg:
+            p.add_argument("--out", help="output directory (default runs/<preset> or runs/default)")
         p.add_argument("--threshold", type=float, help="suite pass threshold")
         if bits_arg:
             p.add_argument("--bits", required=True, help="input bit file")
         if n_bits_arg:
             p.add_argument("--n-bits", type=int, default=None, dest="n_bits")
 
-    common(sub.add_parser("print-config", help="show the resolved config"))
+    common(sub.add_parser("print-config", help="show the resolved config"), out_arg=False)
     common(sub.add_parser("simulate-hom", help="HOM scan and visibility fit"))
     common(sub.add_parser("generate", help="generate raw heralded bits"), n_bits_arg=True)
     certify_p = sub.add_parser("certify", help="CHSH + tomography + min-entropy")
     common(certify_p)
     certify_p.add_argument("--bits", help="raw bit file for min-entropy")
     common(sub.add_parser("extract", help="Toeplitz extraction"), bits_arg=True)
-    common(sub.add_parser("test", help="SP 800-22 suite"), bits_arg=True)
+    test_help = (
+        "SP 800-22 suite. The FFT test's DFT runs at the stream's length n; an n with a"
+        " large prime factor costs about 11x more (1,200,003 bits against 1,200,000)."
+    )
+    common(sub.add_parser("test", help="SP 800-22 suite", description=test_help), bits_arg=True)
     common(sub.add_parser("run-all", help="full pipeline"), n_bits_arg=True)
     return parser
 
@@ -140,7 +135,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        print(_COMMANDS[args.command](_load_config(args), args))
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

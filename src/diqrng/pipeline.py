@@ -9,6 +9,7 @@ published reference numbers side by side, never merged.
 Every stage derives its RNG seed from the global seed through a labeled
 hash, so bit generation, coincidence sampling, tomography acquisition, the
 Bayesian chain, and the extractor seed are pairwise independent streams.
+A config names no directory: each stage writes where its caller says.
 
 This module is the only one that turns report data into JSON text: the
 library types hand over plain dicts, :func:`json_text` encodes them for the
@@ -95,7 +96,6 @@ class PipelineConfig:
     tomo: TomoStageConfig = field(default_factory=TomoStageConfig)
     extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
     suite_threshold: float = 0.01
-    output_dir: str = "runs/default"
     global_seed: int = 20260808
     n_bits: int = 4_500_000
     preset: str | None = None
@@ -289,7 +289,6 @@ def preset_config(name: str, global_seed: int = 20260808) -> PipelineConfig:
     return PipelineConfig(
         source=src,
         chsh=ChshStageConfig(settings=settings),
-        output_dir=f"runs/{name}",
         global_seed=global_seed,
         preset=name,
     )
@@ -331,7 +330,6 @@ def run_hom(cfg: PipelineConfig, out_dir=None) -> dict:
     if out_dir is not None:
         scan.to_csv(out_dir / "hom_scan.csv")
         (out_dir / "hom_visibility.json").write_text(json_text(result))
-        result["scan_csv"] = str(out_dir / "hom_scan.csv")
     return result
 
 
@@ -350,8 +348,7 @@ def run_generate(cfg: PipelineConfig, out_dir=None):
         "n_ties": events.n_ties,
     }
     if out_dir is not None:
-        path = events.bits.save(out_dir / "raw_bits.bin")
-        info["file"] = str(path)
+        events.bits.save(out_dir / "raw_bits.bin")
     return events.bits, info
 
 
@@ -462,8 +459,7 @@ def run_extract(cfg: PipelineConfig, raw: BitStream, out_dir=None):
         "seed_sha256": extracted.provenance["seed_sha256"],
     }
     if out_dir is not None:
-        path = extracted.save(out_dir / "extracted_bits.bin")
-        info["file"] = str(path)
+        extracted.save(out_dir / "extracted_bits.bin")
     return extracted, info
 
 
@@ -483,19 +479,20 @@ def run_test(cfg: PipelineConfig, bits: BitStream, out_dir=None):
     return suite_report
 
 
-def run_all(cfg: PipelineConfig, out_dir=None) -> dict:
-    """The full workflow, every stage reading the one config; failures halt
-    with the stage name, keeping partial artifacts on disk.  The report
-    embeds that config, so it replays the run.  Returns the report as
-    written to run_report.json, undefined values as None."""
-    out_dir = _ensure_dir(out_dir if out_dir is not None else cfg.output_dir)
+def run_all(cfg: PipelineConfig, out_dir) -> dict:
+    """The full workflow into out_dir, every stage reading the one config;
+    failures halt with the stage name, keeping partial artifacts on disk.
+    The report embeds that config, so it replays the run, and depends on
+    config and seed only: the start and finish times go to telemetry.json.
+    Returns the report as written to run_report.json, undefined values as None."""
+    out_dir = _ensure_dir(out_dir)
     reference = REFERENCE_EXPERIMENT.get(cfg.preset)
+    started = _utc_now()
     report = {
         "preset": cfg.preset,
         "config": cfg.to_json_dict(),
         "config_sha256": cfg.digest(),
         "seeds": cfg.seeds(),
-        "started": _utc_now(),
     }
     stage = "simulate-hom"
     try:
@@ -539,7 +536,8 @@ def run_all(cfg: PipelineConfig, out_dir=None) -> dict:
         report["error"] = str(exc)
         raise RuntimeError(f"pipeline stage {stage!r} failed: {exc}") from exc
     finally:
-        report["finished"] = _utc_now()
         text = json_text(report)
         (out_dir / "run_report.json").write_text(text)
+        telemetry = {"started": started, "finished": _utc_now()}
+        (out_dir / "telemetry.json").write_text(json_text(telemetry))
     return json.loads(text)

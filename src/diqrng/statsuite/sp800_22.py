@@ -260,6 +260,9 @@ def rank_test(b: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 
 def fft_test(b: np.ndarray) -> tuple:
+    """DFT at length n, as SP 800-22 defines the statistic; padding would
+    change it.  The cost follows n's factors: ``np.fft.rfft`` takes 0.36 s
+    at 1,200,003 = 3 * 7 * 57,143 samples against 0.032 s at 1,200,000."""
     n = b.size
     _require_length(n, 1000, "FFT")
     x = 2.0 * b.astype(np.float64) - 1.0

@@ -68,12 +68,13 @@ class TestConfig:
     def test_preset_digests_are_pinned(self):
         # Any change to the JSON schema changes run_report config_sha256.
         # These are the sha256 of each preset's sorted JSON without
-        # source.rng_seed, which the config does not record, and without
-        # source.state_model, a field the source no longer has.
+        # source.rng_seed, which the config does not record, without
+        # source.state_model, a field the source no longer has, and without
+        # output_dir: where a run writes is not part of the experiment.
         expected = {
-            "dataset_A": "6867f8c93c22743d65730a5b5ed0b72c4c178def53b67c57d136776ce715a2d2",
-            "dataset_B": "b2500e3edc6a2496c4166a706dbc17e4f282f4d5d8ff5800b91faa0761d2dbf5",
-            "classical_source": "23e68e018530121e3bc8f5061df6614a8043e5990a53155163ce38c05a4c5892",
+            "dataset_A": "116859f31cde1cf4dd42758f5a2bf9853ab0071a394f758d32e4da433af89e35",
+            "dataset_B": "d63601221efb7e41ac68babb0f72c1d0dfbd683ff0fa0bb1102ec250df3207c4",
+            "classical_source": "e047464484bf4ea30fe30b046fdd3db319525713ff8b22dc4d49a490d9cdac42",
         }
         for name, digest in expected.items():
             assert preset_config(name, 7).digest() == digest
@@ -300,6 +301,10 @@ class TestStageFailureHandling:
         assert "error" in partial
         # The report embeds the config that ran.
         assert partial["config_sha256"] == cfg.digest()
+        # The run's times go beside the report, not into it.
+        assert "started" not in partial and "finished" not in partial
+        telemetry = json.loads((tmp_path / "telemetry.json").read_text())
+        assert telemetry["started"] <= telemetry["finished"]
 
 
 class TestCli:
@@ -343,6 +348,18 @@ class TestCli:
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
         assert abs(summary["visibility"] - 0.9655) < 0.01
+
+    def test_default_output_directory_follows_the_preset_flag(self, tmp_path, monkeypatch):
+        # Without --out a run writes to runs/<--preset>, or runs/default; the
+        # directory never comes from a config file.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["simulate-hom", "--preset", "dataset_A"]) == 0
+        assert (tmp_path / "runs" / "dataset_A" / "hom_scan.csv").exists()
+        path = tmp_path / "my.json"
+        path.write_text(preset_config("dataset_B").to_json())
+        assert cli.main(["simulate-hom", "--config", str(path)]) == 0
+        assert (tmp_path / "runs" / "default" / "hom_scan.csv").exists()
+        assert not (tmp_path / "runs" / "dataset_B").exists()
 
     def test_validation_error_exit_code(self, tmp_path):
         missing = tmp_path / "nope.bin"
@@ -406,10 +423,11 @@ class TestCli:
             ({"source": {"rng_seed": 1}}, "unknown config key 'rng_seed' in source"),
             ({"extractor": {"epsilon": 5}}, "epsilon must be in (0, 1], got 5"),
             ({"extractor": {"h_inf": 7}}, "h_inf must be in (0, 1], got 7"),
+            ({"output_dir": "runs/x"}, "unknown config key 'output_dir' in the top level"),
         ],
         ids=["m above n", "m zero", "leftover_hash without h_inf", "fractional m", "no bits",
              "string n_bits", "threshold above one", "extractor seed_bits", "extractor rng_seed",
-             "source rng_seed", "epsilon above one", "h_inf above one"],
+             "source rng_seed", "epsilon above one", "h_inf above one", "output_dir"],
     )
     def test_bad_extractor_or_length_config_exit_code(self, tmp_path, capsys, config, message):
         # Rejected at config load: run-all exits 1 before any stage runs.
