@@ -484,7 +484,12 @@ def run_all(cfg: PipelineConfig, out_dir) -> dict:
     failures halt with the stage name, keeping partial artifacts on disk.
     The report embeds that config, so it replays the run, and depends on
     config and seed only: the start and finish times go to telemetry.json.
-    Returns the report as written to run_report.json, undefined values as None."""
+    Returns the report as written to run_report.json, undefined values as None.
+    An n_bits below one extractor block is rejected before any stage runs."""
+    if cfg.n_bits < cfg.extractor.n:
+        raise ValueError(
+            f"n_bits is {cfg.n_bits}, shorter than one {cfg.extractor.n}-bit extractor block"
+        )
     out_dir = _ensure_dir(out_dir)
     reference = REFERENCE_EXPERIMENT.get(cfg.preset)
     started = _utc_now()

@@ -64,15 +64,12 @@ def _require_length(n: int, minimum: int, name: str):
         raise NotApplicable(f"{name} requires at least {minimum} bits, got {n}")
 
 
-def _rolling_values(bits: np.ndarray, m: int) -> np.ndarray:
-    """Overlapping m-bit window values (MSB first) as unsigned integers,
-    taken along the last axis."""
-    n_out = bits.shape[-1] - m + 1
-    v = np.zeros(bits.shape[:-1] + (n_out,), dtype=np.uint32 if m <= 32 else np.uint64)
-    for i in range(m):
-        v <<= 1
-        v |= bits[..., i : i + n_out]
-    return v
+def _chi2_p(nu: np.ndarray, pi: np.ndarray, n: int) -> tuple:
+    """Pearson chi^2 of class counts ``nu`` against n trials of class
+    probabilities ``pi``, and its p-value at len(pi) - 1 degrees of freedom."""
+    expected = n * pi
+    chi2 = float(np.sum((nu - expected) ** 2 / expected))
+    return chi2, gammaincc((len(pi) - 1) / 2.0, chi2 / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +176,7 @@ def longest_runs_test(b: np.ndarray) -> tuple:
     np.maximum.at(longest, starts // (block_m + 2), ends - starts)
     classes = np.clip(longest, lo, hi) - lo
     nu = np.bincount(classes, minlength=hi - lo + 1)
-    pi = _longest_run_bin_probs(block_m, lo, hi)
-    expected = n_blocks * pi
-    chi2 = float(np.sum((nu - expected) ** 2 / expected))
-    k = hi - lo  # degrees of freedom
-    p = gammaincc(k / 2.0, chi2 / 2.0)
+    chi2, p = _chi2_p(nu, _longest_run_bin_probs(block_m, lo, hi), n_blocks)
     return (p,), {"M": block_m, "N": n_blocks, "chi2": chi2, "classes": f"{lo}..{hi}"}
 
 
@@ -249,9 +242,7 @@ def rank_test(b: np.ndarray) -> tuple:
             int(np.count_nonzero(ranks <= 30)),
         ]
     )
-    expected = n_mat * pi
-    chi2 = float(np.sum((nu - expected) ** 2 / expected))
-    p = gammaincc(1.0, chi2 / 2.0)
+    chi2, p = _chi2_p(nu, pi, n_mat)
     return (p,), {"N": n_mat, "chi2": chi2}
 
 
@@ -297,16 +288,14 @@ def non_overlapping_template_test(b: np.ndarray, m: int = 9, n_blocks: int = 8) 
     proper prefix equals a proper suffix.  Two occurrences closer than m
     bits would overlap, and the overlap would be such a prefix-suffix pair,
     so no occurrence is ever skipped and W_j is simply the number of
-    in-block windows equal to the template.  One bincount of
-    (block index << m) | window value therefore gives W for every template
-    and block at once.
+    in-block windows equal to the template.  :func:`_window_counts` of each
+    block therefore gives W for every template at once.
     """
     n = b.size
     _require_length(n, n_blocks * (2**m + m - 1), "Non Overlapping Template Matching")
     block_m = n // n_blocks
-    windows = _rolling_values(b[: n_blocks * block_m].reshape(n_blocks, block_m), m)
-    windows |= (np.arange(n_blocks, dtype=windows.dtype) << m)[:, np.newaxis]
-    counts = np.bincount(windows.ravel(), minlength=n_blocks << m).reshape(n_blocks, 2**m)
+    blocks = b[: n_blocks * block_m].reshape(n_blocks, block_m)
+    counts = np.array([_window_counts(block, m) for block in blocks])
 
     mu = (block_m - m + 1) / 2.0**m
     sigma2 = block_m * (2.0**-m - (2.0 * m - 1.0) * 2.0 ** (-2.0 * m))
@@ -361,10 +350,7 @@ def overlapping_template_test(b: np.ndarray, m: int = 9, block_m: int = 1032) ->
     window_sums = csum[:, m:] - csum[:, :-m]
     counts = np.minimum((window_sums == m).sum(axis=1), k_max)
     nu = np.bincount(counts, minlength=k_max + 1)
-    pi = overlapping_count_probs(block_m, m, k_max)
-    expected = n_blocks * pi
-    chi2 = float(np.sum((nu - expected) ** 2 / expected))
-    p = gammaincc(k_max / 2.0, chi2 / 2.0)
+    chi2, p = _chi2_p(nu, overlapping_count_probs(block_m, m, k_max), n_blocks)
     return (p,), {"m": m, "M": block_m, "N": n_blocks, "chi2": chi2}
 
 
@@ -506,9 +492,7 @@ def linear_complexity_test(b: np.ndarray, block_m: int = 500) -> tuple:
     t_stat = ((-1.0) ** block_m) * (complexities - mu) + 2.0 / 9.0
     edges = np.array([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5])
     nu = np.bincount(np.searchsorted(edges, t_stat, side="left"), minlength=7)
-    expected = n_blocks * _LINEAR_COMPLEXITY_PI
-    chi2 = float(np.sum((nu - expected) ** 2 / expected))
-    p = gammaincc(3.0, chi2 / 2.0)
+    chi2, p = _chi2_p(nu, _LINEAR_COMPLEXITY_PI, n_blocks)
     mean_l = float(complexities.mean())
     return (p,), {"M": block_m, "N": n_blocks, "chi2": chi2, "mean_L": mean_l}
 
@@ -518,19 +502,20 @@ def linear_complexity_test(b: np.ndarray, block_m: int = 500) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _window_counts(b: np.ndarray, m: int) -> np.ndarray:
-    """Counts of the n cyclic m-bit windows, indexed by value (MSB first).
+    """Counts of the b.size - m + 1 overlapping m-bit windows of b, indexed
+    by value (MSB first).  A caller that wants cyclic windows appends the
+    first m - 1 bits itself.
 
-    The stream with its first m - 1 bits appended is packed MSB first, and
-    word q is the big-endian uint64 of the 8 bytes from byte q, so it holds
-    bits 8q .. 8q + 63.  The window at bit 8q + r is then
-    (word_q >> (64 - m - r)) & (2^m - 1), for m <= 57; the 2^m <= n rule
-    of the tests that call this keeps m far below that.  Eight shifts and
-    bincounts over n / 8 words count all n windows.
+    b is packed MSB first, and word q is the big-endian uint64 of the 8
+    bytes from byte q, so it holds bits 8q .. 8q + 63.  The window at bit
+    8q + r is then (word_q >> (64 - m - r)) & (2^m - 1), for m <= 57; the
+    2^m <= n rule of the tests that call this keeps m far below that.
+    Eight shifts and bincounts over n / 8 words count all n windows.
     """
-    n = b.size
+    n = b.size - m + 1  # windows
     n_words = (n + 7) // 8
     packed = np.zeros(n_words + 7, dtype=np.uint8)
-    ext = np.packbits(np.concatenate([b, b[: m - 1]]))
+    ext = np.packbits(b)
     packed[: ext.size] = ext
     words = packed[:n_words].astype(np.uint64)
     for i in range(1, 8):
@@ -563,11 +548,17 @@ def _psi_squared(counts: np.ndarray, m: int, n: int) -> float:
 
 
 def serial_test(b: np.ndarray, m: int = 16) -> tuple:
+    """psi^2 of the n cyclic m-, (m - 1)- and (m - 2)-bit windows.
+
+    The windows wrap, so the stream is counted with its first m - 1 bits
+    appended (SP 800-22 Rev 1a, section 2.11.4); the shorter counts follow
+    from the m-bit ones (:func:`_prefix_counts`).
+    """
     n = b.size
     if m < 2:
         raise ValueError("Serial needs m >= 2")
     _require_length(n, 2**m, "Serial")
-    counts_m = _window_counts(b, m)
+    counts_m = _window_counts(np.concatenate([b, b[: m - 1]]), m)
     counts_m1 = _prefix_counts(counts_m)
     psi_m = _psi_squared(counts_m, m, n)
     psi_m1 = _psi_squared(counts_m1, m - 1, n)
@@ -591,9 +582,15 @@ def _phi(counts: np.ndarray, m: int, n: int) -> float:
 
 
 def approximate_entropy_test(b: np.ndarray, m: int = 10) -> tuple:
+    """phi of the n cyclic m- and (m + 1)-bit windows.
+
+    The windows wrap, so the stream is counted with its first m bits
+    appended (SP 800-22 Rev 1a, section 2.12.4); the m-bit counts follow
+    from the (m + 1)-bit ones (:func:`_prefix_counts`).
+    """
     n = b.size
     _require_length(n, 2**m, "Approximate Entropy")
-    counts_m1 = _window_counts(b, m + 1)
+    counts_m1 = _window_counts(np.concatenate([b, b[:m]]), m + 1)
     ap_en = _phi(_prefix_counts(counts_m1), m, n) - _phi(counts_m1, m + 1, n)
     chi2 = 2.0 * n * (math.log(2.0) - ap_en)
     p = gammaincc(2.0 ** (m - 1), chi2 / 2.0)
@@ -697,12 +694,10 @@ def random_excursions_test(b: np.ndarray) -> tuple:
     per_cycle = np.minimum(per_cycle.reshape(8, j_cycles), 5)
     per_cycle += 6 * np.arange(8)[:, np.newaxis]
     nu_rows = np.bincount(per_cycle.ravel(), minlength=48).reshape(8, 6)
-    p_values = []
-    for x, nu in zip(states, nu_rows):
-        expected = j_cycles * _excursion_state_pi(x)
-        chi2 = float(np.sum((nu - expected) ** 2 / expected))
-        p_values.append(gammaincc(2.5, chi2 / 2.0))
-    return tuple(p_values), {"J": j_cycles, "states": states}
+    p_values = tuple(
+        _chi2_p(nu, _excursion_state_pi(x), j_cycles)[1] for x, nu in zip(states, nu_rows)
+    )
+    return p_values, {"J": j_cycles, "states": states}
 
 
 def random_excursions_variant_test(b: np.ndarray) -> tuple:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -66,12 +66,14 @@ RECOMMENDED_SUITE_LENGTH = 1_000_000
 
 @dataclass(frozen=True)
 class TestResult:
+    """One test's verdict; the field order is the key order in suite.json."""
+
     p_values: tuple
     p_value: float
     passed: bool
-    params: dict = field(default_factory=dict)
-    note: str = ""
     applicable: bool = True
+    note: str = ""
+    params: dict = field(default_factory=dict)
 
 
 def _verdict(name: str, b: np.ndarray, threshold: float, **block_params) -> TestResult:
@@ -130,18 +132,8 @@ class SuiteReport:
         return [name for name, r in self.results.items() if not r.passed]
 
     def to_json_dict(self) -> dict:
-        tests = {}
-        for name, r in self.results.items():
-            tests[name] = {
-                "p_values": list(r.p_values),
-                "p_value": r.p_value,
-                "passed": r.passed,
-                "applicable": r.applicable,
-                "note": r.note,
-                "params": r.params,
-            }
         return {
-            "tests": tests,
+            "tests": {name: asdict(r) for name, r in self.results.items()},
             "threshold": self.threshold,
             "all_passed": self.all_passed,
             "stream_metadata": self.stream_metadata,

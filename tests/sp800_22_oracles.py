@@ -136,16 +136,22 @@ def non_overlapping_template_p_values(bits, m: int = 9, n_blocks: int = 8) -> tu
     return tuple(p_values)
 
 
-def cyclic_window_counts(bits, m: int) -> np.ndarray:
-    """Counts of the n cyclic m-bit windows (MSB first), by value: the
-    stream with its first m - 1 bits appended, one shift-or per window bit."""
+def window_counts(bits, m: int) -> np.ndarray:
+    """Counts of the n - m + 1 overlapping m-bit windows (MSB first), by
+    value, one shift-or per window bit."""
     b = np.asarray(bits, dtype=np.uint8)
-    ext = np.concatenate([b, b[: m - 1]])
-    n_out = ext.size - m + 1
+    n_out = b.size - m + 1
     v = np.zeros(n_out, dtype=np.uint32 if m <= 32 else np.uint64)
     for i in range(m):
-        v = (v << 1) | ext[i : i + n_out]
+        v = (v << 1) | b[i : i + n_out]
     return np.bincount(v, minlength=2**m)
+
+
+def cyclic_window_counts(bits, m: int) -> np.ndarray:
+    """Counts of the n cyclic m-bit windows (MSB first), by value: the
+    stream with its first m - 1 bits appended."""
+    b = np.asarray(bits, dtype=np.uint8)
+    return window_counts(np.concatenate([b, b[: m - 1]]), m)
 
 
 def cusum_p_scalar(n: int, z: float) -> float:

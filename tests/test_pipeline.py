@@ -292,7 +292,7 @@ class TestStageFailureHandling:
         cfg = dataclasses.replace(
             preset_config("dataset_A"),
             source=SourceConfig(det_efficiency=0.0, dark_rate=0.0),
-            n_bits=1000,
+            n_bits=9000,
         )
         with pytest.raises(RuntimeError, match="simulate-hom"):
             run_all(cfg, tmp_path)
@@ -452,6 +452,15 @@ class TestCli:
         out = tmp_path / "run"
         assert cli.main(["run-all", "--preset", "dataset_A", "--n-bits", "0", "--out", str(out)]) == 1
         assert not out.exists()
+
+    def test_run_all_shorter_than_one_extractor_block_exit_code(self, tmp_path, capsys):
+        # run-all rejects it before any stage runs; generate alone accepts it.
+        out = tmp_path / "run"
+        assert cli.main(["run-all", "--preset", "dataset_A", "--n-bits", "4000", "--out", str(out)]) == 1
+        assert "shorter than one 4500-bit extractor block" in capsys.readouterr().err
+        assert not out.exists()
+        gen = tmp_path / "gen"
+        assert cli.main(["generate", "--preset", "dataset_A", "--n-bits", "4000", "--out", str(gen)]) == 0
 
     def test_run_all_prints_the_report_summary(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -50,11 +50,18 @@ from sp800_22_oracles import (
     non_overlapping_template_p_values,
     random_excursions_p_values,
     random_excursions_variant_p_values,
+    window_counts,
 )
 
 
 def bits_from_string(s):
     return np.array([int(c) for c in s], dtype=np.uint8)
+
+
+def cyclic(bits, m):
+    """The stream with its first m - 1 bits appended, whose m-bit windows
+    are the n cyclic windows of the stream."""
+    return np.concatenate([bits, bits[: m - 1]])
 
 
 def constant_and_alternating_streams(n):
@@ -422,22 +429,28 @@ class TestSerialAndApEn:
         rng = np.random.default_rng(m)
         for n in (37, 5003):
             bits = rng.integers(0, 2, n, dtype=np.uint8)
-            counts = _window_counts(bits, m)
-            assert np.array_equal(_prefix_counts(counts), _window_counts(bits, m - 1))
+            counts = _window_counts(cyclic(bits, m), m)
+            assert np.array_equal(
+                _prefix_counts(counts), _window_counts(cyclic(bits, m - 1), m - 1)
+            )
 
     @pytest.mark.parametrize("n", (100, 1001, 65_536, 1_200_003))
     def test_window_counts_equal_shift_or_oracle(self, n):
-        # The packed-word counts must equal the cyclic shift-or ones at every
-        # bit offset of the last, partial byte.
+        # The packed-word counts must equal the shift-or ones at every bit
+        # offset of the last, partial byte, of the stream as given and of
+        # the stream with its first m - 1 bits appended.
         bits = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
         for m in range(2, 18):
-            assert np.array_equal(_window_counts(bits, m), cyclic_window_counts(bits, m)), m
+            assert np.array_equal(_window_counts(bits, m), window_counts(bits, m)), m
+            assert np.array_equal(
+                _window_counts(cyclic(bits, m), m), cyclic_window_counts(bits, m)
+            ), m
 
     @pytest.mark.parametrize("n", (100, 1001))
     def test_window_counts_of_constant_and_alternating_streams(self, n):
         for name, bits in constant_and_alternating_streams(n).items():
             for m in range(2, 18):
-                counts = _window_counts(bits, m)
+                counts = _window_counts(cyclic(bits, m), m)
                 assert np.array_equal(counts, cyclic_window_counts(bits, m)), (name, m)
                 assert counts.sum() == n
 
@@ -603,6 +616,9 @@ class TestSuite:
         # One verdict per test and no suite-wide aggregate.
         assert list(data) == ["tests", "threshold", "all_passed", "stream_metadata"]
         assert set(data["tests"].keys()) == set(TEST_NAMES)
+        # The key order of each entry is the order suite.json is written in.
+        keys = ["p_values", "p_value", "passed", "applicable", "note", "params"]
+        assert all(list(entry) == keys for entry in data["tests"].values())
         assert data["threshold"] == 0.01
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 16  # header + 15 tests
