@@ -4,7 +4,8 @@ Modules:
     qmath      -- states as read-only (..., 4, 4) arrays, the one physicality
                   test, Pauli composition, projector stacks and the Born map
     source     -- HOM + quantum-eraser photon-pair source simulator
-    tomography -- LS / MLE / Bayesian density-matrix estimators
+    tomography -- the tomography stage config (TomoConfig) and the
+                  LS / MLE / Bayesian density-matrix estimators
     certify    -- CHSH (direct, model at settings, Horodecki bound) and
                   min-entropy
     extract    -- the byte-packed BitStream, the one 0/1 input check, and

@@ -36,7 +36,7 @@ from . import certify, extract, source, statsuite, tomography
 from .certify import ChshSettings, chsh_from_rho, min_entropy, optimal_settings_for_visibility
 from .extract import BitStream, ExtractorConfig
 from .source import SourceConfig
-from .tomography import BayesConfig, TomoCounts
+from .tomography import TomoConfig, TomoCounts
 
 SEED_LABELS = ("hom", "bits", "chsh", "tomo", "bayes", "toeplitz")
 
@@ -58,42 +58,10 @@ class ChshStageConfig:
 
 
 @dataclass(frozen=True)
-class TomoStageConfig:
-    acquisition_total: int = 10_000
-    mle_max_iters: int = 20_000
-    mle_tol: float = 1e-3  # duality-gap bound on the MLE, in nats
-    bayes_r: int = 5000
-    bayes_burn_in: int = 2000
-    bayes_thin: int = 5
-    bayes_step: float = 0.08
-    bayes_k: int = 4
-
-    def __post_init__(self):
-        if self.acquisition_total < 1:
-            raise ValueError("acquisition_total must be at least 1")
-        if self.mle_max_iters < 1:
-            raise ValueError("mle_max_iters must be at least 1")
-        if not self.mle_tol > 0:
-            raise ValueError("mle_tol must be positive")
-        self.bayes_config(0)  # BayesConfig rejects bad sampler fields at config load
-
-    def bayes_config(self, rng_seed: int) -> BayesConfig:
-        """The sampler settings of this stage, validated by BayesConfig."""
-        return BayesConfig(
-            R=self.bayes_r,
-            burn_in=self.bayes_burn_in,
-            thin=self.bayes_thin,
-            step=self.bayes_step,
-            K=self.bayes_k,
-            rng_seed=rng_seed,
-        )
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     source: SourceConfig = field(default_factory=SourceConfig)
     chsh: ChshStageConfig = field(default_factory=ChshStageConfig)
-    tomo: TomoStageConfig = field(default_factory=TomoStageConfig)
+    tomo: TomoConfig = field(default_factory=TomoConfig)
     extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
     suite_threshold: float = 0.01
     global_seed: int = 20260808
@@ -318,7 +286,7 @@ def run_hom(cfg: PipelineConfig, out_dir=None) -> dict:
     src = replace(cfg.source, rng_seed=derive_seed(cfg.global_seed, "hom"))
     positions = source.default_scan_positions(src)
     baseline = src.pair_rate * src.det_efficiency**2
-    dwell = 10_000.0 / baseline if baseline > 0 else 1.0
+    dwell = 10_000.0 / baseline
     scan = source.scan_hom(src, positions, dwell)
     visibility, stderr = source.visibility_from_scan(scan)
     result = {
@@ -391,13 +359,12 @@ def run_certify(cfg: PipelineConfig, bits: BitStream | None, out_dir=None) -> di
         ),
         cfg.tomo.acquisition_total,
     )
-    bayes_cfg = cfg.tomo.bayes_config(derive_seed(cfg.global_seed, "bayes"))
     try:
         ls = tomography.ls_invert(tomo_counts)
-        mle = tomography.mle_estimate(
-            tomo_counts, max_iters=cfg.tomo.mle_max_iters, tol=cfg.tomo.mle_tol
+        mle = tomography.mle_estimate(tomo_counts, cfg.tomo)
+        bayes, samples = tomography.bayesian_estimate(
+            tomo_counts, derive_seed(cfg.global_seed, "bayes"), cfg.tomo
         )
-        bayes, samples = tomography.bayesian_estimate(tomo_counts, bayes_cfg)
         s_post = tomography.posterior_functional(samples, chsh_from_rho)
     except ValueError as exc:
         # The counts are simulated here, so an estimator that rejects them

@@ -60,11 +60,14 @@ class SourceConfig:
             raise ValueError("visibility_v0 must be in [0, 1]")
         if self.dip_sigma_nm <= 0:
             raise ValueError("dip_sigma_nm must be positive")
-        for name in ("pair_rate", "dark_rate", "coincidence_window"):
+        # A source that detects no pairs has no HOM dip and no bits.
+        if not self.pair_rate > 0:
+            raise ValueError(f"pair_rate must be positive, got {self.pair_rate!r}")
+        if not 0.0 < self.det_efficiency <= 1.0:
+            raise ValueError(f"det_efficiency must be in (0, 1], got {self.det_efficiency!r}")
+        for name in ("dark_rate", "coincidence_window"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if not 0.0 <= self.det_efficiency <= 1.0:
-            raise ValueError("det_efficiency must be in [0, 1]")
 
     def overlap_at_delay(self) -> float:
         """Indistinguishability overlap v = v0 exp(-tau^2 / (2 sigma^2))."""
@@ -302,8 +305,6 @@ def generate_events(cfg: SourceConfig, n_bits: int) -> EventStream:
     """
     if n_bits < 1:
         raise ValueError("n_bits must be at least 1")
-    if cfg.det_efficiency == 0.0 and cfg.dark_rate * cfg.coincidence_window == 0.0:
-        raise ValueError("no coincidences possible with zero detection efficiency")
     rho = state_at_delay(cfg)
     p_v = born_probabilities(rho, kron2(np.eye(2), polarizer([90.0])))[0]
 

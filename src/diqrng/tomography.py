@@ -11,17 +11,9 @@ matrix (always physical, stopped by a duality-gap certificate), and a
 pseudo-Bayesian posterior mean sampled with random-walk Metropolis-Hastings
 over a K-component pure-state mixture (always physical).  The posterior of
 any state functional, with split-R-hat and effective sample size, comes
-from :func:`posterior_functional` on the sampler's draws.
-
-The Metropolis chain rejects most proposals, so it prefetches them: while
-it keeps rejecting, the next proposals are the current state plus noise
-already drawn, and up to eight of them are evaluated as one numpy batch.
-This makes the sequential chain's accept/reject decisions, because a
-rejected step leaves the state unchanged, the noise does not depend on the
-state, and no batch crosses a 50-step adaptation window, where the step
-size may change.  The loop does no work per rejected step: each batch's
-Metropolis tests are one scan of a Python list, and the thinned draws
-that fall among the steps a batch decides are filled in one go.
+from :func:`posterior_functional` on the sampler's draws.  Their settings,
+and those of the acquisition, are one :class:`TomoConfig`, the pipeline's
+``tomo`` section.
 
 The chain's log-target never forms a density matrix: the Born probabilities
 come from the real and imaginary parts of the kets through one fixed
@@ -106,6 +98,36 @@ class TomoCounts:
 
     def frequencies(self) -> np.ndarray:
         return self.counts / self.acquisition_total
+
+
+@dataclass(frozen=True)
+class TomoConfig:
+    """Tomography stage settings: the pairs acquired per setting, the MLE's
+    iteration cap and duality-gap bound (in nats), and the Bayes sampler's
+    kept draws R, burn-in, thinning, initial step and mixture size K."""
+
+    acquisition_total: int = 10_000
+    mle_max_iters: int = 20_000
+    mle_tol: float = 1e-3
+    bayes_r: int = 5000
+    bayes_burn_in: int = 2000
+    bayes_thin: int = 5
+    bayes_step: float = 0.08
+    bayes_k: int = 4
+
+    def __post_init__(self):
+        for key, valid, rule in (
+            ("acquisition_total", self.acquisition_total >= 1, "at least 1"),
+            ("mle_max_iters", self.mle_max_iters >= 1, "at least 1"),
+            ("mle_tol", self.mle_tol > 0, "positive"),
+            ("bayes_r", self.bayes_r >= 100, "at least 100"),
+            ("bayes_burn_in", self.bayes_burn_in <= self.bayes_r, f"at most bayes_r, {self.bayes_r}"),
+            ("bayes_thin", self.bayes_thin >= 1, "at least 1"),
+            ("bayes_step", self.bayes_step > 0, "positive"),
+            ("bayes_k", self.bayes_k >= 1, "at least 1"),
+        ):
+            if not valid:
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)
@@ -214,7 +236,7 @@ def _project_to_states(h: np.ndarray) -> np.ndarray:
     return (v * np.clip(w - theta, 0.0, None)) @ v.conj().T
 
 
-def mle_estimate(counts: TomoCounts, max_iters: int = 20_000, tol: float = 1e-3) -> TomoResult:
+def mle_estimate(counts: TomoCounts, cfg: TomoConfig = TomoConfig()) -> TomoResult:
     """Maximum-likelihood state by accelerated projected gradient ascent on
     rho (FISTA; Shang, Zhang and Ng, PRA 95, 062336, 2017).
 
@@ -222,9 +244,12 @@ def mle_estimate(counts: TomoCounts, max_iters: int = 20_000, tol: float = 1e-3)
     matrices, backtracks on the quadratic lower bound of l, and resets the
     momentum when l decreases or the momentum opposes the ascent step
     (O'Donoghue and Candes).  It stops once the duality gap lambda_max(G) -
-    Tr(G rho) is at most ``tol``, G being the gradient operator (dl = Tr(G
-    drho)); l is concave, so the gap bounds l(MLE) - l(rho), in nats.
+    Tr(G rho) is at most ``cfg.mle_tol``, G being the gradient operator (dl
+    = Tr(G drho)); l is concave, so the gap bounds l(MLE) - l(rho), in nats.
+    It raises a RuntimeError if that takes more than ``cfg.mle_max_iters``
+    iterations.
     """
+    max_iters, tol = cfg.mle_max_iters, cfg.mle_tol
     if int(counts.counts.sum()) == 0:
         raise ValueError("maximum likelihood needs at least one positive count")
     n = counts.counts.astype(float)
@@ -280,33 +305,6 @@ def mle_estimate(counts: TomoCounts, max_iters: int = 20_000, tol: float = 1e-3)
 # ---------------------------------------------------------------------------
 # Bayesian posterior mean via random-walk Metropolis-Hastings
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BayesConfig:
-    """Sampler settings.
-
-    The state is a K-component mixture rho(x) = sum w_k |psi_k><psi_k| with
-    Dirichlet weights (normalized unit-rate gammas) and Haar-ish pure
-    states from normalized complex normal 4-vectors.  All 9K parameters are
-    standard normal under the prior; the gamma variables come from the
-    inverse-CDF transform of the last coordinate of each component.
-    """
-
-    R: int = 5000
-    burn_in: int = 2000
-    thin: int = 5
-    step: float = 0.08
-    K: int = 4
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.R < 100:
-            raise ValueError("Bayesian estimation needs R >= 100 samples")
-        if self.R < self.burn_in:
-            raise ValueError("R must be at least the burn-in length")
-        if self.thin < 1 or self.K < 1 or self.step <= 0:
-            raise ValueError("thin, K must be >= 1 and step > 0")
-
 
 def _ndtr(x):
     """Standard normal CDF.  scipy.special is imported at the first call, not
@@ -379,8 +377,17 @@ _WINDOW = 50
 _PREFETCH = 8
 
 
-def bayesian_estimate(counts: TomoCounts, cfg: BayesConfig | None = None):
+def bayesian_estimate(counts: TomoCounts, rng_seed: int, cfg: TomoConfig = TomoConfig()):
     """Posterior mean state and samples; returns (TomoResult, PosteriorSamples).
+
+    The state is a K-component mixture rho(x) = sum w_k |psi_k><psi_k| with
+    Dirichlet weights (normalized unit-rate gammas) and Haar-ish pure
+    states from normalized complex normal 4-vectors.  All 9K parameters are
+    standard normal under the prior; the gamma variables come from the
+    inverse-CDF transform of the last coordinate of each component.  The
+    chain keeps R = ``cfg.bayes_r`` draws, every ``cfg.bayes_thin``-th step
+    after ``cfg.bayes_burn_in`` steps, with K = ``cfg.bayes_k``, from the
+    stream of ``rng_seed``.
 
     A functional of the state is summarized from the samples by
     :func:`posterior_functional`.  All-zero counts are treated as an empty
@@ -417,22 +424,22 @@ def bayesian_estimate(counts: TomoCounts, cfg: BayesConfig | None = None):
     ``diagnostics["evaluations"]`` counts the log-targets computed,
     thrown-away ones included.
     """
-    cfg = cfg or BayesConfig()
+    R, burn_in, thin, K = cfg.bayes_r, cfg.bayes_burn_in, cfg.bayes_thin, cfg.bayes_k
     model = None
     if int(counts.counts.sum()) > 0:
         totals = np.full(16, float(counts.acquisition_total))
         model = (counts.counts.astype(float), totals, _KWIAT_FORMS)
-    dim = 9 * cfg.K
-    rng = np.random.default_rng([int(cfg.rng_seed), 0xBA7E5])
+    dim = 9 * K
+    rng = np.random.default_rng([int(rng_seed), 0xBA7E5])
 
     x = rng.standard_normal(dim)
-    log_p = float(_log_target(x, cfg.K, model))
+    log_p = float(_log_target(x, K, model))
     evaluations = 1
-    step = cfg.step
-    total_steps = cfg.burn_in + cfg.R * cfg.thin
-    kept_x = np.empty((cfg.R, dim))
+    step = cfg.bayes_step
+    total_steps = burn_in + R * thin
+    kept_x = np.empty((R, dim))
     kept = 0
-    next_kept = cfg.burn_in + cfg.thin - 1
+    next_kept = burn_in + thin - 1
     accepted_post = 0
     noise = np.empty((_WINDOW, dim))
     log_u = [0.0] * _WINDOW
@@ -446,7 +453,7 @@ def bayesian_estimate(counts: TomoCounts, cfg: BayesConfig | None = None):
         while j < width:
             end = min(j + _PREFETCH, width)
             proposals = x + step * noise[j:end]
-            cand_log_p = _log_target(proposals, cfg.K, model).tolist()
+            cand_log_p = _log_target(proposals, K, model).tolist()
             evaluations += end - j
             accept = end
             for a in range(j, end):
@@ -458,26 +465,26 @@ def bayesian_estimate(counts: TomoCounts, cfg: BayesConfig | None = None):
             while next_kept < start + accept:
                 kept_x[kept] = x
                 kept += 1
-                next_kept += cfg.thin
+                next_kept += thin
             if accept == end:
                 j = end
             else:
                 x, log_p = proposals[accept - j], cand_log_p[accept - j]
                 window_accepts += 1
-                if start + accept >= cfg.burn_in:
+                if start + accept >= burn_in:
                     accepted_post += 1
                 j = accept + 1
-        if width == _WINDOW and start + _WINDOW <= cfg.burn_in:
+        if width == _WINDOW and start + _WINDOW <= burn_in:
             step *= math.exp(0.6 * (window_accepts / _WINDOW - 0.3))
     kept_x[kept:] = x
-    acceptance = accepted_post / (cfg.R * cfg.thin)
-    kept_rho = _rho_from_vector(kept_x, cfg.K)
+    acceptance = accepted_post / (R * thin)
+    kept_rho = _rho_from_vector(kept_x, K)
     diagnostics = {
         "step_final": step,
         "evaluations": evaluations,
-        "R": cfg.R,
-        "burn_in": cfg.burn_in,
-        "thin": cfg.thin,
+        "R": R,
+        "burn_in": burn_in,
+        "thin": thin,
     }
     if acceptance < 0.01 or acceptance > 0.95:
         warnings.warn(

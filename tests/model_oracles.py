@@ -173,21 +173,23 @@ def hom_scan_from_csv(path) -> HomScan:
     )
 
 
-def random_walk_chain_reference(counts, cfg):
+def random_walk_chain_reference(counts, cfg, rng_seed):
     """The Bayes chain one proposal at a time: the sequential random-walk
     Metropolis loop that ``tomography.bayesian_estimate`` prefetches.
     It calls the package's ``_rho_from_vector`` and ``_log_likelihood`` on
     one state at a time, the rho form the MLE also uses, so it checks the
     chain's real-arithmetic log-target as well as its prefetching.
+    ``cfg`` is a ``TomoConfig``, of which it reads the ``bayes_*`` fields.
     Returns (samples, rho_samples, acceptance_rate, step_final)."""
+    R, burn_in, thin, K = cfg.bayes_r, cfg.bayes_burn_in, cfg.bayes_thin, cfg.bayes_k
     n = counts.counts.astype(float)
     totals = np.full(16, float(counts.acquisition_total))
     empty_record = int(counts.counts.sum()) == 0
-    dim = 9 * cfg.K
-    rng = np.random.default_rng([int(cfg.rng_seed), 0xBA7E5])
+    dim = 9 * K
+    rng = np.random.default_rng([int(rng_seed), 0xBA7E5])
 
     def log_target(x):
-        rho = _rho_from_vector(x, cfg.K)
+        rho = _rho_from_vector(x, K)
         if empty_record:
             return -0.5 * float(x @ x), rho
         ll, _ = _log_likelihood(rho, n, totals, KWIAT)
@@ -195,10 +197,10 @@ def random_walk_chain_reference(counts, cfg):
 
     x = rng.standard_normal(dim)
     log_p, rho = log_target(x)
-    step = cfg.step
-    total_steps = cfg.burn_in + cfg.R * cfg.thin
-    kept_x = np.empty((cfg.R, dim))
-    kept_rho = np.empty((cfg.R, 4, 4), dtype=complex)
+    step = cfg.bayes_step
+    total_steps = burn_in + R * thin
+    kept_x = np.empty((R, dim))
+    kept_rho = np.empty((R, 4, 4), dtype=complex)
     kept = 0
     accepted_post = 0
     window_accepts = 0
@@ -208,14 +210,14 @@ def random_walk_chain_reference(counts, cfg):
         if math.log(rng.random()) < cand_log_p - log_p:
             x, log_p, rho = proposal, cand_log_p, cand_rho
             window_accepts += 1
-            if i >= cfg.burn_in:
+            if i >= burn_in:
                 accepted_post += 1
         if (i + 1) % 50 == 0:
-            if i < cfg.burn_in:
+            if i < burn_in:
                 step *= math.exp(0.6 * (window_accepts / 50.0 - 0.3))
             window_accepts = 0
-        if i >= cfg.burn_in and (i - cfg.burn_in) % cfg.thin == cfg.thin - 1:
+        if i >= burn_in and (i - burn_in) % thin == thin - 1:
             kept_x[kept] = x
             kept_rho[kept] = rho
             kept += 1
-    return kept_x, kept_rho, accepted_post / (cfg.R * cfg.thin), step
+    return kept_x, kept_rho, accepted_post / (R * thin), step

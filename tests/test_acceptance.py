@@ -48,7 +48,6 @@ from diqrng.statsuite import (
 )
 from diqrng.tomography import (
     KWIAT,
-    BayesConfig,
     TomoCounts,
     _log_likelihood,
     _log_likelihood_with_gradient,
@@ -169,7 +168,7 @@ class TestCriterion3TomographyOracleEquivalence:
             )
             f_ls = fidelity(ls_invert(counts).rho_est, rho)
             f_mle = fidelity(mle_estimate(counts).rho_est, rho)
-            bayes, _ = bayesian_estimate(counts, BayesConfig(rng_seed=index))
+            bayes, _ = bayesian_estimate(counts, index)
             f_bayes = fidelity(bayes.rho_est, rho)
             worst["LS"] = min(worst["LS"], f_ls)
             worst["MLE"] = min(worst["MLE"], f_mle)

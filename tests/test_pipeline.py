@@ -24,6 +24,7 @@ from diqrng.pipeline import (
     run_hom,
     run_test,
 )
+from diqrng.tomography import KWIAT, TomoCounts, bayesian_estimate
 
 REDUCED_BITS = 90_000  # 20 extractor blocks; keeps unit runs fast
 
@@ -163,13 +164,6 @@ class TestConfig:
         assert cfg.suite_threshold == 1
         assert cfg.extractor.m is None
 
-    def test_bayes_config_carries_the_stage_fields(self):
-        tomo = reduced(preset_config("dataset_A")).tomo
-        bayes = tomo.bayes_config(123)
-        assert (bayes.R, bayes.burn_in, bayes.thin, bayes.step, bayes.K, bayes.rng_seed) == (
-            800, 400, 2, tomo.bayes_step, tomo.bayes_k, 123
-        )
-
     def test_presets_pin_the_operating_points(self):
         cfg_a = preset_config("dataset_A")
         assert cfg_a.source.overlap_at_delay() == pytest.approx(0.9655)
@@ -234,6 +228,16 @@ class TestStages:
         assert abs(report["chsh_direct"]["S"] - 2.78) < 0.1
         assert "S" in report["tomography"]["mle"]
         assert "S_mean" in report["tomography"]["bayes"]
+        # The chain ran on the stage's sampler fields and the "bayes" seed.
+        total = cfg.tomo.acquisition_total
+        counts = source.simulate_setting_counts(
+            source.state_at_delay(cfg.source), KWIAT, total, derive_seed(cfg.global_seed, "tomo")
+        )
+        _, samples = bayesian_estimate(
+            TomoCounts(counts, total), derive_seed(cfg.global_seed, "bayes"), cfg.tomo
+        )
+        assert report["tomography"]["bayes"]["R"] == cfg.tomo.bayes_r == 800
+        assert report["tomography"]["bayes"]["acceptance_rate"] == samples.acceptance_rate
         assert report["min_entropy"]["n_bits"] == 20_000
         assert report["verdict"]["entangled"]
         assert report["horodecki_convention"] == "horodecki-singular-value"
@@ -285,20 +289,20 @@ class TestStages:
 class TestStageFailureHandling:
     def test_failed_stage_keeps_partial_report(self, tmp_path):
         from diqrng.pipeline import run_all
-        from diqrng.source import SourceConfig
 
-        # Dead detectors: the HOM scan has no counts and the fit cannot
-        # converge, so the pipeline halts at its first stage.
+        # One MLE iteration cannot reach the duality-gap bound, so the
+        # pipeline halts at certify, after the HOM scan and the bits.
+        cfg = preset_config("dataset_A")
         cfg = dataclasses.replace(
-            preset_config("dataset_A"),
-            source=SourceConfig(det_efficiency=0.0, dark_rate=0.0),
-            n_bits=9000,
+            cfg, tomo=dataclasses.replace(cfg.tomo, mle_max_iters=1), n_bits=9000
         )
-        with pytest.raises(RuntimeError, match="simulate-hom"):
+        with pytest.raises(RuntimeError, match="certify"):
             run_all(cfg, tmp_path)
         partial = json.loads((tmp_path / "run_report.json").read_text())
-        assert partial["failed_stage"] == "simulate-hom"
-        assert "error" in partial
+        assert partial["failed_stage"] == "certify"
+        assert "MLE did not converge in 1 iterations" in partial["error"]
+        assert "hom" in partial and "generate" in partial
+        assert "certify" not in partial
         # The report embeds the config that ran.
         assert partial["config_sha256"] == cfg.digest()
         # The run's times go beside the report, not into it.
@@ -394,9 +398,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "tomo, message",
         [
-            ({"bayes_r": 50}, "R >= 100"),
-            ({"bayes_r": 500}, "burn-in"),
-            ({"bayes_thin": 0}, "thin"),
+            ({"bayes_r": 50}, "bayes_r must be at least 100, got 50"),
+            ({"bayes_r": 500}, "bayes_burn_in must be at most bayes_r, 500, got 2000"),
+            ({"bayes_thin": 0}, "bayes_thin must be at least 1, got 0"),
+            ({"bayes_k": 0}, "bayes_k must be at least 1, got 0"),
+            ({"bayes_step": 0}, "bayes_step must be positive, got 0"),
             ({"mle_tol": -1}, "mle_tol"),
             ({"mle_max_iters": 0}, "mle_max_iters"),
             ({"bayes_k": 2.5}, "config key 'bayes_k' in tomo must be an integer, got 2.5"),
@@ -424,10 +430,13 @@ class TestCli:
             ({"extractor": {"epsilon": 5}}, "epsilon must be in (0, 1], got 5"),
             ({"extractor": {"h_inf": 7}}, "h_inf must be in (0, 1], got 7"),
             ({"output_dir": "runs/x"}, "unknown config key 'output_dir' in the top level"),
+            ({"source": {"det_efficiency": 0}}, "det_efficiency must be in (0, 1], got 0"),
+            ({"source": {"pair_rate": 0}}, "pair_rate must be positive, got 0"),
         ],
         ids=["m above n", "m zero", "leftover_hash without h_inf", "fractional m", "no bits",
              "string n_bits", "threshold above one", "extractor seed_bits", "extractor rng_seed",
-             "source rng_seed", "epsilon above one", "h_inf above one", "output_dir"],
+             "source rng_seed", "epsilon above one", "h_inf above one", "output_dir",
+             "dead detectors", "no pairs"],
     )
     def test_bad_extractor_or_length_config_exit_code(self, tmp_path, capsys, config, message):
         # Rejected at config load: run-all exits 1 before any stage runs.

@@ -274,9 +274,11 @@ class TestGenerateEvents:
         assert stream.n_double_dark == 0
 
     def test_zero_efficiency_rejected(self):
-        cfg = SourceConfig(det_efficiency=0.0, dark_rate=0.0)
-        with pytest.raises(ValueError):
-            generate_events(cfg, 100)
+        # A source that detects no pairs is rejected when it is built.
+        with pytest.raises(ValueError, match="det_efficiency must be in"):
+            SourceConfig(det_efficiency=0.0, dark_rate=0.0)
+        with pytest.raises(ValueError, match="pair_rate must be positive"):
+            SourceConfig(pair_rate=0.0)
 
     def test_sidecar_carries_source_snapshot(self, tmp_path):
         cfg = SourceConfig(rng_seed=8)

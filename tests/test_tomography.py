@@ -12,8 +12,8 @@ from diqrng.source import eraser_postselected_state, simulate_setting_counts, st
 from diqrng.tomography import (
     KWIAT,
     KWIAT_LABELS,
-    BayesConfig,
     PosteriorSamples,
+    TomoConfig,
     TomoCounts,
     _log_likelihood,
     _log_likelihood_with_gradient,
@@ -145,7 +145,7 @@ class TestMle:
         counts = TomoCounts(
             simulate_setting_counts(rho, KWIAT, 5000, 3), 5000
         )
-        result = mle_estimate(counts, tol=1e-3)
+        result = mle_estimate(counts, TomoConfig(mle_tol=1e-3))
         assert result.diagnostics["log_likelihood"] > -np.inf
         assert result.physical
         start = _project_to_states(ls_invert(counts).rho_est)
@@ -181,12 +181,12 @@ class TestMle:
             simulate_setting_counts(rho, KWIAT, 10_000, 0), 10_000
         )
         with pytest.raises(RuntimeError, match="gradient norm"):
-            mle_estimate(counts, max_iters=5)
+            mle_estimate(counts, TomoConfig(mle_max_iters=5))
 
     @pytest.mark.parametrize("seed", [20260810, 20260832])
     def test_converges_at_former_nonconvergent_seeds(self, seed):
         counts, overlap = pipeline_tomo_counts("dataset_A", seed)
-        result = mle_estimate(counts, tol=1e-3)
+        result = mle_estimate(counts, TomoConfig(mle_tol=1e-3))
         assert result.diagnostics["duality_gap"] <= 1e-3
         model = 2.0 * math.sqrt(1.0 + overlap**2)
         assert abs(chsh_from_rho(result.rho_est) - model) <= 0.08
@@ -194,7 +194,7 @@ class TestMle:
     def test_duality_gap_certifies_the_optimum(self):
         tol = 1e-3
         counts, _ = pipeline_tomo_counts("dataset_A", 20260810)
-        result = mle_estimate(counts, tol=tol)
+        result = mle_estimate(counts, TomoConfig(mle_tol=tol))
         rho_hat = result.rho_est
         n = counts.counts.astype(float)
         total = float(counts.acquisition_total)
@@ -237,7 +237,7 @@ class TestBayesian:
         # sampling in test_prior_mean_is_maximally_mixed).
         counts = TomoCounts(np.zeros(16, dtype=np.int64), 100)
         result, samples = bayesian_estimate(
-            counts, cfg=BayesConfig(R=6000, burn_in=1000, thin=3, rng_seed=5)
+            counts, 5, TomoConfig(bayes_r=6000, bayes_burn_in=1000, bayes_thin=3)
         )
         assert result.physical
         assert samples.R == 6000
@@ -246,9 +246,7 @@ class TestBayesian:
     def test_posterior_concentrates_on_truth(self):
         rng = np.random.default_rng(6)
         rho = random_physical_state(rng)
-        result, _ = bayesian_estimate(
-            exact_counts(rho, 10_000), cfg=BayesConfig(rng_seed=7)
-        )
+        result, _ = bayesian_estimate(exact_counts(rho, 10_000), 7)
         assert fidelity(result.rho_est, rho) >= 0.995
 
     def test_posterior_std_shrinks_with_counts(self):
@@ -259,7 +257,7 @@ class TestBayesian:
                 simulate_setting_counts(rho, KWIAT, total, 8), total
             )
             _, samples = bayesian_estimate(
-                counts, cfg=BayesConfig(R=3000, burn_in=1500, thin=3, rng_seed=9)
+                counts, 9, TomoConfig(bayes_r=3000, bayes_burn_in=1500, bayes_thin=3)
             )
             stds.append(posterior_functional(samples, chsh_from_rho)[1])
         assert stds[0] > stds[1] > stds[2]
@@ -272,7 +270,7 @@ class TestBayesian:
         means = []
         stds = []
         for seed in (11, 12):
-            _, samples = bayesian_estimate(counts, cfg=BayesConfig(rng_seed=seed))
+            _, samples = bayesian_estimate(counts, seed)
             summary = posterior_functional(samples, chsh_from_rho)
             means.append(summary.mean)
             stds.append(summary.std)
@@ -281,26 +279,23 @@ class TestBayesian:
 
     def test_acceptance_rate_in_window(self):
         rho = random_physical_state(np.random.default_rng(13))
-        _, samples = bayesian_estimate(
-            exact_counts(rho, 10_000), cfg=BayesConfig(rng_seed=14)
-        )
+        _, samples = bayesian_estimate(exact_counts(rho, 10_000), 14)
         assert 0.05 <= samples.acceptance_rate <= 0.6
 
     def test_every_sample_is_a_state(self):
         rho = random_physical_state(np.random.default_rng(15))
         _, samples = bayesian_estimate(
             exact_counts(rho, 1000),
-            cfg=BayesConfig(R=500, burn_in=200, thin=1, rng_seed=16),
+            16, TomoConfig(bayes_r=500, bayes_burn_in=200, bayes_thin=1),
         )
         assert physicality(samples.rho_samples, "test")[0].all()
         assert not samples.rho_samples.flags.writeable
 
     def test_r_validation(self):
-        counts = TomoCounts(np.ones(16, dtype=np.int64), 16)
-        with pytest.raises(ValueError):
-            bayesian_estimate(counts, cfg=BayesConfig(R=50))
-        with pytest.raises(ValueError):
-            bayesian_estimate(counts, cfg=BayesConfig(R=500, burn_in=1000))
+        with pytest.raises(ValueError, match="bayes_r must be at least 100, got 50"):
+            TomoConfig(bayes_r=50)
+        with pytest.raises(ValueError, match="bayes_burn_in must be at most bayes_r, 500, got 1000"):
+            TomoConfig(bayes_r=500, bayes_burn_in=1000)
 
     @pytest.mark.parametrize("k_components", [1, 2, 4])
     def test_log_target_matches_rho_form_likelihood(self, k_components):
@@ -331,32 +326,40 @@ class TestBayesian:
 
     @pytest.mark.parametrize(
         "case",
-        ["pipeline dataset_A 20260809", "K=1 burn_in=230 thin=1", "K=2 burn_in=117 thin=3", "empty"],
+        [
+            "pipeline dataset_A 20260809",
+            "K=1 burn_in=230 thin=1",
+            "K=2 burn_in=117 thin=3",
+            "step=0.03 burn_in=160 thin=2",
+            "empty",
+        ],
     )
     def test_prefetched_chain_matches_sequential_oracle(self, case):
         # The prefetched chain must be the one-proposal-at-a-time chain, bit
         # for bit.  The odd burn-in lengths end inside an adaptation window.
         if case.startswith("pipeline"):
             counts, _ = pipeline_tomo_counts("dataset_A", 20260809)
-            cfg = preset_config("dataset_A", 20260809).tomo.bayes_config(
-                derive_seed(20260809, "bayes")
-            )
+            cfg = preset_config("dataset_A", 20260809).tomo
+            seed = derive_seed(20260809, "bayes")
         elif case.startswith("K=1"):
             counts, _ = pipeline_tomo_counts("dataset_B", 20260808)
-            cfg = BayesConfig(R=500, burn_in=230, thin=1, K=1, rng_seed=31)
+            seed, cfg = 31, TomoConfig(bayes_r=500, bayes_burn_in=230, bayes_thin=1, bayes_k=1)
         elif case.startswith("K=2"):
             counts, _ = pipeline_tomo_counts("dataset_B", 20260808)
-            cfg = BayesConfig(R=400, burn_in=117, thin=3, K=2, rng_seed=32)
+            seed, cfg = 32, TomoConfig(bayes_r=400, bayes_burn_in=117, bayes_thin=3, bayes_k=2)
+        elif case.startswith("step"):
+            counts, _ = pipeline_tomo_counts("dataset_B", 20260808)
+            seed, cfg = 34, TomoConfig(bayes_r=300, bayes_burn_in=160, bayes_thin=2, bayes_step=0.03)
         else:
             counts = TomoCounts(np.zeros(16, dtype=np.int64), 100)
-            cfg = BayesConfig(R=600, burn_in=100, thin=2, rng_seed=33)
-        result, samples = bayesian_estimate(counts, cfg)
-        ref_x, ref_rho, ref_acceptance, ref_step = random_walk_chain_reference(counts, cfg)
+            seed, cfg = 33, TomoConfig(bayes_r=600, bayes_burn_in=100, bayes_thin=2)
+        result, samples = bayesian_estimate(counts, seed, cfg)
+        ref_x, ref_rho, ref_acceptance, ref_step = random_walk_chain_reference(counts, cfg, seed)
         assert np.array_equal(samples.samples, ref_x)
         assert np.array_equal(samples.rho_samples, ref_rho)
         assert np.array_equal(samples.acceptance_rate, ref_acceptance)
         assert np.array_equal(result.diagnostics["step_final"], ref_step)
-        assert result.diagnostics["evaluations"] > cfg.burn_in + cfg.R * cfg.thin
+        assert result.diagnostics["evaluations"] > cfg.bayes_burn_in + cfg.bayes_r * cfg.bayes_thin
 
     @pytest.mark.parametrize(
         "preset, evaluations, acceptance, step_final, samples_sha256",
@@ -370,8 +373,8 @@ class TestBayesian:
         # them: a leaner loop must not move a draw, a decision or the count
         # of log-targets computed.
         counts, _ = pipeline_tomo_counts(preset, 20260808)
-        cfg = preset_config(preset, 20260808).tomo.bayes_config(derive_seed(20260808, "bayes"))
-        result, samples = bayesian_estimate(counts, cfg)
+        cfg = preset_config(preset, 20260808).tomo
+        result, samples = bayesian_estimate(counts, derive_seed(20260808, "bayes"), cfg)
         assert result.diagnostics["evaluations"] == evaluations
         assert samples.acceptance_rate == acceptance
         assert result.diagnostics["step_final"] == step_final
@@ -382,7 +385,7 @@ class TestPosteriorFunctional:
     def test_trace_functional_is_constant(self):
         counts = TomoCounts(np.ones(16, dtype=np.int64), 16)
         _, samples = bayesian_estimate(
-            counts, cfg=BayesConfig(R=500, burn_in=200, thin=1, rng_seed=17)
+            counts, 17, TomoConfig(bayes_r=500, bayes_burn_in=200, bayes_thin=1)
         )
         summary = posterior_functional(
             samples, lambda ms: np.trace(ms, axis1=1, axis2=2).real
@@ -392,9 +395,7 @@ class TestPosteriorFunctional:
 
     def test_fidelity_with_truth_functional(self):
         rho = random_physical_state(np.random.default_rng(18))
-        _, samples = bayesian_estimate(
-            exact_counts(rho, 10_000), cfg=BayesConfig(rng_seed=19)
-        )
+        _, samples = bayesian_estimate(exact_counts(rho, 10_000), 19)
         summary = posterior_functional(
             samples, lambda ms: [fidelity(m, rho) for m in ms]
         )
@@ -415,8 +416,8 @@ class TestPosteriorFunctional:
     )
     def test_pipeline_chain_convergence_is_reported(self, preset, seed, rhat, ess):
         counts, _ = pipeline_tomo_counts(preset, seed)
-        cfg = preset_config(preset, seed).tomo.bayes_config(derive_seed(seed, "bayes"))
-        _, samples = bayesian_estimate(counts, cfg)
+        cfg = preset_config(preset, seed).tomo
+        _, samples = bayesian_estimate(counts, derive_seed(seed, "bayes"), cfg)
         with pytest.warns(UserWarning, match="split R-hat"):
             summary = posterior_functional(samples, chsh_from_rho)
         assert round(summary.split_rhat, 3) == rhat
@@ -445,8 +446,8 @@ class TestPosteriorFunctional:
     def test_draws_without_spread_warn_and_encode_as_null(self):
         # NaN fails every comparison, so only "warn unless R-hat <= 1.01
         # and ESS >= 400" catches a functional whose draws never move.
-        cfg = BayesConfig(R=200, burn_in=100, thin=1, rng_seed=5)
-        _, samples = bayesian_estimate(exact_counts(singlet()), cfg)
+        cfg = TomoConfig(bayes_r=200, bayes_burn_in=100, bayes_thin=1)
+        _, samples = bayesian_estimate(exact_counts(singlet()), 5, cfg)
         with pytest.warns(UserWarning, match="functional draws have split R-hat nan and ESS nan"):
             summary = posterior_functional(samples, lambda r: np.ones(len(r)))
 
@@ -465,7 +466,7 @@ class TestOracleEquivalence:
             counts = exact_counts(rho, 100_000)
             f_ls = fidelity(ls_invert(counts).rho_est, rho)
             f_mle = fidelity(mle_estimate(counts).rho_est, rho)
-            bayes, _ = bayesian_estimate(counts, cfg=BayesConfig(rng_seed=seed))
+            bayes, _ = bayesian_estimate(counts, seed)
             f_bayes = fidelity(bayes.rho_est, rho)
             assert f_ls >= 0.999
             assert f_mle >= 0.999
