@@ -27,6 +27,8 @@ _EVENT_STREAM = 2
 _COUNT_STREAM = 3
 
 _CHUNK_BITS = 1 << 20
+# Windows per block of an event chunk: one array's uniforms are 512 KB of float64.
+_BLOCK_WINDOWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,13 @@ class SourceConfig:
         for name in ("dark_rate", "coincidence_window"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        # The product is the dark-click probability of one detector in one
+        # gate.  At 1 every gate clicks on both paths and no bit is ever made.
+        if not self.dark_rate * self.coincidence_window < 1.0:
+            raise ValueError(
+                "dark_rate * coincidence_window is the dark-click probability per "
+                f"gate and must be below 1, got {self.dark_rate!r} * {self.coincidence_window!r}"
+            )
 
     def overlap_at_delay(self) -> float:
         """Indistinguishability overlap v = v0 exp(-tau^2 / (2 sigma^2))."""
@@ -258,12 +267,20 @@ def _chunk_bits(cfg: SourceConfig, p_v: float, chunk_index: int, n_bits: int):
     """Simulate one chunk of heralded windows; returns (bits, diagnostics).
 
     Deterministic in (cfg.rng_seed, chunk_index) only, so chunks can be
-    produced in any order or in parallel.  Each batch draws spare windows;
-    the diagnostics count only the windows up to the last kept bit.
+    produced in any order or in parallel.  A batch of ``batch`` windows
+    takes its uniforms from the chunk's PCG64 stream as consecutive arrays:
+    photon polarization, detection and, when dark counts are possible, the
+    H and V dark clicks.  ``Generator.random`` takes one 64-bit output per
+    double, so array j starts at output ``j * batch`` past the earlier
+    batches.  Each array is read from its own copy of the stream, advanced
+    to that start, in blocks of _BLOCK_WINDOWS windows, and reading stops
+    at the block that holds the chunk's last kept window.  The diagnostics
+    count the windows up to that one.
     """
-    rng = np.random.default_rng([cfg.rng_seed, _EVENT_STREAM, chunk_index])
+    seed = [cfg.rng_seed, _EVENT_STREAM, chunk_index]
     eta = cfg.det_efficiency
-    p_dark = min(1.0, cfg.dark_rate * cfg.coincidence_window)
+    p_dark = cfg.dark_rate * cfg.coincidence_window
+    probs = [p_v, eta, p_dark, p_dark] if p_dark > 0.0 else [p_v, eta]
 
     # P(exactly one of the H/V detectors clicks) for batch sizing.
     p_click_given_photon = eta + (1.0 - eta) * p_dark
@@ -271,30 +288,42 @@ def _chunk_bits(cfg: SourceConfig, p_v: float, chunk_index: int, n_bits: int):
     p_valid = max(p_valid, 1e-6)
 
     bits = np.empty(n_bits, dtype=np.uint8)
-    filled = 0
+    uniforms = np.empty(_BLOCK_WINDOWS)
+    flags = np.empty((len(probs), _BLOCK_WINDOWS), dtype=bool)
+    filled = drawn = 0
     coincidences = herald_only = double_dark = ties = 0
     while filled < n_bits:
-        need = n_bits - filled
-        batch = int(need / p_valid * 1.05) + 64
-        photon_v = rng.random(batch) < p_v
-        detected = rng.random(batch) < eta
-        if p_dark > 0.0:
-            dark_h = rng.random(batch) < p_dark
-            dark_v = rng.random(batch) < p_dark
-        else:
-            dark_h = np.zeros(batch, dtype=bool)
-            dark_v = np.zeros(batch, dtype=bool)
-        click_h = (~photon_v & detected) | dark_h
-        click_v = (photon_v & detected) | dark_v
-        kept = np.flatnonzero(click_h ^ click_v)[:need]
-        used = int(kept[-1]) + 1 if kept.size == need else batch
-        clicks = int(np.count_nonzero(click_h[:used] | click_v[:used]))
-        coincidences += clicks
-        herald_only += used - clicks
-        double_dark += int(np.count_nonzero(dark_h[:used] & dark_v[:used]))
-        ties += clicks - kept.size
-        bits[filled : filled + kept.size] = click_v[kept]
-        filled += kept.size
+        batch = int((n_bits - filled) / p_valid * 1.05) + 64
+        streams = [
+            np.random.Generator(np.random.PCG64(seed).advance(drawn + j * batch))
+            for j in range(len(probs))
+        ]
+        drawn += len(probs) * batch
+        for start in range(0, batch, _BLOCK_WINDOWS):
+            size = min(_BLOCK_WINDOWS, batch - start)
+            block = flags[:, :size]
+            # Each array's block is compared while its uniforms are in cache.
+            for stream, p, flag in zip(streams, probs, block):
+                np.less(stream.random(out=uniforms[:size]), p, out=flag)
+            photon_v, detected, *dark = block
+            click_h = detected & ~photon_v
+            click_v = detected & photon_v
+            if dark:
+                click_h |= dark[0]
+                click_v |= dark[1]
+            need = n_bits - filled
+            kept = np.flatnonzero(click_h ^ click_v)[:need]
+            used = int(kept[-1]) + 1 if kept.size == need else size
+            clicks = int(np.count_nonzero(click_h[:used] | click_v[:used]))
+            coincidences += clicks
+            herald_only += used - clicks
+            if dark:
+                double_dark += int(np.count_nonzero(dark[0][:used] & dark[1][:used]))
+            ties += clicks - kept.size
+            bits[filled : filled + kept.size] = click_v[kept]
+            filled += kept.size
+            if filled == n_bits:
+                break
     return bits, (coincidences, herald_only, double_dark, ties)
 
 
@@ -302,23 +331,26 @@ def generate_events(cfg: SourceConfig, n_bits: int) -> EventStream:
     """Heralded H/V bit stream: bit 0 on an H-path click, bit 1 on a V-path
     click; ties (both paths clicking in one window) are discarded and
     counted.  Exactly n_bits bits are returned, deterministically per seed.
+
+    Each chunk is packed into the stream's payload as soon as it is made;
+    every chunk but the last is a whole number of bytes.
     """
     if n_bits < 1:
         raise ValueError("n_bits must be at least 1")
     rho = state_at_delay(cfg)
     p_v = born_probabilities(rho, kron2(np.eye(2), polarizer([90.0])))[0]
 
-    chunks = []
+    data = np.empty((n_bits + 7) // 8, dtype=np.uint8)
     totals = np.zeros(4, dtype=np.int64)
-    n_chunks = (n_bits + _CHUNK_BITS - 1) // _CHUNK_BITS
-    for index in range(n_chunks):
-        size = min(_CHUNK_BITS, n_bits - index * _CHUNK_BITS)
-        bits, diag = _chunk_bits(cfg, p_v, index, size)
-        chunks.append(bits)
-        totals += np.array(diag, dtype=np.int64)
+    for start in range(0, n_bits, _CHUNK_BITS):
+        bits, diag = _chunk_bits(cfg, p_v, start // _CHUNK_BITS, min(_CHUNK_BITS, n_bits - start))
+        packed = np.packbits(bits, bitorder="little")
+        data[start // 8 : start // 8 + packed.size] = packed
+        totals += diag
 
-    stream = BitStream.from_bits(
-        np.concatenate(chunks),
+    stream = BitStream(
+        data,
+        n_bits,
         provenance={
             "stage": "raw",
             "source_config_sha256": cfg.digest(),

@@ -270,14 +270,16 @@ def fft_test(b: np.ndarray) -> tuple:
 # 7. Non-overlapping Template Matching
 # ---------------------------------------------------------------------------
 
-def aperiodic_templates(m: int) -> list:
-    """All length-m binary templates with no self-overlap (unbordered)."""
+@cache
+def aperiodic_templates(m: int) -> tuple:
+    """All length-m binary templates with no self-overlap (unbordered), in
+    ascending order of value; built once per m."""
     out = []
     for value in range(2**m):
         tpl = [(value >> (m - 1 - i)) & 1 for i in range(m)]
         if all(tpl[: m - s] != tpl[s:] for s in range(1, m)):
             out.append(tuple(tpl))
-    return out
+    return tuple(out)
 
 
 def non_overlapping_template_test(b: np.ndarray, m: int = 9, n_blocks: int = 8) -> tuple:
@@ -299,9 +301,7 @@ def non_overlapping_template_test(b: np.ndarray, m: int = 9, n_blocks: int = 8) 
 
     mu = (block_m - m + 1) / 2.0**m
     sigma2 = block_m * (2.0**-m - (2.0 * m - 1.0) * 2.0 ** (-2.0 * m))
-    template_values = [
-        sum(bit << (m - 1 - i) for i, bit in enumerate(tpl)) for tpl in aperiodic_templates(m)
-    ]
+    template_values = np.array(aperiodic_templates(m)) @ (1 << np.arange(m - 1, -1, -1))
     p_values = []
     # chi2 is summed block by block in Python floats, the order a per-block
     # scan uses, so the p-values do not depend on numpy's summation order.
@@ -394,7 +394,9 @@ def universal_test(b: np.ndarray) -> tuple:
     q = 10 * 2**length
     k = n // length - q
     blocks = b[: (q + k) * length].reshape(q + k, length)
-    weights = (1 << np.arange(length - 1, -1, -1)).astype(np.int64)
+    # L <= 16, so every block value fits uint16, and a stable argsort of
+    # uint16 keys is numpy's radix sort.
+    weights = (1 << np.arange(length - 1, -1, -1)).astype(np.uint16)
     vals = blocks @ weights
     total = 0.0
     order = np.argsort(vals, kind="stable")

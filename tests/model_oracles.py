@@ -4,8 +4,8 @@ with two-outcome analyzers A = P(angle) - P(angle + 90), the CHSH estimate
 of a (4, 4) count array computed one setting pair at a time, the per-quad
 joint polarizer projectors built one np.kron at a time, the Pauli decomposition,
 correlation matrix and Uhlmann fidelity of a state, random states and
-unitaries, a reader for the HOM scan CSV, and the Bayes chain run one
-proposal at a time.
+unitaries, a reader for the HOM scan CSV, the Bayes chain run one proposal
+at a time, and the heralded event chunk drawn as whole batch arrays.
 
 The library builds its projectors as broadcast stacks (``qmath.polarizer``,
 ``qmath.kron2``, ``ChshSettings.projectors``); the constructions here are
@@ -22,7 +22,7 @@ import numpy as np
 
 from diqrng.certify import ChshSettings
 from diqrng.qmath import DEFAULT_TOL, HERMITICITY_TOL, PAULI2, require_physical
-from diqrng.source import HomScan
+from diqrng.source import _EVENT_STREAM, HomScan
 from diqrng.tomography import KWIAT, _log_likelihood, _rho_from_vector
 
 
@@ -221,3 +221,49 @@ def random_walk_chain_reference(counts, cfg, rng_seed):
             kept_rho[kept] = rho
             kept += 1
     return kept_x, kept_rho, accepted_post / (R * thin), step
+
+
+def chunk_bits_reference(cfg, p_v: float, chunk_index: int, n_bits: int):
+    """One chunk of heralded windows drawn as whole batch arrays; returns
+    (bits, (coincidences, herald_only, double_dark, ties)).
+
+    Each batch draws its uniforms as whole arrays in the order photon
+    polarization, detection, H dark click, V dark click (the dark arrays
+    only when the dark probability is positive), every array at once.  The
+    diagnostics count the windows up to the last kept bit.
+    """
+    rng = np.random.default_rng([cfg.rng_seed, _EVENT_STREAM, chunk_index])
+    eta = cfg.det_efficiency
+    p_dark = cfg.dark_rate * cfg.coincidence_window
+
+    # P(exactly one of the H/V detectors clicks) for batch sizing.
+    p_click_given_photon = eta + (1.0 - eta) * p_dark
+    p_valid = p_click_given_photon * (1.0 - p_dark) + (1.0 - p_click_given_photon) * p_dark
+    p_valid = max(p_valid, 1e-6)
+
+    bits = np.empty(n_bits, dtype=np.uint8)
+    filled = 0
+    coincidences = herald_only = double_dark = ties = 0
+    while filled < n_bits:
+        need = n_bits - filled
+        batch = int(need / p_valid * 1.05) + 64
+        photon_v = rng.random(batch) < p_v
+        detected = rng.random(batch) < eta
+        if p_dark > 0.0:
+            dark_h = rng.random(batch) < p_dark
+            dark_v = rng.random(batch) < p_dark
+        else:
+            dark_h = np.zeros(batch, dtype=bool)
+            dark_v = np.zeros(batch, dtype=bool)
+        click_h = (~photon_v & detected) | dark_h
+        click_v = (photon_v & detected) | dark_v
+        kept = np.flatnonzero(click_h ^ click_v)[:need]
+        used = int(kept[-1]) + 1 if kept.size == need else batch
+        clicks = int(np.count_nonzero(click_h[:used] | click_v[:used]))
+        coincidences += clicks
+        herald_only += used - clicks
+        double_dark += int(np.count_nonzero(dark_h[:used] & dark_v[:used]))
+        ties += clicks - kept.size
+        bits[filled : filled + kept.size] = click_v[kept]
+        filled += kept.size
+    return bits, (coincidences, herald_only, double_dark, ties)

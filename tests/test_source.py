@@ -1,12 +1,21 @@
 import itertools
 import math
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diqrng
 from diqrng.certify import chsh_from_rho
-from diqrng.qmath import kron2, physicality, polarizer
+from diqrng.pipeline import derive_seed, preset_config
+from diqrng.qmath import born_probabilities, kron2, physicality, polarizer
 from diqrng.source import (
+    _CHUNK_BITS,
+    _chunk_bits,
     EventStream,
     HomScan,
     SourceConfig,
@@ -19,7 +28,7 @@ from diqrng.source import (
     state_at_delay,
     visibility_from_scan,
 )
-from model_oracles import hom_scan_from_csv, maximally_mixed, singlet
+from model_oracles import chunk_bits_reference, hom_scan_from_csv, maximally_mixed, singlet
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +248,8 @@ class TestGenerateEvents:
         assert stream.bits.n_bits == stream.n_coincidences - stream.n_ties
 
     def test_noisy_counts_stop_at_the_last_kept_bit(self):
-        # Each batch draws spare windows; only those up to the last kept
-        # bit are counted, so every counted coincidence is a bit or a tie.
-        from diqrng.source import _CHUNK_BITS
-
+        # Only the windows up to the last kept bit are counted, so every
+        # counted coincidence is a bit or a tie.
         cfg = SourceConfig(dark_rate=5e7, rng_seed=12)
         for n_bits in (1, 12_345, _CHUNK_BITS + 1000):
             stream = generate_events(cfg, n_bits)
@@ -280,6 +287,16 @@ class TestGenerateEvents:
         with pytest.raises(ValueError, match="pair_rate must be positive"):
             SourceConfig(pair_rate=0.0)
 
+    def test_dark_saturation_rejected(self):
+        # At one dark click per gate every gate clicks on both paths, so a
+        # source there could never make a bit.
+        for dark_rate in (1e9, 3e9):
+            with pytest.raises(ValueError, match=r"dark_rate \* coincidence_window .* below 1"):
+                SourceConfig(dark_rate=dark_rate)
+        with pytest.raises(ValueError, match=r"dark_rate \* coincidence_window"):
+            SourceConfig(dark_rate=1.0, coincidence_window=2.0)
+        SourceConfig(dark_rate=5e8)
+
     def test_sidecar_carries_source_snapshot(self, tmp_path):
         cfg = SourceConfig(rng_seed=8)
         stream = generate_events(cfg, 1000).bits
@@ -292,8 +309,6 @@ class TestGenerateEvents:
         assert sidecar["source_config"]["det_efficiency"] == cfg.det_efficiency
 
     def test_chunking_is_schedule_independent(self):
-        from diqrng.source import _chunk_bits, _CHUNK_BITS
-
         cfg = SourceConfig(rng_seed=6)
         n = _CHUNK_BITS + 1000
         full = generate_events(cfg, n)
@@ -303,6 +318,116 @@ class TestGenerateEvents:
         assert np.array_equal(
             full.bits.to_bits(), np.concatenate([first, second])
         )
+
+
+def _p_v(cfg: SourceConfig) -> float:
+    """P(V) of the post-selected state, as generate_events computes it."""
+    return born_probabilities(state_at_delay(cfg), kron2(np.eye(2), polarizer([90.0])))[0]
+
+
+class TestBlockStreamedChunks:
+    """The chunk kernel reads each batch's uniforms in blocks and stops at
+    the last kept window; the reference draws every batch as whole arrays.
+    Bits and (coincidences, herald-only, double-dark, ties) must be equal."""
+
+    @staticmethod
+    def _assert_matches_reference(cfg, chunk_index, n_bits):
+        p_v = _p_v(cfg)
+        bits, counts = _chunk_bits(cfg, p_v, chunk_index, n_bits)
+        ref_bits, ref_counts = chunk_bits_reference(cfg, p_v, chunk_index, n_bits)
+        assert np.array_equal(bits, ref_bits)
+        assert counts == ref_counts
+        return counts
+
+    @pytest.mark.parametrize("preset", ["dataset_A", "dataset_B"])
+    @pytest.mark.parametrize("seed", [0, 1, 20260808])
+    def test_preset_sources(self, preset, seed):
+        cfg = replace(preset_config(preset).source, rng_seed=seed)
+        for chunk_index, n_bits in ((0, 150_000), (3, 777)):
+            self._assert_matches_reference(cfg, chunk_index, n_bits)
+
+    @pytest.mark.parametrize("dark_rate", [0.0, 5e7])
+    def test_with_and_without_dark_counts(self, dark_rate):
+        # dark_rate 0 draws two arrays per batch, a positive rate four.
+        cfg = SourceConfig(dark_rate=dark_rate, rng_seed=21)
+        counts = self._assert_matches_reference(cfg, 1, 200_000)
+        assert (counts[2] > 0) == (dark_rate > 0)
+
+    def test_second_batch(self):
+        # At det_efficiency 1e-3 a batch of a few bits often ends short, so
+        # the chunk draws a second batch further along the same stream.
+        eta, p_dark = 1e-3, SourceConfig().dark_rate * SourceConfig().coincidence_window
+        p_click = eta + (1.0 - eta) * p_dark
+        p_valid = p_click * (1.0 - p_dark) + (1.0 - p_click) * p_dark
+        second_batches = 0
+        for seed in range(72):
+            cfg = SourceConfig(det_efficiency=eta, rng_seed=seed)
+            for n_bits in range(1, 6):
+                coincidences, herald_only, _, _ = self._assert_matches_reference(
+                    cfg, seed % 3, n_bits
+                )
+                first_batch = int(n_bits / p_valid * 1.05) + 64
+                second_batches += coincidences + herald_only > first_batch
+        assert second_batches > 0
+
+    @pytest.mark.parametrize("n_bits", [_CHUNK_BITS + 1, 4_500_003])
+    def test_whole_stream_joins_the_reference_chunks(self, n_bits):
+        cfg = SourceConfig(rng_seed=22)
+        p_v = _p_v(cfg)
+        chunks = [
+            chunk_bits_reference(cfg, p_v, start // _CHUNK_BITS, min(_CHUNK_BITS, n_bits - start))
+            for start in range(0, n_bits, _CHUNK_BITS)
+        ]
+        stream = generate_events(cfg, n_bits)
+        assert np.array_equal(stream.bits.to_bits(), np.concatenate([bits for bits, _ in chunks]))
+        totals = np.sum([counts for _, counts in chunks], axis=0)
+        assert (
+            stream.n_coincidences,
+            stream.n_herald_only,
+            stream.n_double_dark,
+            stream.n_ties,
+        ) == tuple(totals)
+
+
+class TestRawStreamPin:
+    def test_dataset_a_raw_stream_is_pinned(self):
+        # The raw stream of the canonical run: dataset_A, the "bits" seed of
+        # global seed 20260808, 4.5 M bits.
+        cfg = preset_config("dataset_A")
+        src = replace(cfg.source, rng_seed=derive_seed(cfg.global_seed, "bits"))
+        stream = generate_events(src, cfg.n_bits)
+        assert stream.bits.sha256() == (
+            "dce478b2aa4e3f03445fa302d94d9bfc32003c6219b65c4a0f4dd2e707cbdb27"
+        )
+        assert (
+            stream.n_coincidences,
+            stream.n_herald_only,
+            stream.n_double_dark,
+            stream.n_ties,
+        ) == (4_500_000, 3_001_451, 0, 0)
+
+    def test_45m_bits_grow_peak_rss_by_under_40_mb(self):
+        # A fresh interpreter, so the peak is this generation's own.  The
+        # stream's payload is 5.6 MB; the rest is one chunk's working set.
+        pytest.importorskip("resource")
+        script = textwrap.dedent(
+            """
+            import resource, sys
+            sys.path.insert(0, {src!r})
+            from diqrng.source import SourceConfig, generate_events
+            generate_events(SourceConfig(), 1000)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            generate_events(SourceConfig(), 45_000_000)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            unit = 1 if sys.platform == "darwin" else 1024
+            print((after - before) * unit / 2**20)
+            """
+        ).format(src=str(Path(diqrng.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 40.0
 
 
 class TestSimulateCounts:
