@@ -316,12 +316,19 @@ def toeplitz_hash(x, seed: ToeplitzSeed) -> np.ndarray:
     return _unbitslice(y, 1)[0]
 
 
+#: Blocks hashed per batch.  A multiple of 8, so every batch but the last
+#: fills whole output bytes.
+_BATCH_BLOCKS = 1024
+
+
 def extract_stream(raw: BitStream, cfg: ExtractorConfig) -> BitStream:
     """Split into n-bit blocks, hash each with one shared seed, concatenate.
 
     A trailing partial block is discarded.  Block-parallel by construction:
     every block sees the same matrix, 64 blocks share each bitsliced word,
-    and each block's output lands at a fixed offset.
+    and each block's output lands at a fixed offset.  Blocks are hashed in
+    batches of :data:`_BATCH_BLOCKS`; only the payload bytes of the
+    current batch are unpacked, and its output is packed in place.
     """
     if raw.n_bits < cfg.n:
         raise ValueError(
@@ -329,9 +336,17 @@ def extract_stream(raw: BitStream, cfg: ExtractorConfig) -> BitStream:
         )
     seed = cfg.build_seed()
     seed_bytes = np.packbits(seed.bits, bitorder="little").tobytes()
+    t_bytes = seed.row_bytes()
     n_blocks = raw.n_bits // cfg.n
-    blocks = raw.to_bits()[: n_blocks * cfg.n].reshape(n_blocks, cfg.n)
-    out = _unbitslice(_hash_bitsliced(bitslice(blocks), seed.row_bytes()), n_blocks)
+    out = np.empty((n_blocks * seed.m + 7) // 8, dtype=np.uint8)
+    for first in range(0, n_blocks, _BATCH_BLOCKS):
+        count = min(_BATCH_BLOCKS, n_blocks - first)
+        start, stop = first * cfg.n, (first + count) * cfg.n
+        bits = np.unpackbits(raw.data[start // 8 : (stop + 7) // 8], bitorder="little")
+        blocks = bits[start % 8 : start % 8 + stop - start].reshape(count, cfg.n)
+        y = _unbitslice(_hash_bitsliced(bitslice(blocks), t_bytes), count)
+        packed = np.packbits(y, bitorder="little")
+        out[first * seed.m // 8 : first * seed.m // 8 + packed.size] = packed
 
     provenance = {
         "stage": "extracted",
@@ -342,4 +357,4 @@ def extract_stream(raw: BitStream, cfg: ExtractorConfig) -> BitStream:
         "seed_hex": seed_bytes.hex(),
         "parent_sha256": raw.sha256(),
     }
-    return BitStream.from_bits(out.reshape(-1), provenance)
+    return BitStream(out, n_blocks * seed.m, provenance)

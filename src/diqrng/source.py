@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._lanes import two_lanes
 from .certify import ChshCounts, ChshSettings
 from .extract import BitStream
 from .qmath import born_probabilities, kron2, polarizer, read_only
@@ -332,8 +333,11 @@ def generate_events(cfg: SourceConfig, n_bits: int) -> EventStream:
     click; ties (both paths clicking in one window) are discarded and
     counted.  Exactly n_bits bits are returned, deterministically per seed.
 
-    Each chunk is packed into the stream's payload as soon as it is made;
-    every chunk but the last is a whole number of bytes.
+    The stream is made in chunks of 2^20 bits, each a pure function of
+    (seed, chunk index).  Odd chunks are made on a helper thread while the
+    calling thread makes the even ones (:func:`~diqrng._lanes.two_lanes`),
+    and each chunk is packed into its own bytes of the payload as soon as
+    it is made; every chunk but the last is a whole number of bytes.
     """
     if n_bits < 1:
         raise ValueError("n_bits must be at least 1")
@@ -341,12 +345,17 @@ def generate_events(cfg: SourceConfig, n_bits: int) -> EventStream:
     p_v = born_probabilities(rho, kron2(np.eye(2), polarizer([90.0])))[0]
 
     data = np.empty((n_bits + 7) // 8, dtype=np.uint8)
-    totals = np.zeros(4, dtype=np.int64)
-    for start in range(0, n_bits, _CHUNK_BITS):
-        bits, diag = _chunk_bits(cfg, p_v, start // _CHUNK_BITS, min(_CHUNK_BITS, n_bits - start))
+
+    def make_chunk(index):
+        start = index * _CHUNK_BITS
+        bits, diag = _chunk_bits(cfg, p_v, index, min(_CHUNK_BITS, n_bits - start))
         packed = np.packbits(bits, bitorder="little")
         data[start // 8 : start // 8 + packed.size] = packed
-        totals += diag
+        return diag
+
+    chunks = range((n_bits + _CHUNK_BITS - 1) // _CHUNK_BITS)
+    diags = two_lanes(make_chunk, chunks[::2], chunks[1::2])
+    totals = np.sum([diags[index] for index in chunks], axis=0, dtype=np.int64)
 
     stream = BitStream(
         data,

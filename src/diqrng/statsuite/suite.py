@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from diqrng._lanes import two_lanes
 from diqrng.extract import as_bits
 
 from .sp800_22 import (
@@ -62,6 +63,12 @@ _TEST_FUNCTIONS = {
 TEST_NAMES = tuple(_TEST_FUNCTIONS)
 
 RECOMMENDED_SUITE_LENGTH = 1_000_000
+
+#: The tests :func:`run_suite` runs on its helper thread: the two bit-packed
+#: GF(2) kernels, which allocate little.  The memory-heavy tests (FFT,
+#: Approximate Entropy, Longest Runs, Random Excursions) stay on the calling
+#: thread, because a thread's malloc arena keeps the pages it freed.
+_HELPER_LANE = ("Linear Complexity", "Rank")
 
 
 @dataclass(frozen=True)
@@ -164,7 +171,10 @@ def run_suite(bits, threshold: float = 0.01, stream_metadata: dict | None = None
     included, comes back as a structured not-applicable result (see
     :func:`_verdict`) rather than a silent skip; any other error
     propagates.  The stream itself is never mutated and the tests are
-    order-independent.
+    order-independent, so the tests of :data:`_HELPER_LANE` run on a helper
+    thread while the calling thread runs the others
+    (:func:`~diqrng._lanes.two_lanes`); the results keep
+    :data:`TEST_NAMES` order.
     """
     b = as_bits(bits)
     if b.size < RECOMMENDED_SUITE_LENGTH:
@@ -173,8 +183,13 @@ def run_suite(bits, threshold: float = 0.01, stream_metadata: dict | None = None
             f"{RECOMMENDED_SUITE_LENGTH} for the full suite",
             stacklevel=2,
         )
+    results = two_lanes(
+        lambda name: _verdict(name, b, threshold),
+        [name for name in TEST_NAMES if name not in _HELPER_LANE],
+        _HELPER_LANE,
+    )
     return SuiteReport(
-        results={name: _verdict(name, b, threshold) for name in TEST_NAMES},
+        results={name: results[name] for name in TEST_NAMES},
         threshold=threshold,
         stream_metadata=dict(stream_metadata or {}),
     )

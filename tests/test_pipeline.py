@@ -646,6 +646,16 @@ class TestStartupLoadsNumpyOnly:
         )
         assert loaded == []
 
+    def test_importing_every_module_starts_no_thread(self):
+        # The helper lane's thread is started per call, never at import.
+        _scipy_modules_after(
+            "import pkgutil, importlib, threading, diqrng, diqrng.cli\n"
+            "for m in pkgutil.walk_packages(diqrng.__path__, 'diqrng.'):\n"
+            "    importlib.import_module(m.name)\n"
+            "assert 'diqrng._lanes' in sys.modules\n"
+            "assert threading.active_count() == 1, threading.enumerate()"
+        )
+
     def test_generate_and_extract_load_no_scipy(self):
         loaded = _scipy_modules_after(
             "from dataclasses import replace\n"

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -389,6 +390,33 @@ class TestBlockStreamedChunks:
         ) == tuple(totals)
 
 
+class TestGenerateLanes:
+    """generate_events makes odd chunks on a helper thread and even ones on
+    the calling thread; the stream must equal the chunks joined in order."""
+
+    @pytest.mark.parametrize(
+        "n_bits", [1000, 2 * _CHUNK_BITS, 3 * _CHUNK_BITS + 5], ids=["1-chunk", "2-chunks", "4-chunks"]
+    )
+    def test_stream_equals_the_chunks_made_one_at_a_time(self, n_bits):
+        cfg = SourceConfig(rng_seed=23)
+        p_v = _p_v(cfg)
+        chunks = [
+            _chunk_bits(cfg, p_v, start // _CHUNK_BITS, min(_CHUNK_BITS, n_bits - start))
+            for start in range(0, n_bits, _CHUNK_BITS)
+        ]
+        threads = threading.active_count()
+        stream = generate_events(cfg, n_bits)
+        assert threading.active_count() == threads
+        assert np.array_equal(stream.bits.to_bits(), np.concatenate([bits for bits, _ in chunks]))
+        totals = np.sum([counts for _, counts in chunks], axis=0)
+        assert (
+            stream.n_coincidences,
+            stream.n_herald_only,
+            stream.n_double_dark,
+            stream.n_ties,
+        ) == tuple(totals)
+
+
 class TestRawStreamPin:
     def test_dataset_a_raw_stream_is_pinned(self):
         # The raw stream of the canonical run: dataset_A, the "bits" seed of
@@ -418,6 +446,31 @@ class TestRawStreamPin:
             generate_events(SourceConfig(), 1000)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             generate_events(SourceConfig(), 45_000_000)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            unit = 1 if sys.platform == "darwin" else 1024
+            print((after - before) * unit / 2**20)
+            """
+        ).format(src=str(Path(diqrng.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 40.0
+
+    def test_extracting_45m_bits_grows_peak_rss_by_under_40_mb(self):
+        # Extract unpacks one batch of blocks at a time, never the whole
+        # 45 M-bit stream (45 MB at one byte per bit).
+        pytest.importorskip("resource")
+        script = textwrap.dedent(
+            """
+            import resource, sys
+            sys.path.insert(0, {src!r})
+            from diqrng.extract import ExtractorConfig, extract_stream
+            from diqrng.source import SourceConfig, generate_events
+            extract_stream(generate_events(SourceConfig(), 5000).bits, ExtractorConfig())
+            raw = generate_events(SourceConfig(), 45_000_000).bits
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            extract_stream(raw, ExtractorConfig())
             after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             unit = 1 if sys.platform == "darwin" else 1024
             print((after - before) * unit / 2**20)

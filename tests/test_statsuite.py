@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -567,6 +568,67 @@ class TestKsUniformity:
     def test_too_few_values_rejected(self):
         with pytest.raises(ValueError):
             ks_uniformity([0.1, 0.2, 0.3, 0.4])
+
+
+def _one_at_a_time(bits):
+    return {name: run_named_test(name, bits) for name in TEST_NAMES}
+
+
+class TestSuiteLanes:
+    """run_suite runs the tests of suite._HELPER_LANE on a helper thread and
+    the rest on the calling thread; the report must not show it."""
+
+    @pytest.mark.filterwarnings("ignore:stream has")
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            np.random.default_rng(17).integers(0, 2, 1_200_000, dtype=np.uint8),
+            # Rank needs 38,912 bits, so it is not applicable here.
+            np.random.default_rng(18).integers(0, 2, 20_000, dtype=np.uint8),
+            # The Runs pre-test fails.
+            np.ones(200_000, dtype=np.uint8),
+        ],
+        ids=["random-1.2M", "random-20k", "all-ones"],
+    )
+    def test_suite_equals_the_tests_run_one_at_a_time(self, bits):
+        threads = threading.active_count()
+        report = run_suite(bits)
+        assert threading.active_count() == threads
+        expected = _one_at_a_time(bits)
+        assert list(report.results) == list(TEST_NAMES)
+        # repr compares the NaN p-values of not-applicable tests too.
+        assert repr(report.results) == repr(expected)
+
+    def test_helper_lane_tests_run_on_one_other_thread(self, monkeypatch):
+        ran_on = {}
+        for name, fn in list(suite._TEST_FUNCTIONS.items()):
+
+            def recorded(b, _name=name, _fn=fn, **params):
+                ran_on[_name] = threading.get_ident()
+                return _fn(b, **params)
+
+            monkeypatch.setitem(suite._TEST_FUNCTIONS, name, recorded)
+        run_suite(np.random.default_rng(19).integers(0, 2, 1_000_000, dtype=np.uint8))
+        caller = threading.get_ident()
+        assert set(ran_on) == set(TEST_NAMES)
+        assert {name for name, ident in ran_on.items() if ident != caller} == set(
+            suite._HELPER_LANE
+        )
+        assert len({ran_on[name] for name in suite._HELPER_LANE}) == 1
+
+    @pytest.mark.parametrize("name", ["Rank", "Frequency"])
+    def test_an_error_in_either_lane_propagates(self, monkeypatch, name):
+        assert ("Rank" in suite._HELPER_LANE) and ("Frequency" not in suite._HELPER_LANE)
+
+        def broken(b, **params):
+            raise RuntimeError(f"{name} broke")
+
+        monkeypatch.setitem(suite._TEST_FUNCTIONS, name, broken)
+        threads = threading.active_count()
+        bits = np.random.default_rng(20).integers(0, 2, 1_000_000, dtype=np.uint8)
+        with pytest.raises(RuntimeError, match=f"^{name} broke$"):
+            run_suite(bits)
+        assert threading.active_count() == threads
 
 
 class TestSuite:
