@@ -155,7 +155,21 @@ def _longest_run_bin_probs(block_m: int, lo: int, hi: int) -> np.ndarray:
     return read_only(np.array(probs))
 
 
+def _runs_of_ones(blocks: np.ndarray, k_max: int):
+    """Yield, for k = 1 .. k_max, the array whose [i, j] is 1 when bits
+    j .. j + k - 1 of row i of ``blocks`` are all ones:
+    runs_k = runs_(k-1)[:, :-1] & blocks[:, k - 1:]."""
+    runs = blocks
+    yield runs
+    for k in range(2, k_max + 1):
+        runs = runs[:, :-1] & blocks[:, k - 1 :]
+        yield runs
+
+
 def longest_runs_test(b: np.ndarray) -> tuple:
+    """The longest run of ones in a block is the largest k whose row of
+    :func:`_runs_of_ones` holds a one; only the classes lo .. hi count, so
+    k stops at hi and a block starts in class lo."""
     n = b.size
     _require_length(n, 128, "Longest Runs")
     if n >= 750_000:
@@ -166,16 +180,11 @@ def longest_runs_test(b: np.ndarray) -> tuple:
         block_m, lo, hi = 8, 1, 4
     n_blocks = n // block_m
     blocks = b[: n_blocks * block_m].reshape(n_blocks, block_m)
-    padded = np.zeros((n_blocks, block_m + 2), dtype=np.int8)
-    padded[:, 1:-1] = blocks
-    flat = padded.ravel()
-    delta = np.diff(flat)
-    starts = np.flatnonzero(delta == 1)
-    ends = np.flatnonzero(delta == -1)
-    longest = np.zeros(n_blocks, dtype=np.int64)
-    np.maximum.at(longest, starts // (block_m + 2), ends - starts)
-    classes = np.clip(longest, lo, hi) - lo
-    nu = np.bincount(classes, minlength=hi - lo + 1)
+    longest = np.full(n_blocks, lo)
+    for k, runs in enumerate(_runs_of_ones(blocks, hi), start=1):
+        if k > lo:
+            longest[runs.any(axis=1)] = k
+    nu = np.bincount(longest - lo, minlength=hi - lo + 1)
     chi2, p = _chi2_p(nu, _longest_run_bin_probs(block_m, lo, hi), n_blocks)
     return (p,), {"M": block_m, "N": n_blocks, "chi2": chi2, "classes": f"{lo}..{hi}"}
 
@@ -188,29 +197,21 @@ def gf2_rank_batch(rows: np.ndarray) -> np.ndarray:
     """Ranks over GF(2) of many bit-packed square matrices at once.
 
     rows: (n_matrices, n_rows) unsigned ints, row r of matrix k packed
-    LSB-first in rows[k, r].
+    LSB-first in rows[k, r].  Elimination without row swaps: each column's
+    pivot is the first row that holds the bit, and it is XORed into every
+    row that holds the bit, itself included.  That clears the column and
+    zeroes the pivot row, so no row is a pivot twice.  The rank is the
+    number of columns that had a pivot.
     """
-    rows = rows.astype(np.uint64).copy()
+    rows = rows.astype(np.uint64)
     n_mat, n_rows = rows.shape
+    mats = np.arange(n_mat)
     rank = np.zeros(n_mat, dtype=np.int64)
-    row_index = np.arange(n_rows)
     for col in range(n_rows):
-        has_bit = ((rows >> np.uint64(col)) & np.uint64(1)).astype(bool)
-        eligible = has_bit & (row_index[np.newaxis, :] >= rank[:, np.newaxis])
-        found = eligible.any(axis=1)
-        mats = np.flatnonzero(found)
-        if mats.size == 0:
-            continue
-        pivot = np.argmax(eligible[mats], axis=1)
-        r = rank[mats]
-        tmp = rows[mats, r].copy()
-        rows[mats, r] = rows[mats, pivot]
-        rows[mats, pivot] = tmp
-        pivot_rows = rows[mats, r]
-        has = ((rows[mats] >> np.uint64(col)) & np.uint64(1)).astype(bool)
-        has[np.arange(mats.size), r] = False
-        rows[mats] ^= has * pivot_rows[:, np.newaxis]
-        rank[mats] += 1
+        has_bit = (rows & np.uint64(1 << col)) != 0
+        pivot = np.argmax(has_bit, axis=1)
+        rank += has_bit[mats, pivot]
+        rows ^= has_bit * rows[mats, pivot][:, np.newaxis]
     return rank
 
 
@@ -235,13 +236,7 @@ def rank_test(b: np.ndarray) -> tuple:
     p_full = full_rank_probability(32, 32, 32)
     p_minus1 = full_rank_probability(32, 32, 31)
     pi = np.array([p_full, p_minus1, 1.0 - p_full - p_minus1])
-    nu = np.array(
-        [
-            int(np.count_nonzero(ranks == 32)),
-            int(np.count_nonzero(ranks == 31)),
-            int(np.count_nonzero(ranks <= 30)),
-        ]
-    )
+    nu = np.bincount(np.minimum(32 - ranks, 2), minlength=3)  # ranks 32, 31, <= 30
     chi2, p = _chi2_p(nu, pi, n_mat)
     return (p,), {"N": n_mat, "chi2": chi2}
 
@@ -302,15 +297,11 @@ def non_overlapping_template_test(b: np.ndarray, m: int = 9, n_blocks: int = 8) 
     mu = (block_m - m + 1) / 2.0**m
     sigma2 = block_m * (2.0**-m - (2.0 * m - 1.0) * 2.0 ** (-2.0 * m))
     template_values = np.array(aperiodic_templates(m)) @ (1 << np.arange(m - 1, -1, -1))
-    p_values = []
-    # chi2 is summed block by block in Python floats, the order a per-block
-    # scan uses, so the p-values do not depend on numpy's summation order.
-    for w_blocks in counts[:, template_values].T.tolist():
-        chi2 = 0.0
-        for w in w_blocks:
-            chi2 += (w - mu) ** 2 / sigma2
-        p_values.append(gammaincc(n_blocks / 2.0, chi2 / 2.0))
-    return tuple(p_values), {"m": m, "N": n_blocks, "M": block_m, "mu": mu, "sigma2": sigma2}
+    # cumsum adds block by block, the order a per-block scan uses, so the
+    # p-values do not depend on numpy's pairwise summation.
+    chi2 = np.cumsum((counts[:, template_values] - mu) ** 2 / sigma2, axis=0)[-1]
+    p_values = tuple(gammaincc(n_blocks / 2.0, chi2 / 2.0))
+    return p_values, {"m": m, "N": n_blocks, "M": block_m, "mu": mu, "sigma2": sigma2}
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +335,9 @@ def overlapping_template_test(b: np.ndarray, m: int = 9, block_m: int = 1032) ->
     k_max = 5
     n_blocks = n // block_m
     blocks = b[: n_blocks * block_m].reshape(n_blocks, block_m)
-    dtype = np.int16 if block_m < 2**15 else np.int64
-    csum = np.zeros((n_blocks, block_m + 1), dtype=dtype)
-    np.cumsum(blocks, axis=1, dtype=dtype, out=csum[:, 1:])
-    window_sums = csum[:, m:] - csum[:, :-m]
-    counts = np.minimum((window_sums == m).sum(axis=1), k_max)
+    for runs in _runs_of_ones(blocks, m):
+        pass  # the last runs are the all-ones m-bit windows
+    counts = np.minimum(np.count_nonzero(runs, axis=1), k_max)
     nu = np.bincount(counts, minlength=k_max + 1)
     chi2, p = _chi2_p(nu, overlapping_count_probs(block_m, m, k_max), n_blocks)
     return (p,), {"m": m, "M": block_m, "N": n_blocks, "chi2": chi2}
@@ -398,19 +387,22 @@ def universal_test(b: np.ndarray) -> tuple:
     # uint16 keys is numpy's radix sort.
     weights = (1 << np.arange(length - 1, -1, -1)).astype(np.uint16)
     vals = blocks @ weights
-    total = 0.0
+    # Sorted by value, each value's blocks are in index order, so a block's
+    # gap is its index minus the previous one's; the first block of a
+    # value has gap index + 1 (the virtual previous block sits at -1).
     order = np.argsort(vals, kind="stable")
-    sorted_vals = vals[order]
-    boundaries = np.searchsorted(sorted_vals, np.arange(2**length + 1))
-    for value in range(2**length):
-        pos = order[boundaries[value] : boundaries[value + 1]]
-        if pos.size == 0:
-            continue
-        pos1 = pos + 1  # 1-based block indices, virtual previous at 0
-        gaps = np.diff(np.concatenate([[0], pos1]))
-        in_test = pos1 > q
-        if np.any(in_test):
-            total += float(np.sum(np.log2(gaps[in_test])))
+    bounds = np.searchsorted(vals[order], np.arange(2**length + 1))
+    starts, ends = bounds[:-1], bounds[1:]
+    gaps = np.diff(order, prepend=-1)
+    first = starts[starts < ends]
+    gaps[first] = order[first] + 1
+    logs = np.log2(gaps)
+    # Each value's first Q blocks only initialise; one sum per value of
+    # the rest, added in value order.
+    test_starts = starts + np.bincount(vals[:q], minlength=2**length)
+    total = 0.0
+    for lo, hi in zip(test_starts.tolist(), ends.tolist()):
+        total += float(np.sum(logs[lo:hi]))
     fn = total / k
     expected, variance = _UNIVERSAL_TABLE[length]
     c = 0.7 - 0.8 / length + (4.0 + 32.0 / length) * k ** (-3.0 / length) / 15.0
@@ -519,10 +511,7 @@ def _window_counts(b: np.ndarray, m: int) -> np.ndarray:
     packed = np.zeros(n_words + 7, dtype=np.uint8)
     ext = np.packbits(b)
     packed[: ext.size] = ext
-    words = packed[:n_words].astype(np.uint64)
-    for i in range(1, 8):
-        words <<= np.uint64(8)
-        words |= packed[i : i + n_words]
+    words = np.ndarray(n_words, ">u8", packed, strides=(1,)).astype(np.uint64)
     counts = np.zeros(2**m, dtype=np.int64)
     mask = np.uint64(2**m - 1)
     for r in range(8):

@@ -7,12 +7,13 @@ nothing in the package needs them.
 """
 
 import math
+from itertools import groupby
 
 import numpy as np
 from scipy.special import gammaincc, ndtr
 from scipy.stats import kstest
 
-from diqrng.statsuite import aperiodic_templates
+from diqrng.statsuite.sp800_22 import _UNIVERSAL_THRESHOLDS, aperiodic_templates
 
 
 def ks_uniformity(p_values) -> float:
@@ -89,6 +90,61 @@ def no_run_probability_weighted_sum(n: int, run: int) -> float:
         if len(history) > run + 1:
             history.pop(0)
     return history[-1]
+
+
+def longest_run_of_ones(bits, block_m: int) -> list:
+    """Longest run of ones in each whole block of block_m bits, one
+    itertools.groupby scan per block."""
+    b = np.asarray(bits, dtype=np.uint8)
+    n_blocks = b.size // block_m
+    return [
+        max((len(list(run)) for bit, run in groupby(block) if bit), default=0)
+        for block in b[: n_blocks * block_m].reshape(n_blocks, block_m).tolist()
+    ]
+
+
+def overlapping_ones_count(bits, block_m: int, m: int) -> list:
+    """Overlapping all-ones m-bit windows in each whole block of block_m
+    bits, by a scan that restarts one bit past each match."""
+    b = np.asarray(bits, dtype=np.uint8)
+    n_blocks = b.size // block_m
+    ones = b"\x01" * m
+    counts = []
+    for block in b[: n_blocks * block_m].reshape(n_blocks, block_m):
+        text = block.tobytes()
+        count, at = 0, text.find(ones)
+        while at >= 0:
+            count, at = count + 1, text.find(ones, at + 1)
+        counts.append(count)
+    return counts
+
+
+def universal_fn(bits) -> float:
+    """Maurer's f_n by a loop over the block values: each value's 1-based
+    block indices, in order, give its gaps (the first from a virtual block
+    0), and the log2 of the gaps of the test blocks is summed per value."""
+    b = np.asarray(bits, dtype=np.uint8)
+    n = b.size
+    length = next(l for bound, l in _UNIVERSAL_THRESHOLDS if n >= bound)
+    q = 10 * 2**length
+    k = n // length - q
+    blocks = b[: (q + k) * length].reshape(q + k, length)
+    weights = (1 << np.arange(length - 1, -1, -1)).astype(np.uint16)
+    vals = blocks @ weights
+    total = 0.0
+    order = np.argsort(vals, kind="stable")
+    sorted_vals = vals[order]
+    boundaries = np.searchsorted(sorted_vals, np.arange(2**length + 1))
+    for value in range(2**length):
+        pos = order[boundaries[value] : boundaries[value + 1]]
+        if pos.size == 0:
+            continue
+        pos1 = pos + 1  # 1-based block indices, virtual previous at 0
+        gaps = np.diff(np.concatenate([[0], pos1]))
+        in_test = pos1 > q
+        if np.any(in_test):
+            total += float(np.sum(np.log2(gaps[in_test])))
+    return total / k
 
 
 def _greedy_nonoverlap_count(positions: np.ndarray, m: int) -> int:

@@ -40,12 +40,8 @@ from diqrng.source import (
     simulate_setting_counts,
     state_at_delay,
 )
-from diqrng.statsuite import (
-    TEST_NAMES,
-    linear_complexity_batch,
-    run_named_test,
-    run_suite,
-)
+from diqrng.statsuite import TEST_NAMES, run_named_test, run_suite
+from diqrng.statsuite.sp800_22 import linear_complexity_batch
 from diqrng.tomography import (
     KWIAT,
     TomoCounts,

@@ -32,7 +32,6 @@ from diqrng.statsuite import (
     cumulative_sums_test,
     fft_test,
     frequency_test,
-    linear_complexity_batch,
     linear_complexity_test,
     longest_runs_test,
     non_overlapping_template_test,
@@ -45,7 +44,11 @@ from diqrng.statsuite import (
     serial_test,
     universal_test,
 )
-from diqrng.statsuite.sp800_22 import _LINEAR_COMPLEXITY_PI, _longest_run_bin_probs
+from diqrng.statsuite.sp800_22 import (
+    _LINEAR_COMPLEXITY_PI,
+    _longest_run_bin_probs,
+    linear_complexity_batch,
+)
 
 N_BITS = 10**6
 

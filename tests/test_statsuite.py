@@ -9,34 +9,37 @@ import pytest
 from diqrng.statsuite import (
     NotApplicable,
     TEST_NAMES,
-    aperiodic_templates,
     approximate_entropy_test,
     block_frequency_test,
     cumulative_sums_test,
     fft_test,
     frequency_test,
-    full_rank_probability,
-    gf2_rank_batch,
-    linear_complexity_batch,
     linear_complexity_test,
+    longest_runs_test,
     non_overlapping_template_test,
-    overlapping_count_probs,
     overlapping_template_test,
     run_named_test,
     run_suite,
     runs_test,
     serial_test,
+    universal_test,
 )
 from diqrng.pipeline import REFERENCE_EXPERIMENT, json_text
 from diqrng.statsuite import suite
 from diqrng.statsuite.sp800_22 import (
+    _chi2_p,
     _cusum_p,
     _longest_run_bin_probs,
     _no_run_probability,
     _prefix_counts,
     _window_counts,
+    aperiodic_templates,
+    full_rank_probability,
     gammaincc,
+    gf2_rank_batch,
+    linear_complexity_batch,
     ndtr,
+    overlapping_count_probs,
     random_excursions_test,
     random_excursions_variant_test,
 )
@@ -47,10 +50,13 @@ from sp800_22_oracles import (
     cyclic_window_counts,
     gf2_rank_reference,
     ks_uniformity,
+    longest_run_of_ones,
     no_run_probability_weighted_sum,
     non_overlapping_template_p_values,
+    overlapping_ones_count,
     random_excursions_p_values,
     random_excursions_variant_p_values,
+    universal_fn,
     window_counts,
 )
 
@@ -72,6 +78,26 @@ def constant_and_alternating_streams(n):
         "ones": np.ones(n, dtype=np.uint8),
         "alternating": np.resize(np.array([1, 0], dtype=np.uint8), n),
     }
+
+
+def oracle_streams(n):
+    """A random stream of n bits and the constant and alternating ones."""
+    random = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+    return {"random": random, **constant_and_alternating_streams(n)}
+
+
+# Stream lengths at each edge of the Longest Runs regimes, with the
+# (M, lo, hi) each selects; 127 is too short, 1,200,003 is no whole byte.
+LONGEST_RUN_REGIMES = [
+    (127, None),
+    (128, (8, 1, 4)),
+    (6_271, (8, 1, 4)),
+    (6_272, (128, 4, 9)),
+    (749_999, (128, 4, 9)),
+    (750_000, (10_000, 10, 16)),
+    (1_200_000, (10_000, 10, 16)),
+    (1_200_003, (10_000, 10, 16)),
+]
 
 
 def balanced_stream(n, seed):
@@ -184,6 +210,21 @@ class TestLongestRuns:
         tabulated = [0.1174, 0.2430, 0.2493, 0.1752, 0.1027, 0.1124]
         assert np.allclose(pi, tabulated, atol=5e-4)
 
+    @pytest.mark.parametrize("n, regime", LONGEST_RUN_REGIMES)
+    def test_per_block_longest_run_matches_groupby_oracle(self, n, regime):
+        for name, bits in oracle_streams(n).items():
+            if regime is None:
+                with pytest.raises(NotApplicable):
+                    longest_runs_test(bits)
+                continue
+            block_m, lo, hi = regime
+            longest = longest_run_of_ones(bits, block_m)
+            nu = np.bincount(np.clip(longest, lo, hi) - lo, minlength=hi - lo + 1)
+            chi2, p = _chi2_p(nu, _longest_run_bin_probs(block_m, lo, hi), len(longest))
+            p_values, params = longest_runs_test(bits)
+            assert (params["M"], params["classes"]) == (block_m, f"{lo}..{hi}"), name
+            assert p_values == (p,) and params["chi2"] == chi2, name
+
     def test_detects_long_run_excess(self):
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2, 200_000, dtype=np.uint8)
@@ -194,14 +235,34 @@ class TestLongestRuns:
 
 
 class TestRank:
-    def test_batch_matches_reference(self):
+    @pytest.mark.parametrize(
+        "kind", ["random", "repeated rows", "zero columns", "xor-dependent rows"]
+    )
+    def test_batch_matches_reference(self, kind):
+        # Each deficient matrix loses 1 to 30 dimensions: rows copied over
+        # others, columns zeroed, or rows replaced by the XOR of two rows
+        # outside the replaced set.
         rng = np.random.default_rng(4)
         mats = rng.integers(0, 2, (60, 32, 32), dtype=np.uint8)
+        for mat in mats if kind != "random" else ():
+            k = int(rng.integers(1, 31))
+            perm = rng.permutation(32)
+            if kind == "repeated rows":
+                k = min(k, 16)
+                mat[perm[:k]] = mat[perm[k : 2 * k]]
+            elif kind == "zero columns":
+                mat[:, perm[:k]] = 0
+            else:
+                for r in perm[:k]:
+                    a, c = rng.choice(perm[k:], 2, replace=False)
+                    mat[r] = mat[a] ^ mat[c]
         packed = np.packbits(mats, axis=2, bitorder="little")
         rows = np.ascontiguousarray(packed).view("<u4").reshape(60, 32)
         batch = gf2_rank_batch(rows)
         ref = np.array([gf2_rank_reference(m) for m in mats])
         assert np.array_equal(batch, ref)
+        if kind != "random":
+            assert ref.max() < 32
 
     def test_rank_probability_formula(self):
         # Small-size oracle: enumerate all 2x2 matrices over GF(2).
@@ -281,6 +342,9 @@ class TestTemplates:
                         start += int(rng.integers(4 * m, 12 * m))
                 p_values, _ = non_overlapping_template_test(bits, m=m)
                 assert p_values == non_overlapping_template_p_values(bits, m=m)
+        for name, bits in constant_and_alternating_streams(8 * (2**m + m) + 13).items():
+            p_values, _ = non_overlapping_template_test(bits, m=m)
+            assert p_values == non_overlapping_template_p_values(bits, m=m), name
 
     def test_planted_template_fails(self):
         rng = np.random.default_rng(9)
@@ -310,11 +374,39 @@ class TestOverlapping:
         # Close to the tabulated asymptotic values for lambda = 2.
         assert probs[0] == pytest.approx(0.364, abs=5e-3)
 
+    @pytest.mark.parametrize("n", [n for n, _ in LONGEST_RUN_REGIMES])
+    def test_per_block_count_matches_scan_oracle(self, n):
+        # The suite's m = 9, M = 1032, and the enumerated m = 3, M = 12.
+        for name, bits in oracle_streams(n).items():
+            for m, block_m in ((9, 1032), (3, 12)):
+                if n < block_m:
+                    with pytest.raises(NotApplicable):
+                        overlapping_template_test(bits, m=m, block_m=block_m)
+                    continue
+                counts = overlapping_ones_count(bits, block_m, m)
+                nu = np.bincount(np.minimum(counts, 5), minlength=6)
+                chi2, p = _chi2_p(nu, overlapping_count_probs(block_m, m, 5), len(counts))
+                p_values, params = overlapping_template_test(bits, m=m, block_m=block_m)
+                assert p_values == (p,) and params["chi2"] == chi2, (name, m)
+
     def test_all_ones_fails(self):
         result = run_named_test(
             "Overlapping Template Matching", np.ones(110_000, dtype=np.uint8)
         )
         assert result.p_value < 1e-10
+
+
+class TestUniversal:
+    @pytest.mark.parametrize("n", (387_840, 400_003, 904_960, 1_200_003))
+    def test_fn_matches_per_value_loop(self, n):
+        # 387,840 and 904,960 are the first lengths with L = 6 and L = 7.
+        # "late" zeroes the first Q blocks and more, so every other value
+        # first occurs among the test blocks, with a gap from block 0.
+        streams = oracle_streams(n)
+        streams["late"] = streams["random"].copy()
+        streams["late"][: n // 50] = 0
+        for name, bits in streams.items():
+            assert universal_test(bits)[1]["fn"] == universal_fn(bits), name
 
 
 class TestLinearComplexity:
@@ -435,7 +527,7 @@ class TestSerialAndApEn:
                 _prefix_counts(counts), _window_counts(cyclic(bits, m - 1), m - 1)
             )
 
-    @pytest.mark.parametrize("n", (100, 1001, 65_536, 1_200_003))
+    @pytest.mark.parametrize("n", (100, 127, 1001, 65_536, 1_200_003))
     def test_window_counts_equal_shift_or_oracle(self, n):
         # The packed-word counts must equal the shift-or ones at every bit
         # offset of the last, partial byte, of the stream as given and of
@@ -447,7 +539,7 @@ class TestSerialAndApEn:
                 _window_counts(cyclic(bits, m), m), cyclic_window_counts(bits, m)
             ), m
 
-    @pytest.mark.parametrize("n", (100, 1001))
+    @pytest.mark.parametrize("n", (100, 127, 1001))
     def test_window_counts_of_constant_and_alternating_streams(self, n):
         for name, bits in constant_and_alternating_streams(n).items():
             for m in range(2, 18):
