@@ -44,7 +44,7 @@ def cmd_print_config(cfg: PipelineConfig, args) -> str:
 
 def cmd_simulate_hom(cfg: PipelineConfig, args) -> str:
     result = pipeline.run_hom(cfg, _out_dir(args))
-    return json_text({k: result[k] for k in ("visibility", "stderr")})
+    return json_text({k: result[k] for k in ("visibility", "stderr", "chi2_dof")})
 
 
 def cmd_generate(cfg: PipelineConfig, args) -> str:

@@ -281,17 +281,19 @@ def _ensure_dir(path) -> Path | None:
 # ---------------------------------------------------------------------------
 
 def run_hom(cfg: PipelineConfig, out_dir=None) -> dict:
-    """HOM scan at 61 points over +-3 sigma; dwell sized for ~1e4 peak counts."""
+    """HOM scan at 61 points over +-3 sigma; dwell sized for ~1e4 peak counts.
+    Reports the fitted dip depth, its standard error and the fit's chi2/dof."""
     out_dir = _ensure_dir(out_dir)
     src = replace(cfg.source, rng_seed=derive_seed(cfg.global_seed, "hom"))
     positions = source.default_scan_positions(src)
     baseline = src.pair_rate * src.det_efficiency**2
     dwell = 10_000.0 / baseline
     scan = source.scan_hom(src, positions, dwell)
-    visibility, stderr = source.visibility_from_scan(scan)
+    visibility, stderr, chi2_dof = source.visibility_from_scan(scan)
     result = {
         "visibility": visibility,
         "stderr": stderr,
+        "chi2_dof": chi2_dof,
         "n_points": int(positions.size),
         "dwell_s": dwell,
     }

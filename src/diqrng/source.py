@@ -171,15 +171,118 @@ def _dip_model(tau, r0, v, sigma, tau0):
     return r0 * (1.0 - v * np.exp(-((tau - tau0) ** 2) / (2.0 * sigma ** 2)))
 
 
+def _dip_jacobian(tau, r0, v, sigma, tau0):
+    """The (m, 4) derivatives of _dip_model in r0, v, sigma and tau0."""
+    d = tau - tau0
+    g = np.exp(-(d ** 2) / (2.0 * sigma ** 2))
+    slope = -r0 * v * g * d / sigma ** 2
+    return np.stack([1.0 - v * g, -r0 * g, slope * d / sigma, slope], axis=1)
+
+
+def _lm_step(jac, scale, resid, delta, par):
+    """Moré's Levenberg-Marquardt step for the trust radius ``delta``.
+
+    The Gauss-Newton step if its scaled length |D dp| is within 1.1 delta,
+    else the damped step (J^T J + par D^2) dp = J^T r whose scaled length is
+    within 10 % of delta, with par from Hebden's Newton iteration started at
+    the last one.  Both come from one SVD of J / D.  Singular values below
+    sqrt(eps) of the largest count as zero: the scan does not determine
+    those directions at double precision, and no step moves along them.
+    Returns (par, dp).
+    """
+    u, s, vt = np.linalg.svd(jac / scale, full_matrices=False)
+    keep = s > s[0] * np.finfo(float).eps ** 0.5
+    s, vt = s[keep], vt[keep]
+    grad = s * (u[:, keep].T @ resid)
+    z = vt.T @ (grad / s ** 2)
+    z_norm = np.linalg.norm(z)
+    if z_norm <= 1.1 * delta:
+        return 0.0, z / scale
+    par = par or np.linalg.norm(grad) / z_norm
+    for _ in range(10):
+        z = vt.T @ (grad / (s ** 2 + par))
+        z_norm = np.linalg.norm(z)
+        miss = z_norm - delta
+        if abs(miss) <= 0.1 * delta:
+            break
+        par = max(0.0, par + miss / delta * z_norm ** 2 / np.sum(grad ** 2 / (s ** 2 + par) ** 3))
+    return par, z / scale
+
+
+def _fit_dip(tau, counts, weights, p):
+    """Weighted least squares of _dip_model from the start p.
+
+    Levenberg-Marquardt with the trust-region update of Moré (Lecture
+    Notes in Mathematics 630, 105, 1978), the algorithm of MINPACK's lmder
+    that curve_fit runs, on the analytic Jacobian.  D holds the largest
+    column norms of the weighted Jacobian seen so far.  The fit stops when
+    the trust radius falls to 1e-10 |D p| (MINPACK's xtol test, on the
+    whole scaled vector, so a parameter near zero does not hold it up) or
+    the residual vanishes.  A trust region, not Marquardt's fixed damping
+    schedule: on a scan without a dip the fit then follows MINPACK's path
+    off the scan, where fixed damping settles on a spike fitted to one or
+    two points.  Returns (p, J, D, chi2) at the solution; raises ValueError
+    when it leaves the finite numbers or has not stopped after 20,000
+    evaluations.
+    """
+
+    def residual(p):
+        return (counts - _dip_model(tau, *p)) / weights
+
+    resid = residual(p)
+    chi2 = float(resid @ resid)
+    if not np.isfinite(chi2):
+        raise ValueError("the residual at the start is not finite")
+    nfev, par, delta = 1, 0.0, None
+    while True:
+        jac = _dip_jacobian(tau, *p) / weights[:, None]
+        norms = np.linalg.norm(jac, axis=0)
+        if delta is None:
+            scale = np.where(norms > 0, norms, 1.0)
+            delta = 100.0 * np.linalg.norm(scale * p) or 100.0
+        scale = np.maximum(scale, norms)
+        if chi2 == 0.0:
+            return p, jac, scale, chi2
+        ratio = 0.0
+        while ratio < 1e-4:
+            par, dp = _lm_step(jac, scale, resid, delta, par)
+            dp_norm = np.linalg.norm(scale * dp)
+            trial = residual(p + dp)
+            trial_chi2 = float(trial @ trial)
+            nfev += 1
+            # Actual over predicted relative reduction of chi2; a trial
+            # that is not finite counts as an increase.
+            actual = 1.0 - trial_chi2 / chi2 if trial_chi2 < 100.0 * chi2 else -1.0
+            predicted = (float(np.sum((jac @ dp) ** 2)) + 2.0 * par * dp_norm ** 2) / chi2
+            ratio = actual / predicted if predicted else 0.0
+            if ratio <= 0.25:
+                cut = 0.5 if actual >= 0 else 0.1
+                delta = cut * min(delta, 10.0 * dp_norm)
+                par /= cut
+            elif par == 0.0 or ratio >= 0.75:
+                delta = 2.0 * dp_norm
+                par *= 0.5
+            if ratio >= 1e-4:
+                p, resid, chi2 = p + dp, trial, trial_chi2
+            if delta <= 1e-10 * np.linalg.norm(scale * p):
+                if not np.all(np.isfinite(p)):
+                    raise ValueError(f"non-finite parameters {p.tolist()}")
+                return p, _dip_jacobian(tau, *p) / weights[:, None], scale, chi2
+            if nfev >= 20_000:
+                raise ValueError("no convergence in 20000 evaluations")
+
+
 def visibility_from_scan(scan: HomScan) -> tuple:
-    """Least-squares fit of the Gaussian-dip model; returns (v, v_err).
+    """Weighted least-squares fit of the Gaussian-dip model; returns
+    (v, v_err, chi2_dof).
 
     v is (C_max - C_min) / C_max of the fitted curve, which is the fitted dip
-    depth parameter itself.  scipy.optimize is imported here, at the first
-    fit, so that importing the package does not load it.
+    depth parameter itself.  The weights are sqrt(max(counts, 1)).  v_err is
+    sqrt(cov[1, 1]) with cov = inv(J^T J) chi2 / (m - 4), scipy's curve_fit
+    convention (absolute_sigma=False); when J^T J is singular at double
+    precision, the dip shape is not determined by the scan, v_err is inf
+    and a RuntimeWarning says so.  chi2_dof is chi2 / (m - 4).
     """
-    from scipy.optimize import curve_fit
-
     if scan.positions_nm.size < 7:
         raise ValueError("need at least 7 scan points spanning the dip")
     counts = scan.counts.astype(float)
@@ -189,31 +292,35 @@ def visibility_from_scan(scan: HomScan) -> tuple:
     c_min = float(counts.min())
     i_min = int(np.argmin(counts))
     span = float(scan.positions_nm.max() - scan.positions_nm.min())
-    p0 = [
+    p0 = np.array([
         c_max,
         max(1e-6, 1.0 - c_min / c_max),
         max(span / 6.0, 1e-9),
         float(scan.positions_nm[i_min]),
-    ]
-    sigma_w = np.sqrt(np.clip(counts, 1.0, None))
+    ])
+    weights = np.sqrt(np.clip(counts, 1.0, None))
     try:
-        popt, pcov = curve_fit(
-            _dip_model,
-            scan.positions_nm,
-            counts,
-            p0=p0,
-            sigma=sigma_w,
-            maxfev=20_000,
-        )
-    except (RuntimeError, ValueError) as exc:
+        popt, jac, scale, chi2 = _fit_dip(scan.positions_nm, counts, weights, p0)
+        _, s, vt = np.linalg.svd(jac / scale, full_matrices=False)
+    except ValueError as exc:  # numpy's LinAlgError is a ValueError
         residual = counts - _dip_model(scan.positions_nm, *p0)
         raise RuntimeError(
             "HOM fit failed to converge: "
             f"{exc}; initial-guess residual rms {float(np.sqrt(np.mean(residual**2))):.3g}"
         ) from exc
-    v = float(popt[1])
-    v_err = float(np.sqrt(abs(pcov[1, 1])))
-    return v, v_err
+    dof = counts.size - 4
+    if s[-1] > s[0] * np.finfo(float).eps ** 0.5:
+        v_err = float(np.linalg.norm(vt[:, 1] / s) / scale[1] * math.sqrt(chi2 / dof))
+    else:
+        import warnings
+
+        warnings.warn(
+            "HOM fit covariance could not be estimated: J^T J is singular, so v_err is inf",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        v_err = math.inf
+    return float(popt[1]), v_err, chi2 / dof
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ with two-outcome analyzers A = P(angle) - P(angle + 90), the CHSH estimate
 of a (4, 4) count array computed one setting pair at a time, the per-quad
 joint polarizer projectors built one np.kron at a time, the Pauli decomposition,
 correlation matrix and Uhlmann fidelity of a state, random states and
-unitaries, a reader for the HOM scan CSV, the Bayes chain run one proposal
-at a time, and the heralded event chunk drawn as whole batch arrays.
+unitaries, a reader for the HOM scan CSV, the HOM dip fit by scipy's
+curve_fit, the Bayes chain run one proposal at a time, and the heralded
+event chunk drawn as whole batch arrays.
 
 The library builds its projectors as broadcast stacks (``qmath.polarizer``,
 ``qmath.kron2``, ``ChshSettings.projectors``); the constructions here are
@@ -22,7 +23,7 @@ import numpy as np
 
 from diqrng.certify import ChshSettings
 from diqrng.qmath import DEFAULT_TOL, HERMITICITY_TOL, PAULI2, require_physical
-from diqrng.source import _EVENT_STREAM, HomScan
+from diqrng.source import _EVENT_STREAM, HomScan, _dip_model
 from diqrng.tomography import KWIAT, _log_likelihood, _rho_from_vector
 
 
@@ -170,6 +171,47 @@ def hom_scan_from_csv(path) -> HomScan:
         counts=np.array([int(r[1]) for r in rows]),
         dwell_s=float(header["dwell_s"]),
         rng_seed=int(header["rng_seed"]),
+    )
+
+
+def hom_fit_reference(scan: HomScan, **options) -> tuple:
+    """The HOM dip fit by ``scipy.optimize.curve_fit`` (MINPACK's
+    Levenberg-Marquardt); returns (popt, pcov) for (r0, v, sigma, tau0).
+
+    Without ``options`` this is the call the package made before it had its
+    own fit: the same start, weights and ``maxfev``, and curve_fit's default
+    tolerances and finite-difference Jacobian.  ``options`` go to curve_fit
+    as they are, for example an analytic ``jac`` and tighter tolerances.
+    """
+    from scipy.optimize import curve_fit
+
+    counts = scan.counts.astype(float)
+    c_max = float(counts.max())
+    c_min = float(counts.min())
+    i_min = int(np.argmin(counts))
+    span = float(scan.positions_nm.max() - scan.positions_nm.min())
+    p0 = [
+        c_max,
+        max(1e-6, 1.0 - c_min / c_max),
+        max(span / 6.0, 1e-9),
+        float(scan.positions_nm[i_min]),
+    ]
+    sigma_w = np.sqrt(np.clip(counts, 1.0, None))
+    options = {"maxfev": 20_000, **options}
+    return curve_fit(_dip_model, scan.positions_nm, counts, p0=p0, sigma=sigma_w, **options)
+
+
+def dip_jacobian_reference(tau, r0, v, sigma, tau0) -> np.ndarray:
+    """d/d(r0, v, sigma, tau0) of r0 (1 - v exp(-(tau - tau0)^2 / 2 sigma^2)),
+    one column per parameter, in curve_fit's ``jac`` signature."""
+    g = np.exp(-((tau - tau0) ** 2) / (2.0 * sigma**2))
+    return np.column_stack(
+        [
+            1.0 - v * g,
+            -r0 * g,
+            -r0 * v * g * (tau - tau0) ** 2 / sigma**3,
+            -r0 * v * g * (tau - tau0) / sigma**2,
+        ]
     )
 
 

@@ -187,6 +187,8 @@ class TestConfig:
 
         cfg = reduced(preset_config("dataset_A"), global_seed=99, n_bits=REDUCED_BITS)
         report = run_all(cfg, tmp_path / "first")
+        # The report's hom block is the stage's file, chi2/dof included.
+        assert report["hom"] == json.loads((tmp_path / "first" / "hom_visibility.json").read_text())
         replayed_cfg = PipelineConfig.from_json_dict(report["config"])
         assert replayed_cfg.digest() == report["config_sha256"]
         replay = run_all(replayed_cfg, tmp_path / "second")
@@ -201,6 +203,13 @@ class TestStages:
         assert (tmp_path / "hom_scan.csv").exists()
         assert (tmp_path / "hom_visibility.json").exists()
         assert abs(result["visibility"] - 0.9655) < 0.01
+
+    def test_hom_stage_reports_fit_chi2(self, tmp_path):
+        result = run_hom(preset_config("dataset_A"), tmp_path)
+        written = json.loads((tmp_path / "hom_visibility.json").read_text())
+        assert written == result
+        assert list(result) == ["visibility", "stderr", "chi2_dof", "n_points", "dwell_s"]
+        assert 0.5 < result["chi2_dof"] < 1.5
 
     def test_generate_stage_file_sizes(self, tmp_path):
         cfg = dataclasses.replace(preset_config("dataset_A"), n_bits=64)
@@ -633,9 +642,9 @@ def _scipy_modules_after(body: str) -> list:
 
 
 class TestStartupLoadsNumpyOnly:
-    """scipy is imported by the code that calls it: the HOM fit loads
-    scipy.optimize, and the Bayes chain and the suite's p-values load
-    scipy.special.  Importing the package loads neither."""
+    """scipy is imported by the code that calls it: the Bayes chain and the
+    suite's p-values load scipy.special.  The HOM fit runs on numpy.linalg,
+    and importing the package loads no scipy."""
 
     def test_importing_every_module_loads_no_scipy(self):
         loaded = _scipy_modules_after(
@@ -655,6 +664,14 @@ class TestStartupLoadsNumpyOnly:
             "assert 'diqrng._lanes' in sys.modules\n"
             "assert threading.active_count() == 1, threading.enumerate()"
         )
+
+    def test_hom_fit_loads_no_scipy(self):
+        loaded = _scipy_modules_after(
+            "from diqrng.pipeline import preset_config, run_hom\n"
+            "result = run_hom(preset_config('dataset_A'))\n"
+            "assert abs(result['visibility'] - 0.9655) < 0.01"
+        )
+        assert loaded == []
 
     def test_generate_and_extract_load_no_scipy(self):
         loaded = _scipy_modules_after(

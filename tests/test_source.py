@@ -17,6 +17,7 @@ from diqrng.qmath import born_probabilities, kron2, physicality, polarizer
 from diqrng.source import (
     _CHUNK_BITS,
     _chunk_bits,
+    _dip_model,
     EventStream,
     HomScan,
     SourceConfig,
@@ -29,7 +30,14 @@ from diqrng.source import (
     state_at_delay,
     visibility_from_scan,
 )
-from model_oracles import chunk_bits_reference, hom_scan_from_csv, maximally_mixed, singlet
+from model_oracles import (
+    chunk_bits_reference,
+    dip_jacobian_reference,
+    hom_fit_reference,
+    hom_scan_from_csv,
+    maximally_mixed,
+    singlet,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +162,6 @@ class TestHomCurve:
 
 
 class TestVisibilityFit:
-    @pytest.mark.filterwarnings("ignore::scipy.optimize.OptimizeWarning")
     def test_noiseless_scan_recovers_exactly(self):
         cfg = SourceConfig(visibility_v0=0.97)
         positions = default_scan_positions(cfg)
@@ -163,7 +170,7 @@ class TestVisibilityFit:
         counts = np.round(
             [hom_coincidence_rate(cfg, p) * scale for p in positions]
         ).astype(np.int64)
-        v, v_err = visibility_from_scan(HomScan(positions, counts, dwell_s=scale))
+        v, v_err, _ = visibility_from_scan(HomScan(positions, counts, dwell_s=scale))
         assert v == pytest.approx(0.97, abs=1e-6)
 
     def test_poisson_scan_recovers_within_tolerance(self):
@@ -173,15 +180,18 @@ class TestVisibilityFit:
         dwell = 1e4 / r0  # peak counts around 10^4
         for seed in range(5):
             scan = scan_hom(SourceConfig(visibility_v0=0.97, rng_seed=seed), positions, dwell)
-            v, _ = visibility_from_scan(scan)
+            v, _, _ = visibility_from_scan(scan)
             assert abs(v - 0.97) <= 0.01
 
-    @pytest.mark.filterwarnings("ignore::scipy.optimize.OptimizeWarning")
     def test_flat_scan_fits_zero_visibility(self):
         cfg = SourceConfig(visibility_v0=0.0, rng_seed=3)
         scan = scan_hom(cfg, default_scan_positions(cfg), 0.5)
-        v, _ = visibility_from_scan(scan)
+        # The fit moves the dip off the scan, where its shape has no effect:
+        # J^T J is singular, and the fit says so.
+        with pytest.warns(RuntimeWarning, match="J\\^T J is singular"):
+            v, v_err, _ = visibility_from_scan(scan)
         assert abs(v) < 0.01
+        assert v_err == math.inf
 
     def test_too_few_points_rejected(self):
         cfg = SourceConfig()
@@ -198,6 +208,105 @@ class TestVisibilityFit:
         assert np.allclose(back.positions_nm, scan.positions_nm)
         assert back.dwell_s == scan.dwell_s
         assert back.rng_seed == scan.rng_seed
+
+
+def _hom_stage_scan(preset, global_seed):
+    """The scan run_hom makes for a preset and seed."""
+    cfg = preset_config(preset, global_seed)
+    src = replace(cfg.source, rng_seed=derive_seed(cfg.global_seed, "hom"))
+    dwell = 10_000.0 / (src.pair_rate * src.det_efficiency**2)
+    return scan_hom(src, default_scan_positions(src), dwell)
+
+
+def _oracle_scans():
+    """200 scans: four dip depths, peak counts 10^2 to 10^4, ten seeds each."""
+    for v0, peak, seed in itertools.product(
+        (0.3, 0.758, 0.9655, 0.97), (1e2, 3e2, 1e3, 3e3, 1e4), range(10)
+    ):
+        cfg = SourceConfig(visibility_v0=v0, rng_seed=1000 + seed)
+        dwell = peak / (cfg.pair_rate * cfg.det_efficiency**2)
+        yield scan_hom(cfg, default_scan_positions(cfg), dwell)
+
+
+def _chi2(scan, p):
+    counts = scan.counts.astype(float)
+    resid = (counts - _dip_model(scan.positions_nm, *p)) / np.sqrt(np.clip(counts, 1.0, None))
+    return float(resid @ resid)
+
+
+class TestVisibilityFitOracle:
+    """The fit against scipy's curve_fit (MINPACK), in tests/model_oracles.py."""
+
+    @pytest.mark.parametrize("preset", ["dataset_A", "dataset_B"])
+    def test_matches_curve_fit_at_the_presets(self, preset):
+        for global_seed in range(20260808, 20260812):
+            scan = _hom_stage_scan(preset, global_seed)
+            popt, pcov = hom_fit_reference(scan)
+            v, v_err, _ = visibility_from_scan(scan)
+            assert v == pytest.approx(popt[1], rel=1e-8, abs=0)
+            assert v_err == pytest.approx(math.sqrt(pcov[1, 1]), rel=1e-5, abs=0)
+
+    def test_matches_converged_minpack_on_200_scans(self):
+        # curve_fit's default stop (relative chi2 reduction below 1.5e-8)
+        # leaves v up to ~5e-6 (relative) short of the minimum at 10^2 peak
+        # counts; with the analytic Jacobian and tight tolerances MINPACK
+        # converges, and the fit must agree with it.
+        tight = {"jac": dip_jacobian_reference, "ftol": 1e-15, "xtol": 1e-15, "gtol": 0.0}
+        for scan in _oracle_scans():
+            v, v_err, chi2_dof = visibility_from_scan(scan)
+            popt, pcov = hom_fit_reference(scan, **tight)
+            assert v == pytest.approx(popt[1], rel=1e-8, abs=0)
+            assert v_err == pytest.approx(math.sqrt(pcov[1, 1]), rel=1e-5, abs=0)
+            # Never a worse fit than curve_fit's default stop, and close to it.
+            popt, _ = hom_fit_reference(scan)
+            assert chi2_dof * (scan.counts.size - 4) <= _chi2(scan, popt) * (1 + 1e-12)
+            assert v == pytest.approx(popt[1], rel=1e-5, abs=0)
+
+
+class TestVisibilityFitSemantics:
+    def test_scan_without_counts_rejected(self):
+        cfg = SourceConfig()
+        scan = scan_hom(cfg, default_scan_positions(cfg), 0.0)
+        with pytest.raises(RuntimeError, match="scan contains no counts"):
+            visibility_from_scan(scan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_positions_fail_to_converge(self, bad):
+        cfg = SourceConfig(rng_seed=4)
+        positions = default_scan_positions(cfg)
+        scan = scan_hom(cfg, positions, 0.5)
+        positions = positions.copy()
+        positions[30] = bad
+        with pytest.raises(RuntimeError, match="HOM fit failed to converge: "):
+            visibility_from_scan(HomScan(positions, scan.counts, scan.dwell_s))
+
+    def test_constant_scan_has_no_dip(self):
+        # No dip at all: v is fitted to zero and its shape is undetermined.
+        positions = default_scan_positions(SourceConfig())
+        scan = HomScan(positions, np.full(positions.size, 5_000), dwell_s=1.0)
+        with pytest.warns(RuntimeWarning, match="J\\^T J is singular"):
+            v, v_err, chi2_dof = visibility_from_scan(scan)
+        assert abs(v) < 1e-12
+        assert v_err == math.inf
+        assert chi2_dof < 1e-20
+
+    def test_noiseless_scan_has_zero_chi2(self):
+        cfg = SourceConfig(visibility_v0=0.97)
+        positions = default_scan_positions(cfg)
+        scale = 1e8 / hom_coincidence_rate(cfg, 1e9)
+        counts = np.round([hom_coincidence_rate(cfg, p) * scale for p in positions])
+        _, v_err, chi2_dof = visibility_from_scan(HomScan(positions, counts, dwell_s=scale))
+        # Only the rounding to whole counts is left: chi2 ~ 61 / 12 / 1e8.
+        assert chi2_dof < 1e-6
+        assert 0 < v_err < 1e-6
+
+    def test_poisson_scans_have_unit_chi2(self):
+        values = [
+            visibility_from_scan(_hom_stage_scan("dataset_A", seed))[2]
+            for seed in range(20260808, 20260908)
+        ]
+        assert np.mean(values) == pytest.approx(1.0, abs=0.1)
 
 
 class TestStateAtDelay:
