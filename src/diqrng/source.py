@@ -40,10 +40,10 @@ class SourceConfig:
     dip_sigma_nm      Gaussian dip 1/e half-width (free parameter; the
                       reference setup does not quote one)
     delay_tau_nm      path-length offset from the dip center
-    pair_rate         detected-pair generation rate, pairs/s
-    dark_rate         dark counts/s per detector
     det_efficiency    per-arm detection efficiency
-    coincidence_window  coincidence gate, seconds
+    dark_click_probability  probability that one detector dark-clicks in one
+                      coincidence gate: the dark-count rate times the gate
+                      width, so 100 /s in a 1 ns gate is 1e-7
     rng_seed          seed of the HOM scan and the event stream; not part
                       of a pipeline config, whose stages derive it from
                       the global seed
@@ -52,10 +52,8 @@ class SourceConfig:
     visibility_v0: float = 0.97
     dip_sigma_nm: float = 300.0
     delay_tau_nm: float = 0.0
-    pair_rate: float = 50_000.0
-    dark_rate: float = 100.0
     det_efficiency: float = 0.6
-    coincidence_window: float = 1e-9
+    dark_click_probability: float = 1e-7
     rng_seed: int = 12345
 
     def __post_init__(self):
@@ -64,19 +62,12 @@ class SourceConfig:
         if self.dip_sigma_nm <= 0:
             raise ValueError("dip_sigma_nm must be positive")
         # A source that detects no pairs has no HOM dip and no bits.
-        if not self.pair_rate > 0:
-            raise ValueError(f"pair_rate must be positive, got {self.pair_rate!r}")
         if not 0.0 < self.det_efficiency <= 1.0:
             raise ValueError(f"det_efficiency must be in (0, 1], got {self.det_efficiency!r}")
-        for name in ("dark_rate", "coincidence_window"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        # The product is the dark-click probability of one detector in one
-        # gate.  At 1 every gate clicks on both paths and no bit is ever made.
-        if not self.dark_rate * self.coincidence_window < 1.0:
+        # At 1 every gate clicks on both paths and no bit is ever made.
+        if not 0.0 <= self.dark_click_probability < 1.0:
             raise ValueError(
-                "dark_rate * coincidence_window is the dark-click probability per "
-                f"gate and must be below 1, got {self.dark_rate!r} * {self.coincidence_window!r}"
+                f"dark_click_probability must be in [0, 1), got {self.dark_click_probability!r}"
             )
 
     def overlap_at_delay(self) -> float:
@@ -92,11 +83,10 @@ class SourceConfig:
 
 @dataclass(frozen=True)
 class HomScan:
-    """One translation-stage sweep: coincidences per dwell at each position."""
+    """One translation-stage sweep: coincidence counts at each position."""
 
     positions_nm: np.ndarray
     counts: np.ndarray
-    dwell_s: float
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -113,7 +103,7 @@ class HomScan:
 
     def to_csv(self, path) -> Path:
         path = Path(path)
-        lines = [f"# dwell_s={float(self.dwell_s)!r} rng_seed={self.rng_seed}"]
+        lines = [f"# rng_seed={self.rng_seed}"]
         lines.append("position_nm,counts")
         for p, c in zip(self.positions_nm, self.counts):
             lines.append(f"{float(p)!r},{int(c)}")
@@ -140,12 +130,10 @@ class EventStream:
 # HOM curve
 # ---------------------------------------------------------------------------
 
-def hom_coincidence_rate(cfg: SourceConfig, tau_nm: float) -> float:
-    """R(tau) = R0 (1 - v0 exp(-tau^2 / 2 sigma^2)); R0 set by pair rate and
-    two-detector efficiency."""
-    r0 = cfg.pair_rate * cfg.det_efficiency ** 2
-    x = tau_nm / cfg.dip_sigma_nm
-    return r0 * (1.0 - cfg.visibility_v0 * math.exp(-0.5 * x * x))
+def _dip_model(tau, r0, v, sigma, tau0):
+    """R(tau) = r0 (1 - v exp(-(tau - tau0)^2 / 2 sigma^2)): the scan's mean
+    counts and the fitted curve."""
+    return r0 * (1.0 - v * np.exp(-((tau - tau0) ** 2) / (2.0 * sigma ** 2)))
 
 
 def default_scan_positions(cfg: SourceConfig, n_points: int = 61, span_sigmas: float = 3.0):
@@ -154,21 +142,17 @@ def default_scan_positions(cfg: SourceConfig, n_points: int = 61, span_sigmas: f
     )
 
 
-def scan_hom(cfg: SourceConfig, positions_nm, dwell_s: float) -> HomScan:
-    """Poisson-sampled coincidence counts at each stage position."""
+def scan_hom(cfg: SourceConfig, positions_nm, peak_counts: float) -> HomScan:
+    """Poisson-sampled coincidence counts at each stage position, with mean
+    peak_counts far from the dip and peak_counts (1 - v0) at its center."""
     positions = np.asarray(positions_nm, dtype=float)
     if positions.size == 0:
         raise ValueError("scan needs at least one stage position")
-    if dwell_s < 0:
-        raise ValueError("dwell time must be non-negative")
+    if peak_counts < 0:
+        raise ValueError("peak counts must be non-negative")
     rng = np.random.default_rng([cfg.rng_seed, _HOM_STREAM])
-    rates = np.array([hom_coincidence_rate(cfg, p) for p in positions])
-    counts = rng.poisson(rates * dwell_s)
-    return HomScan(positions, counts, dwell_s, rng_seed=cfg.rng_seed)
-
-
-def _dip_model(tau, r0, v, sigma, tau0):
-    return r0 * (1.0 - v * np.exp(-((tau - tau0) ** 2) / (2.0 * sigma ** 2)))
+    mean = _dip_model(positions, peak_counts, cfg.visibility_v0, cfg.dip_sigma_nm, 0.0)
+    return HomScan(positions, rng.poisson(mean), rng_seed=cfg.rng_seed)
 
 
 def _dip_jacobian(tau, r0, v, sigma, tau0):
@@ -387,7 +371,7 @@ def _chunk_bits(cfg: SourceConfig, p_v: float, chunk_index: int, n_bits: int):
     """
     seed = [cfg.rng_seed, _EVENT_STREAM, chunk_index]
     eta = cfg.det_efficiency
-    p_dark = cfg.dark_rate * cfg.coincidence_window
+    p_dark = cfg.dark_click_probability
     probs = [p_v, eta, p_dark, p_dark] if p_dark > 0.0 else [p_v, eta]
 
     # P(exactly one of the H/V detectors clicks) for batch sizing.

@@ -169,7 +169,6 @@ def hom_scan_from_csv(path) -> HomScan:
     return HomScan(
         positions_nm=np.array([float(r[0]) for r in rows]),
         counts=np.array([int(r[1]) for r in rows]),
-        dwell_s=float(header["dwell_s"]),
         rng_seed=int(header["rng_seed"]),
     )
 
@@ -276,7 +275,7 @@ def chunk_bits_reference(cfg, p_v: float, chunk_index: int, n_bits: int):
     """
     rng = np.random.default_rng([cfg.rng_seed, _EVENT_STREAM, chunk_index])
     eta = cfg.det_efficiency
-    p_dark = cfg.dark_rate * cfg.coincidence_window
+    p_dark = cfg.dark_click_probability
 
     # P(exactly one of the H/V detectors clicks) for batch sizing.
     p_click_given_photon = eta + (1.0 - eta) * p_dark

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,12 +71,14 @@ class TestConfig:
         # Any change to the JSON schema changes run_report config_sha256.
         # These are the sha256 of each preset's sorted JSON without
         # source.rng_seed, which the config does not record, without
-        # source.state_model, a field the source no longer has, and without
-        # output_dir: where a run writes is not part of the experiment.
+        # source.state_model, a field the source no longer has, without
+        # output_dir: where a run writes is not part of the experiment, and
+        # with the source's one dark_click_probability in place of
+        # pair_rate, dark_rate and coincidence_window.
         expected = {
-            "dataset_A": "116859f31cde1cf4dd42758f5a2bf9853ab0071a394f758d32e4da433af89e35",
-            "dataset_B": "d63601221efb7e41ac68babb0f72c1d0dfbd683ff0fa0bb1102ec250df3207c4",
-            "classical_source": "e047464484bf4ea30fe30b046fdd3db319525713ff8b22dc4d49a490d9cdac42",
+            "dataset_A": "a07fb3d59c7029ee4e1da1705caf2a2c49e70181c18c246106842e6e6cf81acc",
+            "dataset_B": "1081f59e7bb2fb5d285d81070aefe32564be4527781c7240141a4e981c3da53f",
+            "classical_source": "8e8ec3faee2d77c1c0f84a7c98b8dced5fb960000d5251aeb72b6fba868348e3",
         }
         for name, digest in expected.items():
             assert preset_config(name, 7).digest() == digest
@@ -145,6 +148,14 @@ class TestConfig:
         for edge in (0, 1):
             assert PipelineConfig.from_json_dict({"suite_threshold": edge}).suite_threshold == edge
 
+    @pytest.mark.parametrize("key", ["pair_rate", "dark_rate", "coincidence_window"])
+    def test_removed_source_keys_rejected(self, key):
+        # The pair rate moved no output, and the dark-click probability is
+        # one field; a config written with the old keys no longer loads.
+        assert key not in PipelineConfig().to_json_dict()["source"]
+        with pytest.raises(ValueError, match=f"unknown config key '{key}' in source"):
+            PipelineConfig.from_json_dict({"source": {key: 1}})
+
     @pytest.mark.parametrize(
         "key, value", [("seed_bits", [1, 0, 1, 1]), ("seed_bits", "abc"), ("rng_seed", 1)]
     )
@@ -208,8 +219,31 @@ class TestStages:
         result = run_hom(preset_config("dataset_A"), tmp_path)
         written = json.loads((tmp_path / "hom_visibility.json").read_text())
         assert written == result
-        assert list(result) == ["visibility", "stderr", "chi2_dof", "n_points", "dwell_s"]
+        assert list(result) == ["visibility", "stderr", "chi2_dof", "n_points"]
         assert 0.5 < result["chi2_dof"] < 1.5
+
+    def test_undetermined_dip_depth_is_null(self, tmp_path):
+        # Without a dip the fit may move it off the scan, where J^T J is
+        # singular: the depth it ends at is arbitrary (28.2 at seed 2) and
+        # is reported as null, with the fit's warning.
+        undetermined_seeds = []
+        for seed in range(40):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = run_hom(preset_config("classical_source", seed))
+            undetermined = result["stderr"] == math.inf
+            assert (result["visibility"] is None) == undetermined, seed
+            warned = any("J^T J is singular" in str(w.message) for w in caught)
+            assert warned == undetermined, seed
+            if undetermined:
+                undetermined_seeds.append(seed)
+            else:
+                assert -1.0 <= result["visibility"] <= 1.0, seed
+        assert 2 in undetermined_seeds and len(undetermined_seeds) < 40
+        with pytest.warns(RuntimeWarning, match="J\\^T J is singular"):
+            run_hom(preset_config("classical_source", 2), tmp_path)
+        written = json.loads((tmp_path / "hom_visibility.json").read_text())
+        assert written["visibility"] is None and written["stderr"] is None
 
     def test_generate_stage_file_sizes(self, tmp_path):
         cfg = dataclasses.replace(preset_config("dataset_A"), n_bits=64)
@@ -362,6 +396,13 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert abs(summary["visibility"] - 0.9655) < 0.01
 
+    def test_simulate_hom_prints_null_for_an_undetermined_depth(self, tmp_path, capsys):
+        args = ["simulate-hom", "--preset", "classical_source", "--seed", "2"]
+        with pytest.warns(RuntimeWarning, match="J\\^T J is singular"):
+            assert cli.main(args + ["--out", str(tmp_path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["visibility"] is None and summary["stderr"] is None
+
     def test_default_output_directory_follows_the_preset_flag(self, tmp_path, monkeypatch):
         # Without --out a run writes to runs/<--preset>, or runs/default; the
         # directory never comes from a config file.
@@ -440,12 +481,14 @@ class TestCli:
             ({"extractor": {"h_inf": 7}}, "h_inf must be in (0, 1], got 7"),
             ({"output_dir": "runs/x"}, "unknown config key 'output_dir' in the top level"),
             ({"source": {"det_efficiency": 0}}, "det_efficiency must be in (0, 1], got 0"),
-            ({"source": {"pair_rate": 0}}, "pair_rate must be positive, got 0"),
+            ({"source": {"pair_rate": 1}}, "unknown config key 'pair_rate' in source"),
+            ({"source": {"dark_click_probability": 1}},
+             "dark_click_probability must be in [0, 1), got 1"),
         ],
         ids=["m above n", "m zero", "leftover_hash without h_inf", "fractional m", "no bits",
              "string n_bits", "threshold above one", "extractor seed_bits", "extractor rng_seed",
              "source rng_seed", "epsilon above one", "h_inf above one", "output_dir",
-             "dead detectors", "no pairs"],
+             "dead detectors", "removed pair_rate", "dark saturated"],
     )
     def test_bad_extractor_or_length_config_exit_code(self, tmp_path, capsys, config, message):
         # Rejected at config load: run-all exits 1 before any stage runs.

@@ -24,7 +24,6 @@ from diqrng.source import (
     default_scan_positions,
     eraser_postselected_state,
     generate_events,
-    hom_coincidence_rate,
     scan_hom,
     simulate_setting_counts,
     state_at_delay,
@@ -127,38 +126,57 @@ class TestEraserState:
             eraser_postselected_state(45.0, 1.5)
 
 
+def _exact_dip(cfg, positions, peak):
+    """The noise-free scan: peak (1 - v0 exp(-tau^2 / 2 sigma^2))."""
+    x = np.asarray(positions) / cfg.dip_sigma_nm
+    return peak * (1.0 - cfg.visibility_v0 * np.exp(-0.5 * x * x))
+
+
 class TestHomCurve:
-    def test_far_from_dip_recovers_baseline(self):
+    def test_far_from_dip_recovers_peak_counts(self):
         cfg = SourceConfig()
-        r0 = cfg.pair_rate * cfg.det_efficiency**2
-        assert hom_coincidence_rate(cfg, 1e9) == pytest.approx(r0)
+        r = _dip_model(1e9, 1e4, cfg.visibility_v0, cfg.dip_sigma_nm, 0.0)
+        assert r == pytest.approx(1e4)
 
     def test_dip_depth_at_center(self):
         cfg = SourceConfig(visibility_v0=0.97)
-        r0 = cfg.pair_rate * cfg.det_efficiency**2
-        assert hom_coincidence_rate(cfg, 0.0) == pytest.approx(0.03 * r0)
+        r = _dip_model(0.0, 1e4, cfg.visibility_v0, cfg.dip_sigma_nm, 0.0)
+        assert r == pytest.approx(0.03 * 1e4)
 
     def test_one_sigma_point(self):
         cfg = SourceConfig(visibility_v0=0.97)
-        r0 = cfg.pair_rate * cfg.det_efficiency**2
-        expected = r0 * (1.0 - 0.97 * math.exp(-0.5))
-        assert hom_coincidence_rate(cfg, cfg.dip_sigma_nm) == pytest.approx(expected)
+        expected = 1e4 * (1.0 - 0.97 * math.exp(-0.5))
+        r = _dip_model(cfg.dip_sigma_nm, 1e4, cfg.visibility_v0, cfg.dip_sigma_nm, 0.0)
+        assert r == pytest.approx(expected)
+
+    def test_scan_counts_scatter_around_the_dip(self):
+        # At 1e8 peak counts the Poisson scatter is 1e-4 of the mean.
+        cfg = SourceConfig(visibility_v0=0.97, rng_seed=3)
+        positions = default_scan_positions(cfg)
+        mean = _exact_dip(cfg, positions, 1e8)
+        scan = scan_hom(cfg, positions, 1e8)
+        assert np.all(np.abs(scan.counts - mean) <= 6.0 * np.sqrt(mean))
 
     def test_scan_is_deterministic(self):
         cfg = SourceConfig(rng_seed=77)
         positions = default_scan_positions(cfg)
-        scan_a = scan_hom(cfg, positions, 0.5)
-        scan_b = scan_hom(cfg, positions, 0.5)
+        scan_a = scan_hom(cfg, positions, 9_000.0)
+        scan_b = scan_hom(cfg, positions, 9_000.0)
         assert np.array_equal(scan_a.counts, scan_b.counts)
 
-    def test_zero_dwell_gives_zero_counts(self):
+    def test_zero_peak_counts_give_zero_counts(self):
         cfg = SourceConfig()
         scan = scan_hom(cfg, default_scan_positions(cfg), 0.0)
         assert np.all(scan.counts == 0)
 
+    def test_negative_peak_counts_rejected(self):
+        cfg = SourceConfig()
+        with pytest.raises(ValueError, match="peak counts must be non-negative"):
+            scan_hom(cfg, default_scan_positions(cfg), -1.0)
+
     def test_empty_positions_rejected(self):
         with pytest.raises(ValueError):
-            scan_hom(SourceConfig(), [], 1.0)
+            scan_hom(SourceConfig(), [], 9_000.0)
 
 
 class TestVisibilityFit:
@@ -166,26 +184,21 @@ class TestVisibilityFit:
         cfg = SourceConfig(visibility_v0=0.97)
         positions = default_scan_positions(cfg)
         # Exact model counts at a scale where integer rounding is negligible.
-        scale = 1e8 / hom_coincidence_rate(cfg, 1e9)
-        counts = np.round(
-            [hom_coincidence_rate(cfg, p) * scale for p in positions]
-        ).astype(np.int64)
-        v, v_err, _ = visibility_from_scan(HomScan(positions, counts, dwell_s=scale))
+        counts = np.round(_exact_dip(cfg, positions, 1e8)).astype(np.int64)
+        v, v_err, _ = visibility_from_scan(HomScan(positions, counts))
         assert v == pytest.approx(0.97, abs=1e-6)
 
     def test_poisson_scan_recovers_within_tolerance(self):
         cfg = SourceConfig(visibility_v0=0.97, rng_seed=5)
         positions = default_scan_positions(cfg)
-        r0 = cfg.pair_rate * cfg.det_efficiency**2
-        dwell = 1e4 / r0  # peak counts around 10^4
         for seed in range(5):
-            scan = scan_hom(SourceConfig(visibility_v0=0.97, rng_seed=seed), positions, dwell)
+            scan = scan_hom(SourceConfig(visibility_v0=0.97, rng_seed=seed), positions, 1e4)
             v, _, _ = visibility_from_scan(scan)
             assert abs(v - 0.97) <= 0.01
 
     def test_flat_scan_fits_zero_visibility(self):
         cfg = SourceConfig(visibility_v0=0.0, rng_seed=3)
-        scan = scan_hom(cfg, default_scan_positions(cfg), 0.5)
+        scan = scan_hom(cfg, default_scan_positions(cfg), 9_000.0)
         # The fit moves the dip off the scan, where its shape has no effect:
         # J^T J is singular, and the fit says so.
         with pytest.warns(RuntimeWarning, match="J\\^T J is singular"):
@@ -195,18 +208,17 @@ class TestVisibilityFit:
 
     def test_too_few_points_rejected(self):
         cfg = SourceConfig()
-        scan = scan_hom(cfg, np.linspace(-300, 300, 5), 0.5)
+        scan = scan_hom(cfg, np.linspace(-300, 300, 5), 9_000.0)
         with pytest.raises(ValueError):
             visibility_from_scan(scan)
 
     def test_csv_roundtrip(self, tmp_path):
         cfg = SourceConfig(rng_seed=11)
-        scan = scan_hom(cfg, default_scan_positions(cfg, n_points=15), 0.25)
+        scan = scan_hom(cfg, default_scan_positions(cfg, n_points=15), 4_500.0)
         path = scan.to_csv(tmp_path / "scan.csv")
         back = hom_scan_from_csv(path)
         assert np.array_equal(back.counts, scan.counts)
         assert np.allclose(back.positions_nm, scan.positions_nm)
-        assert back.dwell_s == scan.dwell_s
         assert back.rng_seed == scan.rng_seed
 
 
@@ -214,8 +226,7 @@ def _hom_stage_scan(preset, global_seed):
     """The scan run_hom makes for a preset and seed."""
     cfg = preset_config(preset, global_seed)
     src = replace(cfg.source, rng_seed=derive_seed(cfg.global_seed, "hom"))
-    dwell = 10_000.0 / (src.pair_rate * src.det_efficiency**2)
-    return scan_hom(src, default_scan_positions(src), dwell)
+    return scan_hom(src, default_scan_positions(src), 10_000.0)
 
 
 def _oracle_scans():
@@ -224,8 +235,7 @@ def _oracle_scans():
         (0.3, 0.758, 0.9655, 0.97), (1e2, 3e2, 1e3, 3e3, 1e4), range(10)
     ):
         cfg = SourceConfig(visibility_v0=v0, rng_seed=1000 + seed)
-        dwell = peak / (cfg.pair_rate * cfg.det_efficiency**2)
-        yield scan_hom(cfg, default_scan_positions(cfg), dwell)
+        yield scan_hom(cfg, default_scan_positions(cfg), peak)
 
 
 def _chi2(scan, p):
@@ -275,16 +285,16 @@ class TestVisibilityFitSemantics:
     def test_non_finite_positions_fail_to_converge(self, bad):
         cfg = SourceConfig(rng_seed=4)
         positions = default_scan_positions(cfg)
-        scan = scan_hom(cfg, positions, 0.5)
+        scan = scan_hom(cfg, positions, 9_000.0)
         positions = positions.copy()
         positions[30] = bad
         with pytest.raises(RuntimeError, match="HOM fit failed to converge: "):
-            visibility_from_scan(HomScan(positions, scan.counts, scan.dwell_s))
+            visibility_from_scan(HomScan(positions, scan.counts))
 
     def test_constant_scan_has_no_dip(self):
         # No dip at all: v is fitted to zero and its shape is undetermined.
         positions = default_scan_positions(SourceConfig())
-        scan = HomScan(positions, np.full(positions.size, 5_000), dwell_s=1.0)
+        scan = HomScan(positions, np.full(positions.size, 5_000))
         with pytest.warns(RuntimeWarning, match="J\\^T J is singular"):
             v, v_err, chi2_dof = visibility_from_scan(scan)
         assert abs(v) < 1e-12
@@ -294,9 +304,8 @@ class TestVisibilityFitSemantics:
     def test_noiseless_scan_has_zero_chi2(self):
         cfg = SourceConfig(visibility_v0=0.97)
         positions = default_scan_positions(cfg)
-        scale = 1e8 / hom_coincidence_rate(cfg, 1e9)
-        counts = np.round([hom_coincidence_rate(cfg, p) * scale for p in positions])
-        _, v_err, chi2_dof = visibility_from_scan(HomScan(positions, counts, dwell_s=scale))
+        counts = np.round(_exact_dip(cfg, positions, 1e8))
+        _, v_err, chi2_dof = visibility_from_scan(HomScan(positions, counts))
         # Only the rounding to whole counts is left: chi2 ~ 61 / 12 / 1e8.
         assert chi2_dof < 1e-6
         assert 0 < v_err < 1e-6
@@ -360,14 +369,14 @@ class TestGenerateEvents:
     def test_noisy_counts_stop_at_the_last_kept_bit(self):
         # Only the windows up to the last kept bit are counted, so every
         # counted coincidence is a bit or a tie.
-        cfg = SourceConfig(dark_rate=5e7, rng_seed=12)
+        cfg = SourceConfig(dark_click_probability=0.05, rng_seed=12)
         for n_bits in (1, 12_345, _CHUNK_BITS + 1000):
             stream = generate_events(cfg, n_bits)
             assert stream.n_coincidences - stream.n_ties == n_bits
         assert stream.n_ties > 0
 
     def test_perfect_detectors_count_one_window_per_bit(self):
-        cfg = SourceConfig(dark_rate=0.0, det_efficiency=1.0, rng_seed=13)
+        cfg = SourceConfig(dark_click_probability=0.0, det_efficiency=1.0, rng_seed=13)
         stream = generate_events(cfg, 20_000)
         assert (stream.n_coincidences, stream.n_herald_only, stream.n_ties) == (20_000, 0, 0)
 
@@ -384,7 +393,7 @@ class TestGenerateEvents:
         assert abs(ones / n - 0.5) <= 0.0015  # 3 sigma of a fair binomial
 
     def test_perfect_detectors_have_no_herald_only(self):
-        cfg = SourceConfig(dark_rate=0.0, det_efficiency=1.0, rng_seed=5)
+        cfg = SourceConfig(dark_click_probability=0.0, det_efficiency=1.0, rng_seed=5)
         stream = generate_events(cfg, 50_000)
         assert stream.n_herald_only == 0
         assert stream.n_ties == 0
@@ -393,19 +402,15 @@ class TestGenerateEvents:
     def test_zero_efficiency_rejected(self):
         # A source that detects no pairs is rejected when it is built.
         with pytest.raises(ValueError, match="det_efficiency must be in"):
-            SourceConfig(det_efficiency=0.0, dark_rate=0.0)
-        with pytest.raises(ValueError, match="pair_rate must be positive"):
-            SourceConfig(pair_rate=0.0)
+            SourceConfig(det_efficiency=0.0, dark_click_probability=0.0)
 
     def test_dark_saturation_rejected(self):
         # At one dark click per gate every gate clicks on both paths, so a
         # source there could never make a bit.
-        for dark_rate in (1e9, 3e9):
-            with pytest.raises(ValueError, match=r"dark_rate \* coincidence_window .* below 1"):
-                SourceConfig(dark_rate=dark_rate)
-        with pytest.raises(ValueError, match=r"dark_rate \* coincidence_window"):
-            SourceConfig(dark_rate=1.0, coincidence_window=2.0)
-        SourceConfig(dark_rate=5e8)
+        for p_dark in (1.0, 3.0, -1e-9, math.nan):
+            with pytest.raises(ValueError, match=r"dark_click_probability must be in \[0, 1\), got"):
+                SourceConfig(dark_click_probability=p_dark)
+        SourceConfig(dark_click_probability=0.5)
 
     def test_sidecar_carries_source_snapshot(self, tmp_path):
         cfg = SourceConfig(rng_seed=8)
@@ -456,17 +461,17 @@ class TestBlockStreamedChunks:
         for chunk_index, n_bits in ((0, 150_000), (3, 777)):
             self._assert_matches_reference(cfg, chunk_index, n_bits)
 
-    @pytest.mark.parametrize("dark_rate", [0.0, 5e7])
-    def test_with_and_without_dark_counts(self, dark_rate):
-        # dark_rate 0 draws two arrays per batch, a positive rate four.
-        cfg = SourceConfig(dark_rate=dark_rate, rng_seed=21)
+    @pytest.mark.parametrize("p_dark", [0.0, 0.05])
+    def test_with_and_without_dark_counts(self, p_dark):
+        # p_dark 0 draws two arrays per batch, a positive one four.
+        cfg = SourceConfig(dark_click_probability=p_dark, rng_seed=21)
         counts = self._assert_matches_reference(cfg, 1, 200_000)
-        assert (counts[2] > 0) == (dark_rate > 0)
+        assert (counts[2] > 0) == (p_dark > 0)
 
     def test_second_batch(self):
         # At det_efficiency 1e-3 a batch of a few bits often ends short, so
         # the chunk draws a second batch further along the same stream.
-        eta, p_dark = 1e-3, SourceConfig().dark_rate * SourceConfig().coincidence_window
+        eta, p_dark = 1e-3, SourceConfig().dark_click_probability
         p_click = eta + (1.0 - eta) * p_dark
         p_valid = p_click * (1.0 - p_dark) + (1.0 - p_click) * p_dark
         second_batches = 0
